@@ -225,7 +225,7 @@ mod tests {
     use std::sync::Arc;
     use suu_core::workload;
     use suu_dag::generators;
-    use suu_sim::Evaluator;
+    use suu_sim::{spec_factory, Evaluator};
 
     fn independent(n: usize) -> Arc<SuuInstance> {
         let mut rng = SmallRng::seed_from_u64(n as u64);
@@ -290,9 +290,11 @@ mod tests {
         let inst = independent(6);
         let eval = Evaluator::seeded(5, 42);
         for name in reg.names() {
-            let report = eval
-                .run_spec(&reg, &inst, &PolicySpec::new(name))
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let report = eval.run(
+                &inst,
+                spec_factory(&reg, &inst, &PolicySpec::new(name))
+                    .unwrap_or_else(|e| panic!("{name}: {e}")),
+            );
             assert!(report.all_completed(), "{name} hit the step cap");
             assert_eq!(report.total_ineligible(), 0, "{name} violated eligibility");
         }
@@ -370,13 +372,17 @@ mod tests {
         let inst = independent(5);
         let eval = Evaluator::seeded(300, 7);
         let opt_mean = eval
-            .run_spec(&reg, &inst, &PolicySpec::new("exact-opt"))
-            .unwrap()
+            .run(
+                &inst,
+                spec_factory(&reg, &inst, &PolicySpec::new("exact-opt")).unwrap(),
+            )
             .mean_makespan();
         for name in ["gang-sequential", "round-robin", "suu-i-obl"] {
             let mean = eval
-                .run_spec(&reg, &inst, &PolicySpec::new(name))
-                .unwrap()
+                .run(
+                    &inst,
+                    spec_factory(&reg, &inst, &PolicySpec::new(name)).unwrap(),
+                )
                 .mean_makespan();
             // Sampling noise allowance: OPT should not lose by a margin.
             assert!(

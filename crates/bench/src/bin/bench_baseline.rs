@@ -1,7 +1,8 @@
 //! **bench_baseline** — the perf-trajectory anchor: runs the standard
 //! nine-family [`suu_bench::scenario::ScenarioSuite`] across every
 //! registry policy that fits each scenario (on the streaming batched
-//! evaluator), measures a parallel-vs-serial evaluator speedup, races the
+//! evaluator), measures the batched evaluator's all-cores-vs-one-worker
+//! speedup (outcomes checked against the per-trial reference), races the
 //! **dense stepper against the event engine**, and races the **per-trial
 //! event engine against the batched SoA engine** (identical outcomes
 //! required everywhere, wall clocks recorded). Writes:
@@ -46,8 +47,9 @@ use suu_core::json::Json;
 use suu_core::profile::ProfileMode;
 use suu_core::SuuInstance;
 use suu_sim::{
-    execute, BatchRunner, EngineKind, EvalConfig, Evaluator, ExecConfig, ExecOutcome,
-    OutcomeAccumulator, PolicyRegistry, PolicySpec, Precision, RegistryError, Semantics,
+    execute, spec_factory, BatchRunner, EngineKind, EvalConfig, EvalReport, Evaluator, ExecConfig,
+    ExecOutcome, OutcomeAccumulator, PolicyRegistry, PolicySpec, Precision, RegistryError,
+    Semantics,
 };
 
 /// Smallest wall clock a speedup ratio is trusted at: sub-millisecond
@@ -275,7 +277,7 @@ fn batch_cell(
     // Streaming cross-check: the O(1)-memory stats path folds the very
     // same outcomes in the same order, so its Welford mean must equal a
     // direct fold of the batched outcomes **bitwise**.
-    let stats = evaluator.run_stats_spec(registry, inst, spec)?;
+    let stats = evaluator.run_stats(inst, spec_factory(registry, inst, spec)?);
     let mut acc = OutcomeAccumulator::new();
     for o in &batched {
         acc.push(o);
@@ -311,10 +313,7 @@ fn batch_cell(
     }
     let profile = prof_runner.metrics().profile.expect("profiler enabled");
 
-    let sem_label = match semantics {
-        Semantics::SuuStar => "suu-star",
-        Semantics::Suu => "suu",
-    };
+    let sem_label = semantics.as_str();
     println!(
         // suu-lint: allow(float-format, "human console progress line; schema'd floats go through the Json shortest-repr writer")
         "  {scenario_id:<28} {spec:<14} {} {sem_label:<8} per-trial {:>8.4}s  batched {:>8.4}s  speedup {:>6.2}x  cache {}h/{}m",
@@ -425,8 +424,9 @@ fn main() {
         .map(|p| p.get())
         .unwrap_or(1);
 
-    // 2. Evaluator speedup: serial vs all-cores, identical outcomes
-    //    required (skipped in smoke mode; the engine comparison below
+    // 2. Evaluator speedup: the batched pipeline at one worker vs all
+    //    cores, both checked bitwise against the per-trial `run_serial`
+    //    reference (skipped in smoke mode; the engine comparison below
     //    already covers determinism).
     if !smoke {
         println!("\n-- evaluator speedup (1000 trials, greedy-lr on uniform-12x192) --");
@@ -434,34 +434,40 @@ fn main() {
         let inst = sc.instantiate();
         let spec = PolicySpec::new("greedy-lr");
         let eval = Evaluator::seeded(1000, 0xFA57);
+        let make_policy = || registry.build(&inst, &spec).expect("builds");
 
-        let serial = {
-            let e = eval.with_threads(1);
-            e.run_serial(&inst, || registry.build(&inst, &spec).expect("builds"))
+        let reference = eval.with_threads(1).run_serial(&inst, make_policy);
+        let serial = eval.with_threads(1).run(&inst, make_policy);
+        let parallel = eval.with_threads(0).run(&inst, make_policy);
+        // Workers the all-cores run really had: the pipeline never runs
+        // more workers than it has chunks.
+        let chunks = eval
+            .config
+            .trials
+            .div_ceil(suu_sim::evaluate::DEFAULT_BATCH);
+        let workers = cores.min(chunks);
+
+        let same = |r: &EvalReport| {
+            r.outcomes
+                .iter()
+                .zip(&reference.outcomes)
+                .all(|(a, b)| a.makespan == b.makespan)
         };
-        let parallel = eval
-            .with_threads(0)
-            .run(&inst, || registry.build(&inst, &spec).expect("builds"));
-
-        let identical = serial
-            .outcomes
-            .iter()
-            .zip(&parallel.outcomes)
-            .all(|(a, b)| a.makespan == b.makespan);
+        let identical = same(&serial) && same(&parallel);
         let speedup = serial.wall_clock.as_secs_f64() / parallel.wall_clock.as_secs_f64().max(1e-9);
         println!(
             // suu-lint: allow(float-format, "human console progress line; schema'd floats go through the Json shortest-repr writer")
-            "serial {:.3}s  parallel {:.3}s  speedup {speedup:.2}x on {cores} core(s)  outcomes identical: {identical}",
+            "serial {:.3}s  parallel {:.3}s  speedup {speedup:.2}x on {workers} worker(s)  outcomes identical: {identical}",
             serial.wall_clock.as_secs_f64(),
             parallel.wall_clock.as_secs_f64(),
         );
-        if cores == 1 {
-            println!("(single-core host: the parallel path degenerates to one worker;");
+        if workers == 1 {
+            println!("(one worker: the parallel path degenerates to the serial one;");
             println!(" re-run on a multicore machine for the real speedup number)");
         }
         assert!(
             identical,
-            "parallel evaluator diverged from serial reference"
+            "batched evaluator diverged from the per-trial serial reference"
         );
 
         doc = doc.field(
@@ -473,7 +479,7 @@ fn main() {
                     .field("trials", 1000u64)
                     .field("serial_wall_clock_s", serial.wall_clock.as_secs_f64())
                     .field("parallel_wall_clock_s", parallel.wall_clock.as_secs_f64())
-                    .field("threads", cores)
+                    .field("threads", workers)
                     .field("outcomes_identical", identical),
                 serial.wall_clock.as_secs_f64(),
                 parallel.wall_clock.as_secs_f64(),
@@ -614,9 +620,10 @@ fn main() {
     for sc in &av_scenarios {
         let inst = sc.instantiate();
         for spec_text in av_specs {
-            let stats = av_evaluator(sc, fixed_trials)
-                .run_stats_spec(&registry, &inst, &PolicySpec::new(spec_text))
+            let spec = PolicySpec::new(spec_text);
+            let make_policy = spec_factory(&registry, &inst, &spec)
                 .unwrap_or_else(|e| panic!("{}/{spec_text}: {e}", sc.id));
+            let stats = av_evaluator(sc, fixed_trials).run_stats(&inst, make_policy);
             fixed_cis.push(stats.summary().expect("trials > 0").ci95);
         }
     }

@@ -15,7 +15,7 @@ use suu_bench::scenario::Scenario;
 use suu_bench::{print_header, Stopwatch};
 use suu_core::json::Json;
 use suu_sim::stats::{chi_square_critical_001, chi_square_two_sample, histogram_pair};
-use suu_sim::{EvalConfig, Evaluator, ExecConfig, PolicySpec, Semantics};
+use suu_sim::{spec_factory, EvalConfig, Evaluator, ExecConfig, PolicySpec, Semantics};
 
 fn main() {
     let watch = Stopwatch::start();
@@ -66,8 +66,10 @@ fn main() {
                     },
                     ..EvalConfig::default()
                 })
-                .run_spec(&registry, &inst, &spec)
-                .expect("policy builds")
+                .run(
+                    &inst,
+                    spec_factory(&registry, &inst, &spec).expect("policy builds"),
+                )
             };
             let a = run(Semantics::Suu);
             let b = run(Semantics::SuuStar);

@@ -41,24 +41,22 @@
 //!   re-derives, and — the point of adaptivity — `trials_adaptive` does
 //!   not exceed `trials_fixed_equivalent`. No cell may record
 //!   `wall_clock_s` (sweep artifacts must replay byte-identically).
-//! * `suu-serve/loadgen/v1` — the serving-benchmark gate: request
-//!   accounting adds up, **zero failed requests and zero replay
-//!   mismatches**, latency percentiles are non-negative and ordered
-//!   (p50 ≤ p95 ≤ p99 ≤ max) for every class, and throughput is
-//!   positive.
 //! * `suu-serve/loadgen/v2` — the sharded-serving scaling gate: a
 //!   positive `host_cores`, one entry per distinct shard count, and for
-//!   every entry the v1 checks plus **zero router-vs-direct
-//!   mismatches** (the scatter/gather merge stayed byte-identical to a
-//!   single daemon), at least one identity probe, a tracked
-//!   `rejected_429` counter, and an aggregated `suu-serve/stats/v1`
-//!   fleet document whose per-shard breakdown matches the entry's
-//!   shard count.
+//!   every entry: request accounting adds up, **zero failed requests,
+//!   zero replay mismatches and zero router-vs-direct mismatches** (the
+//!   scatter/gather merge stayed byte-identical to a single daemon),
+//!   latency percentiles are non-negative and ordered (p50 ≤ p95 ≤ p99
+//!   ≤ max) for every class, throughput is positive, at least one
+//!   identity probe ran, `rejected_429` is tracked, and an aggregated
+//!   `suu-serve/stats/v1` fleet document's per-shard breakdown matches
+//!   the entry's shard count.
 //!
 //! Exits nonzero on the first violation, so it can gate CI directly.
 
 use suu_core::json::{parse, Json};
 use suu_core::schemas;
+use suu_sim::Semantics;
 
 fn fail(msg: String) -> ! {
     eprintln!("validate_results: FAIL: {msg}");
@@ -200,8 +198,6 @@ fn validate_engine(doc: &Json, path: &str) -> usize {
     null_speedups
 }
 
-const SEMANTICS_LABELS: [&str; 2] = ["suu-star", "suu"];
-
 /// The `suu-bench/engine-batch/v2` gate: v1's checks plus the
 /// profile-guided rebuild's fields, and an optional perf sanity floor on
 /// every *timed* cell's speedup.
@@ -213,7 +209,7 @@ fn validate_engine_batch_v2(doc: &Json, path: &str, min_speedup: Option<f64>) ->
         require_str(cell, "scenario", &ctx);
         require_str(cell, "policy", &ctx);
         let sem = require_str(cell, "semantics", &ctx);
-        if !SEMANTICS_LABELS.contains(&sem) {
+        if Semantics::parse(sem).is_none() {
             fail(format!("{ctx}: unknown semantics {sem:?}"));
         }
         if cell.get("stationary").and_then(Json::as_bool).is_none() {
@@ -525,51 +521,11 @@ fn check_latency_block(holder: &Json, classes: &[&str], ctx: &str) {
     }
 }
 
-/// The `suu-serve/loadgen/v1` gate: a serving-benchmark document is
-/// only credible with zero failures, zero replay mismatches, and
-/// internally consistent latency summaries.
-fn validate_loadgen_v1(doc: &Json, path: &str) {
-    let mode = require_str(doc, "mode", path);
-    if !["full", "smoke"].contains(&mode) {
-        fail(format!("{path}: unknown loadgen mode {mode:?}"));
-    }
-    let require_u64 = |obj: &Json, key: &str, ctx: &str| -> u64 {
-        obj.get(key)
-            .and_then(Json::as_u64)
-            .unwrap_or_else(|| fail(format!("{ctx}: missing non-negative integer '{key}'")))
-    };
-    let requests = doc
-        .get("requests")
-        .unwrap_or_else(|| fail(format!("{path}: missing object 'requests'")));
-    let total = require_u64(requests, "total", path);
-    let classed: u64 = ["primed", "hit", "miss", "extend", "storm"]
-        .iter()
-        .map(|k| require_u64(requests, k, path))
-        .sum();
-    if total == 0 || total != classed {
-        fail(format!(
-            "{path}: request accounting broken (total {total}, classes sum {classed})"
-        ));
-    }
-    for key in ["failed", "replay_mismatches"] {
-        let n = require_u64(doc, key, path);
-        if n != 0 {
-            fail(format!("{path}: {n} {key} — a clean run is required"));
-        }
-    }
-    match doc.get("throughput_rps").and_then(Json::as_f64) {
-        Some(rps) if rps > 0.0 => {}
-        _ => fail(format!("{path}: 'throughput_rps' must be positive")),
-    }
-    // An empty class (e.g. a smoke run that rolled no extends) is
-    // legitimately all-zero; a non-empty one must be ordered.
-    check_latency_block(doc, &["all", "hit", "miss", "extend", "storm"], path);
-    println!("OK {path}: suu-serve/loadgen/v1 ({mode}), {total} requests, 0 failed, 0 mismatches");
-}
-
 /// The `suu-serve/loadgen/v2` gate: per-shard-count scaling entries,
-/// each held to the v1 bar *plus* the sharding contract — the merged
-/// responses stayed byte-identical to a single daemon's.
+/// each with a clean run (zero failures and replay mismatches, ordered
+/// latency percentiles, positive throughput) *plus* the sharding
+/// contract — the merged responses stayed byte-identical to a single
+/// daemon's.
 fn validate_loadgen_v2(doc: &Json, path: &str) {
     let mode = require_str(doc, "mode", path);
     if !["full", "smoke"].contains(&mode) {
@@ -688,7 +644,6 @@ fn main() {
             Some(s) if s.starts_with("suu-bench/engine-") => {
                 tolerated += validate_engine(&doc, path);
             }
-            Some(schemas::SERVE_LOADGEN_V1) => validate_loadgen_v1(&doc, path),
             Some(schemas::SERVE_LOADGEN_V2) => validate_loadgen_v2(&doc, path),
             other => fail(format!("{path}: unsupported schema {other:?}")),
         }

@@ -38,13 +38,7 @@
 //!   emitting the `suu-results/sweep/v1` phase-diagram artifact (driven
 //!   by the `suu-sweep` binary in `suu-serve`, which supplies the cache
 //!   layer underneath).
-//!
-//! Micro-benches (`cargo bench`, via the offline [`harness`]) cover the
-//! substrate costs: simplex, max-flow, rounding, engine throughput,
-//! end-to-end schedule construction, and the stochastic timetable
-//! pipeline.
 
-pub mod harness;
 pub mod report;
 pub mod request;
 pub mod runner;

@@ -59,7 +59,7 @@
 
 use crate::scenario::{Scenario, ScenarioSuite};
 use suu_core::json::Json;
-use suu_sim::{EvalStats, PairedStats, Semantics};
+use suu_sim::{EvalStats, PairedStats};
 
 /// Schema identifier stamped on every document.
 pub const SCHEMA: &str = suu_core::schemas::RESULTS_V2;
@@ -138,17 +138,13 @@ impl ResultsBuilder {
         extra: &[(&str, Json)],
     ) {
         self.register_policy(policy);
-        let semantics = match stats.config.exec.semantics {
-            Semantics::Suu => "suu",
-            Semantics::SuuStar => "suu-star",
-        };
         let mut cell = Json::obj()
             .field("scenario", scenario_id)
             .field("policy", policy)
             .field("trials", stats.config.trials)
             .field("trials_used", stats.trials())
             .field("master_seed", stats.config.master_seed)
-            .field("semantics", semantics);
+            .field("semantics", stats.config.exec.semantics.as_str());
         if let Some(summary) = stats.summary() {
             cell = cell
                 .field("mean_makespan", summary.mean)

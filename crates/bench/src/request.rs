@@ -348,18 +348,16 @@ impl RaceRequest {
 
         let mut exec = ExecConfig::default();
         if let Some(s) = v.get("semantics") {
-            exec.semantics = match s.as_str() {
-                Some("suu") => Semantics::Suu,
-                Some("suu-star") => Semantics::SuuStar,
-                _ => return Err("'semantics' must be \"suu\" or \"suu-star\"".into()),
-            };
+            exec.semantics = s
+                .as_str()
+                .and_then(Semantics::parse)
+                .ok_or("'semantics' must be \"suu\" or \"suu-star\"")?;
         }
         if let Some(e) = v.get("engine") {
-            exec.engine = match e.as_str() {
-                Some("events") => EngineKind::Events,
-                Some("dense") => EngineKind::Dense,
-                _ => return Err("'engine' must be \"events\" or \"dense\"".into()),
-            };
+            exec.engine = e
+                .as_str()
+                .and_then(EngineKind::parse)
+                .ok_or("'engine' must be \"events\" or \"dense\"")?;
         }
         if let Some(ms) = v.get("max_steps") {
             exec.max_steps = ms
@@ -442,20 +440,8 @@ impl RaceRequest {
             ),
         };
         doc.field("master_seed", self.master_seed)
-            .field(
-                "semantics",
-                match self.exec.semantics {
-                    Semantics::Suu => "suu",
-                    Semantics::SuuStar => "suu-star",
-                },
-            )
-            .field(
-                "engine",
-                match self.exec.engine {
-                    EngineKind::Events => "events",
-                    EngineKind::Dense => "dense",
-                },
-            )
+            .field("semantics", self.exec.semantics.as_str())
+            .field("engine", self.exec.engine.as_str())
             .field("max_steps", self.exec.max_steps)
             .field("ratios_to_lower_bound", self.ratios_to_lower_bound)
     }

@@ -23,7 +23,8 @@ use crate::scenario::Scenario;
 use suu_algos::bounds::lower_bound;
 use suu_core::json::Json;
 use suu_sim::{
-    EvalConfig, Evaluator, ExecConfig, PolicyRegistry, PolicySpec, Precision, RegistryError,
+    spec_factory, EvalConfig, Evaluator, ExecConfig, PolicyRegistry, PolicySpec, Precision,
+    RegistryError,
 };
 
 /// Declarative description of a policy race.
@@ -347,7 +348,11 @@ fn run_paired_cell(
     precision: Precision,
     builder: &mut ResultsBuilder,
 ) {
-    match evaluator.run_paired_spec(registry, inst, spec_a, spec_b, precision) {
+    let paired = spec_factory(registry, inst, spec_a).and_then(|a| {
+        let b = spec_factory(registry, inst, spec_b)?;
+        Ok(evaluator.run_paired(inst, a, b, precision))
+    });
+    match paired {
         Ok(paired) => {
             println!(
                 "    Δ {:<14} − {:<14} {:>10.2} ± {:<8.2} {} ({} pairs, {})",

@@ -35,9 +35,6 @@ pub const SERVE_HEALTH_V1: &str = "suu-serve/health/v1";
 /// `router` blocks after the daemon's v1 fields, never reorders them).
 pub const SERVE_STATS_V1: &str = "suu-serve/stats/v1";
 
-/// Single-daemon `suu-loadgen` benchmark document (superseded by v2).
-pub const SERVE_LOADGEN_V1: &str = "suu-serve/loadgen/v1";
-
 /// Sharded `suu-loadgen` scaling-sweep document (`BENCH_serve.json`).
 pub const SERVE_LOADGEN_V2: &str = "suu-serve/loadgen/v2";
 
@@ -74,7 +71,6 @@ pub const ALL: &[&str] = &[
     SERVE_INDEX_V1,
     SERVE_HEALTH_V1,
     SERVE_STATS_V1,
-    SERVE_LOADGEN_V1,
     SERVE_LOADGEN_V2,
     SIM_ACCUMULATOR_V1,
     SIM_EVALSTATS_V1,

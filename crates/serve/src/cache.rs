@@ -498,13 +498,12 @@ mod tests {
     fn sample_stats() -> EvalStats {
         let sc = suu_bench::scenario::Scenario::uniform(2, 4, 0.3, 0.9, 5);
         let registry = suu_algos::standard_registry();
-        Evaluator::seeded(8, 42)
-            .run_stats_spec(
-                &registry,
-                &sc.instantiate(),
-                &suu_sim::PolicySpec::new("gang-sequential"),
-            )
-            .unwrap()
+        let inst = sc.instantiate();
+        let spec = suu_sim::PolicySpec::new("gang-sequential");
+        Evaluator::seeded(8, 42).run_stats(
+            &inst,
+            suu_sim::spec_factory(&registry, &inst, &spec).unwrap(),
+        )
     }
 
     fn sample_key(seed: u64) -> CellKey {

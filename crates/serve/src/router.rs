@@ -50,7 +50,7 @@ use crate::cache::{cell_key_fields, is_valid_key_hex, CellKey};
 use crate::client::Client;
 use crate::http::{Request, Response};
 use crate::server::ServerMetrics;
-use crate::service::{semantics_str, CacheCounts, STATS_FIELDS};
+use crate::service::{CacheCounts, STATS_FIELDS};
 use crate::unpoisoned;
 use std::io::{self, BufRead, BufReader};
 use std::path::PathBuf;
@@ -568,7 +568,7 @@ impl Router {
                     &race.scenarios[si].params,
                     &race.policies[pi],
                     race.master_seed,
-                    semantics_str(race.exec.semantics),
+                    race.exec.semantics.as_str(),
                     race.exec.max_steps,
                 ));
                 // suu-lint: allow(serve-unwrap, "CellKey::hex is fnv1a_hex output — 16 lowercase hex digits by construction — so this parse cannot fail")

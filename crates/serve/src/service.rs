@@ -247,7 +247,7 @@ impl Service {
                     &rs.params,
                     policy_text,
                     race.master_seed,
-                    semantics_str(race.exec.semantics),
+                    race.exec.semantics.as_str(),
                     race.exec.max_steps,
                 ));
                 match self.evaluate_cell(&key, &evaluator, &inst, spec, race.precision) {
@@ -364,12 +364,10 @@ pub const STATS_FIELDS: [&str; 12] = [
     "rejected_429",
 ];
 
-/// Canonical wire spelling of a [`Semantics`] (cell-key field).
+/// Canonical wire spelling of a [`Semantics`] (cell-key field): kept as
+/// an alias of [`Semantics::as_str`] for `servebench`, which imports it.
 pub fn semantics_str(s: Semantics) -> &'static str {
-    match s {
-        Semantics::Suu => "suu",
-        Semantics::SuuStar => "suu-star",
-    }
+    s.as_str()
 }
 
 #[cfg(test)]

@@ -27,7 +27,6 @@ use suu_core::json::Json;
 use suu_core::schemas;
 use suu_serve::cache::{cell_key_fields, CellKey};
 use suu_serve::router::{key_from_hex, owner_of};
-use suu_serve::service::semantics_str;
 
 extern "C" {
     fn kill(pid: i32, sig: i32) -> i32;
@@ -240,7 +239,7 @@ fn cell_keys(body: &str) -> Vec<String> {
                     &rs.params,
                     policy,
                     race.master_seed,
-                    semantics_str(race.exec.semantics),
+                    race.exec.semantics.as_str(),
                     race.exec.max_steps,
                 ))
                 .hex,

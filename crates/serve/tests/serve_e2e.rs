@@ -222,18 +222,18 @@ fn daemon_serves_replays_and_extends_over_a_real_socket() {
     // derivation, fresh accumulator, computed in-process.
     let sc = suu_bench::scenario::Scenario::uniform(3, 6, 0.3, 0.9, 7);
     let registry = suu_algos::standard_registry();
+    let inst = sc.instantiate();
+    let spec = suu_sim::PolicySpec::new("greedy-lr");
     let cold = suu_sim::Evaluator::new(suu_sim::EvalConfig {
         trials: 18,
         master_seed: suu_bench::runner::scenario_master_seed(21, &sc),
         threads: 0,
         ..suu_sim::EvalConfig::default()
     })
-    .run_stats_spec(
-        &registry,
-        &sc.instantiate(),
-        &suu_sim::PolicySpec::new("greedy-lr"),
-    )
-    .unwrap();
+    .run_stats(
+        &inst,
+        suu_sim::spec_factory(&registry, &inst, &spec).unwrap(),
+    );
     let cold_summary = cold.summary().unwrap();
     let mean = cell.get("mean_makespan").unwrap().as_f64().unwrap();
     assert_eq!(

@@ -70,6 +70,24 @@ pub enum Semantics {
     SuuStar,
 }
 
+impl Semantics {
+    /// Wire spelling (requests, checkpoints, cell keys): `"suu"` or
+    /// `"suu-star"`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Semantics::Suu => "suu",
+            Semantics::SuuStar => "suu-star",
+        }
+    }
+
+    /// Inverse of [`Semantics::as_str`].
+    pub fn parse(s: &str) -> Option<Semantics> {
+        [Semantics::Suu, Semantics::SuuStar]
+            .into_iter()
+            .find(|v| v.as_str() == s)
+    }
+}
+
 /// Which execution core to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
@@ -78,6 +96,23 @@ pub enum EngineKind {
     /// Event-driven fast path: jumps from decision epoch to decision
     /// epoch (the default).
     Events,
+}
+
+impl EngineKind {
+    /// Wire spelling (requests, checkpoints): `"dense"` or `"events"`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            EngineKind::Dense => "dense",
+            EngineKind::Events => "events",
+        }
+    }
+
+    /// Inverse of [`EngineKind::as_str`].
+    pub fn parse(s: &str) -> Option<EngineKind> {
+        [EngineKind::Dense, EngineKind::Events]
+            .into_iter()
+            .find(|v| v.as_str() == s)
+    }
 }
 
 /// Execution parameters.

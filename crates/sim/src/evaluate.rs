@@ -20,40 +20,39 @@
 //! (rather than `base_seed + k`) keeps nearby master seeds from sharing
 //! trial streams.
 //!
-//! Two result shapes:
+//! Every method but the [`Evaluator::run_serial`] reference runs its
+//! trials through one pipeline: the batched engine, one warm
+//! [`BatchRunner`] per worker, with chunks delivered to a sink strictly
+//! in trial order. [`Evaluator::run`] keeps every [`ExecOutcome`] in an
+//! [`EvalReport`] (for differential tests and histogram experiments that
+//! need the raw sample); every other path folds them into an
+//! [`OutcomeAccumulator`] and returns [`EvalStats`] — `O(threads ·
+//! batch)` peak memory, independent of the trial count, and bitwise
+//! identical at any thread count, even the order-sensitive P² sketches.
 //!
-//! * [`Evaluator::run`] / [`Evaluator::run_batched`] collect every
-//!   [`ExecOutcome`] into an [`EvalReport`] — for differential tests and
-//!   histogram experiments that need the raw sample;
-//! * [`Evaluator::run_stats`] (the default for the bench harness) folds
-//!   trials from the batched engine straight into an
-//!   [`OutcomeAccumulator`], returning [`EvalStats`] — `O(threads ·
-//!   batch)` peak memory, independent of the trial count, with chunk
-//!   folding pinned to trial order so even the order-sensitive P²
-//!   sketches are bitwise identical at any thread count.
+//! The accumulating paths are one core: grow a cell from its current
+//! trial count until a [`Precision`] rule fires, in deterministic rounds
+//! on the [`BudgetLadder`] schedule. [`Evaluator::run_stats`] is growth
+//! from empty under `FixedTrials(n)`; [`Evaluator::resume_adaptive`]
+//! grows a saved cell (under `FixedTrials(n)` that is a plain extend to
+//! `n` trials). Because every trial's randomness is keyed by its
+//! **index** (not by anything a previous trial did), growing a cell from
+//! `n` to `n+k` trials is bitwise identical — moments *and* sketch state
+//! — to a fresh `n+k`-trial run. Checkpoints serialize via
+//! [`EvalStats::to_json`]; the `suu-serve` daemon's content-addressed
+//! result cache is built on that.
 //!
-//! Because every trial's randomness is keyed by its **index** (not by
-//! anything a previous trial did), a cell is *resumable*:
-//! [`Evaluator::extend_stats`] folds trials `n..n+k` into a saved
-//! accumulator and is bitwise identical — moments *and* sketch state —
-//! to a fresh `n+k`-trial run at any thread count. That makes
-//! sequential stopping cheap: [`Evaluator::run_adaptive`] grows a cell
-//! in deterministic rounds until a [`Precision`] rule fires, and
 //! [`Evaluator::run_paired`] compares two policies on **common random
 //! numbers** (the same per-trial engine seeds), so the variance of the
 //! per-trial *difference* — not of each mean — drives the budget.
-//! Checkpoints serialize via [`EvalStats::to_json`] and resume through
-//! [`Evaluator::extend_stats`] (grow to an explicit target) or
-//! [`Evaluator::resume_adaptive`] (keep growing under a [`Precision`]
-//! rule) — the machinery the `suu-serve` daemon's content-addressed
-//! result cache is built on.
+//! Registry-built policies enter any of these through [`spec_factory`].
 
 use crate::engine::batch::{BatchRunner, BatchTrial};
 use crate::engine::{execute, EngineKind, ExecConfig, ExecOutcome, Semantics};
 use crate::policy::Policy;
 use crate::registry::{PolicyRegistry, PolicySpec, RegistryError};
 use crate::stats::{OutcomeAccumulator, PairedDelta, Precision, StopReason, Summary};
-use rayon::prelude::*;
+use crate::sweep::BudgetLadder;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use suu_core::json::Json;
@@ -85,11 +84,9 @@ pub struct EvalConfig {
     pub master_seed: u64,
     /// Worker threads (`0` = one per available core, `1` = serial).
     pub threads: usize,
-    /// Trials per batch handed to the batched engine by the streaming
-    /// paths ([`Evaluator::run_stats`], [`Evaluator::run_batched`]);
-    /// bounds their peak memory at `O(threads · batch)` outcomes. `0`
-    /// means the default (256). The collecting [`Evaluator::run`] path
-    /// ignores it.
+    /// Trials per batch handed to the batched engine; bounds the
+    /// accumulating paths' peak memory at `O(threads · batch)` outcomes.
+    /// `0` means the default (256). [`Evaluator::run_serial`] ignores it.
     pub batch: usize,
     /// Engine configuration shared by all trials.
     pub exec: ExecConfig,
@@ -229,8 +226,8 @@ impl EvalStats {
     pub const CHECKPOINT_SCHEMA: &'static str = suu_core::schemas::SIM_EVALSTATS_V1;
 
     /// Serialize a resumable checkpoint: the accumulator snapshot plus
-    /// everything [`Evaluator::extend_stats`] needs to continue the cell
-    /// (master seed, trial count, engine configuration).
+    /// everything [`Evaluator::resume_adaptive`] needs to continue the
+    /// cell (master seed, trial count, engine configuration).
     pub fn to_json(&self) -> Json {
         Json::obj()
             .field("schema", Self::CHECKPOINT_SCHEMA)
@@ -241,8 +238,8 @@ impl EvalStats {
             .field(
                 "exec",
                 Json::obj()
-                    .field("semantics", semantics_str(self.config.exec.semantics))
-                    .field("engine", engine_str(self.config.exec.engine))
+                    .field("semantics", self.config.exec.semantics.as_str())
+                    .field("engine", self.config.exec.engine.as_str())
                     .field("max_steps", self.config.exec.max_steps),
             )
             .field("wall_clock_s", self.wall_clock.as_secs_f64())
@@ -264,19 +261,21 @@ impl EvalStats {
                 .ok_or_else(|| format!("checkpoint missing integer '{key}'"))
         };
         let exec_json = json.get("exec").ok_or("checkpoint missing 'exec'")?;
+        let semantics = exec_json
+            .get("semantics")
+            .and_then(Json::as_str)
+            .ok_or("checkpoint missing 'exec.semantics'")?;
+        let semantics = Semantics::parse(semantics)
+            .ok_or_else(|| format!("unknown semantics {semantics:?}"))?;
+        let engine = exec_json
+            .get("engine")
+            .and_then(Json::as_str)
+            .ok_or("checkpoint missing 'exec.engine'")?;
+        let engine =
+            EngineKind::parse(engine).ok_or_else(|| format!("unknown engine {engine:?}"))?;
         let exec = ExecConfig {
-            semantics: parse_semantics(
-                exec_json
-                    .get("semantics")
-                    .and_then(Json::as_str)
-                    .ok_or("checkpoint missing 'exec.semantics'")?,
-            )?,
-            engine: parse_engine(
-                exec_json
-                    .get("engine")
-                    .and_then(Json::as_str)
-                    .ok_or("checkpoint missing 'exec.engine'")?,
-            )?,
+            semantics,
+            engine,
             max_steps: exec_json
                 .get("max_steps")
                 .and_then(Json::as_u64)
@@ -290,6 +289,10 @@ impl EvalStats {
         if acc.count() != trials as u64 {
             return Err("checkpoint trial count disagrees with accumulator".into());
         }
+        let wall_clock_s = json
+            .get("wall_clock_s")
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0);
         Ok(EvalStats {
             policy: json
                 .get("policy")
@@ -304,42 +307,9 @@ impl EvalStats {
                 exec,
             },
             acc,
-            wall_clock: Duration::from_secs_f64(
-                json.get("wall_clock_s")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0),
-            ),
+            wall_clock: Duration::try_from_secs_f64(wall_clock_s)
+                .map_err(|e| format!("checkpoint 'wall_clock_s' {wall_clock_s}: {e}"))?,
         })
-    }
-}
-
-fn semantics_str(s: Semantics) -> &'static str {
-    match s {
-        Semantics::Suu => "suu",
-        Semantics::SuuStar => "suu-star",
-    }
-}
-
-fn parse_semantics(s: &str) -> Result<Semantics, String> {
-    match s {
-        "suu" => Ok(Semantics::Suu),
-        "suu-star" => Ok(Semantics::SuuStar),
-        other => Err(format!("unknown semantics {other:?}")),
-    }
-}
-
-fn engine_str(e: EngineKind) -> &'static str {
-    match e {
-        EngineKind::Dense => "dense",
-        EngineKind::Events => "events",
-    }
-}
-
-fn parse_engine(s: &str) -> Result<EngineKind, String> {
-    match s {
-        "dense" => Ok(EngineKind::Dense),
-        "events" => Ok(EngineKind::Events),
-        other => Err(format!("unknown engine {other:?}")),
     }
 }
 
@@ -439,7 +409,7 @@ impl Evaluator {
         self
     }
 
-    /// Builder-style batch-size override for the streaming paths.
+    /// Builder-style batch-size override.
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.config.batch = batch;
         self
@@ -481,7 +451,8 @@ impl Evaluator {
         self.chunk_trials(lo, hi, 0, hi.saturating_sub(lo))
     }
 
-    /// Run the policy produced by `make_policy` for every trial.
+    /// Run the policy produced by `make_policy` for every trial and
+    /// collect the outcomes in trial order.
     ///
     /// `make_policy` is invoked once per worker thread; each trial reseeds
     /// and resets the worker's policy value, so construction cost (LP
@@ -491,45 +462,23 @@ impl Evaluator {
         F: Fn() -> P + Sync,
         P: Policy,
     {
-        let cfg = self.config;
         let started = Instant::now();
-        let name = std::sync::Mutex::new(None::<String>);
-
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(cfg.threads)
-            .build()
-            .expect("thread pool");
-        let outcomes: Vec<ExecOutcome> = pool.install(|| {
-            (0..cfg.trials)
-                .into_par_iter()
-                .map_init(
-                    || {
-                        let policy = make_policy();
-                        let mut slot = name.lock().expect("name lock");
-                        if slot.is_none() {
-                            *slot = Some(policy.name().to_string());
-                        }
-                        policy
-                    },
-                    |policy, k| self.run_trial(inst, policy, k as u64),
-                )
-                .collect()
+        let mut outcomes = Vec::with_capacity(self.config.trials);
+        let policy = self.stream_range(inst, &make_policy, 0, self.config.trials, |chunk| {
+            outcomes.extend(chunk)
         });
-
         EvalReport {
-            policy: name
-                .into_inner()
-                .expect("name lock")
-                .unwrap_or_else(|| "unnamed".to_string()),
-            config: cfg,
+            policy,
+            config: self.config,
             outcomes,
             wall_clock: started.elapsed(),
         }
     }
 
     /// Reference serial implementation: one policy value, trials in order
-    /// on the calling thread. Exists so tests (and the perf harness) can
-    /// check the parallel path reproduces it bitwise and outruns it.
+    /// on the calling thread, each through the per-trial [`execute`].
+    /// Exists so tests (and the perf harness) can check the batched
+    /// pipeline reproduces it bitwise and outruns it.
     pub fn run_serial<F, P>(&self, inst: &SuuInstance, make_policy: F) -> EvalReport
     where
         F: Fn() -> P,
@@ -550,204 +499,46 @@ impl Evaluator {
         }
     }
 
-    /// Build the spec through the registry and evaluate it.
-    ///
-    /// Construction failures surface before any trial runs; each worker
-    /// thread builds its own policy instance from the same spec.
-    pub fn run_spec(
-        &self,
-        registry: &PolicyRegistry,
-        inst: &Arc<SuuInstance>,
-        spec: &PolicySpec,
-    ) -> Result<EvalReport, RegistryError> {
-        let make_policy = probe_factory(registry, inst, spec)?;
-        Ok(self.run(inst, make_policy))
-    }
-
-    /// Run every trial through the batched engine, collecting outcomes.
-    ///
-    /// Serial (one policy value on the calling thread), chunked in trial
-    /// order. Buffers all outcomes — this is the *verification* spelling
-    /// of the batched path, existing so differential tests and the bench
-    /// harness can assert batched ≡ per-trial bitwise; production sweeps
-    /// use the O(1)-memory [`Evaluator::run_stats`] instead.
-    pub fn run_batched<F, P>(&self, inst: &SuuInstance, make_policy: F) -> EvalReport
-    where
-        F: FnOnce() -> P,
-        P: Policy,
-    {
-        let cfg = self.config;
-        let batch = self.batch_size();
-        let started = Instant::now();
-        let mut policy = make_policy();
-        let name = policy.name().to_string();
-        let mut runner = BatchRunner::new(inst, &cfg.exec);
-        let mut outcomes = Vec::with_capacity(cfg.trials);
-        for chunk in 0..cfg.trials.div_ceil(batch) {
-            let trials = self.chunk_trials(0, cfg.trials, chunk, batch);
-            outcomes.extend(runner.run(&mut policy, &trials));
-        }
-        EvalReport {
-            policy: name,
-            config: cfg,
-            outcomes,
-            wall_clock: started.elapsed(),
-        }
-    }
-
-    /// Build the spec through the registry and run it batched (see
-    /// [`Evaluator::run_batched`]).
-    pub fn run_batched_spec(
-        &self,
-        registry: &PolicyRegistry,
-        inst: &Arc<SuuInstance>,
-        spec: &PolicySpec,
-    ) -> Result<EvalReport, RegistryError> {
-        let policy = registry.build(inst, spec)?;
-        Ok(self.run_batched(inst, move || policy))
-    }
-
-    /// The default evaluation path: every trial through the batched
-    /// engine, folded straight into an [`OutcomeAccumulator`] — peak
-    /// memory is `O(threads · batch)` outcomes, independent of the trial
-    /// count.
-    ///
-    /// Parallelism is a bounded pipeline: workers pull chunk indices from
-    /// a shared counter and send `(index, outcomes)` through a bounded
-    /// channel; the calling thread folds chunks strictly in index order.
-    /// The accumulator therefore sees the trials in trial order no matter
-    /// how many workers run, so the statistics (including the
-    /// order-sensitive P² sketches) are **bitwise identical at any thread
-    /// count** — the same determinism contract as [`Evaluator::run`].
+    /// The fixed-budget path: `config.trials` trials folded straight
+    /// into an [`OutcomeAccumulator`] — growth from empty under
+    /// [`Precision::FixedTrials`].
     pub fn run_stats<F, P>(&self, inst: &SuuInstance, make_policy: F) -> EvalStats
     where
         F: Fn() -> P + Sync,
         P: Policy,
     {
-        let started = Instant::now();
-        let mut acc = OutcomeAccumulator::new();
-        let policy = self.stream_range(inst, &make_policy, &mut acc, 0, self.config.trials);
-        EvalStats {
-            policy,
-            config: self.config,
-            acc,
-            wall_clock: started.elapsed(),
-        }
-    }
-
-    /// Extend a saved cell from its current trial count to
-    /// `target_trials`, folding trials `n..target` into its accumulator.
-    ///
-    /// Because trial randomness is keyed by absolute trial index and the
-    /// accumulator sees trials strictly in index order, the result is
-    /// **bitwise identical** — moments *and* P² sketch state — to a fresh
-    /// `target_trials` run at any thread count (tested in
-    /// `tests/adaptive.rs`). The caller must resume with the instance,
-    /// policy, master seed and semantics the cell was started with
-    /// (master seed, semantics and step-cap mismatches are caught here;
-    /// the engine kind is result-neutral by the differential guarantee;
-    /// the instance/policy are the caller's contract, exactly as for a
-    /// fresh run). No-op when the cell already has `target_trials`
-    /// trials.
-    pub fn extend_stats<F, P>(
-        &self,
-        inst: &SuuInstance,
-        make_policy: F,
-        stats: &mut EvalStats,
-        target_trials: usize,
-    ) where
-        F: Fn() -> P + Sync,
-        P: Policy,
-    {
-        self.assert_resumable(stats);
-        let done = stats.trials() as usize;
-        if target_trials <= done {
-            return;
-        }
-        let started = Instant::now();
-        self.stream_range(inst, &make_policy, &mut stats.acc, done, target_trials);
-        stats.config.trials = target_trials;
-        stats.wall_clock += started.elapsed();
-    }
-
-    /// Build the spec through the registry and extend the cell (see
-    /// [`Evaluator::extend_stats`]).
-    pub fn extend_stats_spec(
-        &self,
-        registry: &PolicyRegistry,
-        inst: &Arc<SuuInstance>,
-        spec: &PolicySpec,
-        stats: &mut EvalStats,
-        target_trials: usize,
-    ) -> Result<(), RegistryError> {
-        let make_policy = probe_factory(registry, inst, spec)?;
-        self.extend_stats(inst, make_policy, stats, target_trials);
-        Ok(())
-    }
-
-    /// Grow a cell until `precision` says stop: trials are added in
-    /// deterministic rounds (the round schedule grows 1.5× from the
-    /// rule's `min_trials`, capped at `max_trials` — geometric, so the
-    /// stopping-check cost stays logarithmic, but gentle enough that a
-    /// cell overshoots its stopping point by at most ~50%), with a
-    /// stopping check after each round. Same master seed ⇒ same
-    /// statistics at every check ⇒ same stopping point, at any thread
-    /// count.
-    pub fn run_adaptive<F, P>(
-        &self,
-        inst: &SuuInstance,
-        make_policy: F,
-        precision: Precision,
-    ) -> AdaptiveStats
-    where
-        F: Fn() -> P + Sync,
-        P: Policy,
-    {
-        let started = Instant::now();
-        let mut acc = OutcomeAccumulator::new();
-        let mut done = 0usize;
-        let (name, stop_reason) =
-            self.adaptive_rounds(inst, &make_policy, &mut acc, &mut done, precision);
-        let mut config = self.config;
-        config.trials = done;
-        AdaptiveStats {
-            stats: EvalStats {
-                policy: name.unwrap_or_else(|| "unnamed".to_string()),
-                config,
-                acc,
-                wall_clock: started.elapsed(),
-            },
-            stop_reason,
-        }
+        let fixed = Precision::FixedTrials(self.config.trials);
+        self.grow(inst, &make_policy, self.empty_cell(), fixed)
+            .stats
     }
 
     /// Resume a saved cell (e.g. an [`EvalStats::from_json`] checkpoint)
-    /// and keep growing it until `precision` says stop — the sequential
-    /// half of [`Evaluator::extend_stats`]: the round schedule and
-    /// stopping checks are exactly [`Evaluator::run_adaptive`]'s, but
-    /// execution starts from the cell's current trial count instead of
-    /// zero.
+    /// and keep growing it until `precision` says stop; under
+    /// `FixedTrials(n)` this extends the cell to `n` trials (a no-op when
+    /// it already has them).
     ///
     /// Whatever trial count `N` the resumed cell ends at, its moments and
     /// P² sketch state are **bitwise identical** to a fresh `N`-trial run
-    /// (the [`Evaluator::extend_stats`] guarantee). When the cell's whole
-    /// history was grown under the same round discipline (same
-    /// `min_trials`, as the serve daemon arranges), the *stopping point*
-    /// itself also matches a cold [`Evaluator::run_adaptive`] at the
-    /// tighter target: every checkpoint the cold run visits below the
-    /// cell's current count already failed a looser-or-equal check, so
-    /// neither run stops there. A cell grown under a different discipline
-    /// (say a fixed budget) still resumes correctly but may stop at a
-    /// different count than a cold adaptive run would.
+    /// at any thread count (tested in `tests/adaptive.rs`). When the
+    /// cell's whole history was grown under the same round discipline
+    /// (same `min_trials`, as the serve daemon arranges), the *stopping
+    /// point* itself also matches a cold [`Evaluator::run_adaptive_spec`]
+    /// at the tighter target: every checkpoint the cold run visits below
+    /// the cell's current count already failed a looser-or-equal check,
+    /// so neither run stops there. A cell grown under a different
+    /// discipline (say a fixed budget) still resumes correctly but may
+    /// stop at a different count than a cold adaptive run would.
     ///
-    /// The same resume preconditions as [`Evaluator::extend_stats`] apply
-    /// (asserted: master seed, semantics, step cap; caller contract:
-    /// instance and policy).
+    /// The caller must resume with the instance, policy, master seed and
+    /// semantics the cell was started with (master seed, semantics and
+    /// step-cap mismatches are asserted here; the engine kind is
+    /// result-neutral by the differential guarantee; the instance and
+    /// policy are the caller's contract, exactly as for a fresh run).
     pub fn resume_adaptive<F, P>(
         &self,
         inst: &SuuInstance,
         make_policy: F,
-        mut stats: EvalStats,
+        stats: EvalStats,
         precision: Precision,
     ) -> AdaptiveStats
     where
@@ -755,16 +546,20 @@ impl Evaluator {
         P: Policy,
     {
         self.assert_resumable(&stats);
-        let started = Instant::now();
-        let mut done = stats.trials() as usize;
-        let (name, stop_reason) =
-            self.adaptive_rounds(inst, &make_policy, &mut stats.acc, &mut done, precision);
-        if stats.policy.is_empty() {
-            stats.policy = name.unwrap_or_else(|| "unnamed".to_string());
-        }
-        stats.config.trials = done;
-        stats.wall_clock += started.elapsed();
-        AdaptiveStats { stats, stop_reason }
+        self.grow(inst, &make_policy, stats, precision)
+    }
+
+    /// Build the spec through the registry and grow a fresh cell until
+    /// `precision` says stop (see [`Evaluator::resume_adaptive`]).
+    pub fn run_adaptive_spec(
+        &self,
+        registry: &PolicyRegistry,
+        inst: &Arc<SuuInstance>,
+        spec: &PolicySpec,
+        precision: Precision,
+    ) -> Result<AdaptiveStats, RegistryError> {
+        let make_policy = spec_factory(registry, inst, spec)?;
+        Ok(self.grow(inst, &make_policy, self.empty_cell(), precision))
     }
 
     /// Build the spec through the registry and resume the cell
@@ -777,49 +572,70 @@ impl Evaluator {
         stats: EvalStats,
         precision: Precision,
     ) -> Result<AdaptiveStats, RegistryError> {
-        let make_policy = probe_factory(registry, inst, spec)?;
+        let make_policy = spec_factory(registry, inst, spec)?;
         Ok(self.resume_adaptive(inst, make_policy, stats, precision))
     }
 
-    /// The shared sequential-stopping loop: grow `acc` from `done` trials
-    /// in deterministic 1.5× rounds anchored at `precision.min_trials()`,
-    /// checking the stopping rule after each round. The schedule is a
-    /// pure function of the current count, so resumed and cold runs walk
-    /// identical checkpoints once their counts coincide.
-    fn adaptive_rounds<F, P>(
+    /// A cell with no trials yet, under this evaluator's configuration.
+    fn empty_cell(&self) -> EvalStats {
+        EvalStats {
+            policy: String::new(),
+            config: self.config,
+            acc: OutcomeAccumulator::new(),
+            wall_clock: Duration::ZERO,
+        }
+    }
+
+    /// The evaluation core: grow `stats` from its current trial count
+    /// until `precision` says stop. Rounds climb the [`BudgetLadder`]
+    /// anchored at `precision.min_trials()` (1.5× growth — geometric, so
+    /// the stopping-check cost stays logarithmic, but gentle enough that
+    /// a cell overshoots its stopping point by at most ~50%). The
+    /// schedule is a pure function of the current count, so resumed and
+    /// cold runs walk identical checkpoints once their counts coincide;
+    /// same master seed ⇒ same statistics at every check ⇒ same stopping
+    /// point, at any thread count.
+    fn grow<F, P>(
         &self,
         inst: &SuuInstance,
         make_policy: &F,
-        acc: &mut OutcomeAccumulator,
-        done: &mut usize,
+        mut stats: EvalStats,
         precision: Precision,
-    ) -> (Option<String>, StopReason)
+    ) -> AdaptiveStats
     where
         F: Fn() -> P + Sync,
         P: Policy,
     {
-        let max = precision.max_trials();
-        let mut target = precision.min_trials().min(max);
-        let mut name: Option<String> = None;
+        let started = Instant::now();
+        let ladder = BudgetLadder::new(precision.min_trials(), precision.max_trials());
+        let mut done = stats.trials() as usize;
         let stop_reason = loop {
-            if target > *done {
-                let n = self.stream_range(inst, make_policy, acc, *done, target);
-                name.get_or_insert(n);
-                *done = target;
-            }
-            let (mean, ci95) = match acc.summary() {
+            let (mean, ci95) = match stats.acc.summary() {
                 Some(s) => (s.mean, s.ci95),
                 None => (0.0, f64::INFINITY),
             };
-            if let Some(reason) = precision.check(*done, mean, ci95) {
+            if let Some(reason) = precision.check(done, mean, ci95) {
                 break reason;
             }
-            target = done.saturating_add((*done / 2).max(1)).min(max);
+            let target = ladder.next(done).expect("every rule stops at its cap");
+            let acc = &mut stats.acc;
+            let name = self.stream_range(inst, make_policy, done, target, |chunk| {
+                chunk.iter().for_each(|o| acc.push(o))
+            });
+            if stats.policy.is_empty() {
+                stats.policy = name;
+            }
+            done = target;
         };
-        (name, stop_reason)
+        if stats.policy.is_empty() {
+            stats.policy = "unnamed".to_string();
+        }
+        stats.config.trials = done;
+        stats.wall_clock += started.elapsed();
+        AdaptiveStats { stats, stop_reason }
     }
 
-    /// Shared resume precondition checks (see [`Evaluator::extend_stats`]).
+    /// Shared resume precondition checks (see [`Evaluator::resume_adaptive`]).
     fn assert_resumable(&self, stats: &EvalStats) {
         assert_eq!(
             stats.config.master_seed, self.config.master_seed,
@@ -835,25 +651,13 @@ impl Evaluator {
         );
     }
 
-    /// Build the spec through the registry and evaluate it adaptively
-    /// (see [`Evaluator::run_adaptive`]).
-    pub fn run_adaptive_spec(
-        &self,
-        registry: &PolicyRegistry,
-        inst: &Arc<SuuInstance>,
-        spec: &PolicySpec,
-        precision: Precision,
-    ) -> Result<AdaptiveStats, RegistryError> {
-        let make_policy = probe_factory(registry, inst, spec)?;
-        Ok(self.run_adaptive(inst, make_policy, precision))
-    }
-
     /// Compare two policies pairwise on **common random numbers**: each
     /// paired trial runs both policies from the *same* engine seed (the
     /// seed the marginal cells use for that trial index), and the Welford
     /// accumulator tracks the per-trial difference `A − B` — under CRN
     /// its variance is what should drive the budget, so `precision`'s CI
-    /// rule is applied to the **difference**, not to either mean.
+    /// rule is applied to the **difference**, not to either mean. Rounds
+    /// follow the same [`BudgetLadder`] schedule as the marginal cells.
     ///
     /// Runs on the calling thread, chunk by chunk (both policies per
     /// chunk, deltas folded in trial order) — paired cells are usually an
@@ -884,11 +688,16 @@ impl Evaluator {
         let mut runner_a = BatchRunner::new(inst, &cfg.exec);
         let mut runner_b = BatchRunner::new(inst, &cfg.exec);
         let mut delta = PairedDelta::new();
-        let max = precision.max_trials();
-        let mut target = precision.min_trials().min(max);
+        let ladder = BudgetLadder::new(precision.min_trials(), precision.max_trials());
         let mut done = 0usize;
         let stop_reason = loop {
-            for chunk in 0..(target - done).div_ceil(batch.max(1)) {
+            let mean = delta.mean().unwrap_or(0.0);
+            let ci95 = delta.ci95().unwrap_or(f64::INFINITY);
+            if let Some(reason) = precision.check(done, mean, ci95) {
+                break reason;
+            }
+            let target = ladder.next(done).expect("every rule stops at its cap");
+            for chunk in 0..(target - done).div_ceil(batch) {
                 let trials = self.chunk_trials(done, target, chunk, batch);
                 let out_a = runner_a.run(&mut a, &trials);
                 let out_b = runner_b.run(&mut b, &trials);
@@ -897,12 +706,6 @@ impl Evaluator {
                 }
             }
             done = target;
-            let mean = delta.mean().unwrap_or(0.0);
-            let ci95 = delta.ci95().unwrap_or(f64::INFINITY);
-            if let Some(reason) = precision.check(done, mean, ci95) {
-                break reason;
-            }
-            target = done.saturating_add((done / 2).max(1)).min(max);
         };
         let mut config = cfg;
         config.trials = done;
@@ -916,31 +719,24 @@ impl Evaluator {
         }
     }
 
-    /// Build both specs through the registry and compare them paired
-    /// (see [`Evaluator::run_paired`]).
-    pub fn run_paired_spec(
-        &self,
-        registry: &PolicyRegistry,
-        inst: &Arc<SuuInstance>,
-        spec_a: &PolicySpec,
-        spec_b: &PolicySpec,
-        precision: Precision,
-    ) -> Result<PairedStats, RegistryError> {
-        let a = registry.build(inst, spec_a)?;
-        let b = registry.build(inst, spec_b)?;
-        Ok(self.run_paired(inst, move || a, move || b, precision))
-    }
-
-    /// The streaming core: execute trials `lo..hi` through the batched
-    /// engine and fold them into `acc` strictly in trial order, returning
-    /// the policy's display name.
+    /// The trial pipeline: execute trials `lo..hi` through the batched
+    /// engine and hand their outcomes to `sink` chunk by chunk, strictly
+    /// in trial order, returning the policy's display name.
+    ///
+    /// Parallelism is a bounded pipeline: workers pull chunk indices from
+    /// a shared counter and send `(index, outcomes)` through a bounded
+    /// channel; the calling thread delivers chunks strictly in index
+    /// order. The sink therefore sees the trials in trial order no matter
+    /// how many workers run, so everything folded from it (including the
+    /// order-sensitive P² sketches) is **bitwise identical at any thread
+    /// count**.
     fn stream_range<F, P>(
         &self,
         inst: &SuuInstance,
         make_policy: &F,
-        acc: &mut OutcomeAccumulator,
         lo: usize,
         hi: usize,
+        mut sink: impl FnMut(Vec<ExecOutcome>),
     ) -> String
     where
         F: Fn() -> P + Sync,
@@ -967,15 +763,13 @@ impl Evaluator {
             let mut runner = BatchRunner::new(inst, &cfg.exec);
             for chunk in 0..chunks {
                 let trials = self.chunk_trials(lo, hi, chunk, batch);
-                for outcome in runner.run(&mut policy, &trials) {
-                    acc.push(&outcome);
-                }
+                sink(runner.run(&mut policy, &trials));
             }
         } else {
             use std::sync::atomic::{AtomicUsize, Ordering};
             let name = std::sync::Mutex::new(None::<String>);
             let next = AtomicUsize::new(0);
-            // Chunks folded into the accumulator so far. Workers refuse to
+            // Chunks delivered to the sink so far. Workers refuse to
             // *execute* a chunk more than `window` ahead of it, which is
             // what actually bounds the chunks in flight (the channel alone
             // cannot: the fold loop drains it eagerly while waiting for
@@ -1021,16 +815,14 @@ impl Evaluator {
                     });
                 }
                 drop(tx);
-                // Fold strictly in chunk order; out-of-order arrivals wait
-                // in `pending`, bounded by the execution window above.
+                // Deliver strictly in chunk order; out-of-order arrivals
+                // wait in `pending`, bounded by the execution window above.
                 let mut pending = std::collections::BTreeMap::new();
                 let mut want = 0usize;
                 for (chunk, outcomes) in rx {
                     pending.insert(chunk, outcomes);
                     while let Some(outcomes) = pending.remove(&want) {
-                        for outcome in &outcomes {
-                            acc.push(outcome);
-                        }
+                        sink(outcomes);
                         want += 1;
                         folded.store(want, Ordering::Release);
                     }
@@ -1043,22 +835,6 @@ impl Evaluator {
                 .unwrap_or_else(|| "unnamed".to_string());
         }
         policy_name
-    }
-
-    /// Build the spec through the registry and evaluate it on the
-    /// streaming path (see [`Evaluator::run_stats`]).
-    ///
-    /// Construction failures surface before any trial runs; as in
-    /// [`Evaluator::run_spec`], the probe policy is handed to the first
-    /// worker so expensive construction is not paid twice.
-    pub fn run_stats_spec(
-        &self,
-        registry: &PolicyRegistry,
-        inst: &Arc<SuuInstance>,
-        spec: &PolicySpec,
-    ) -> Result<EvalStats, RegistryError> {
-        let make_policy = probe_factory(registry, inst, spec)?;
-        Ok(self.run_stats(inst, make_policy))
     }
 
     /// One trial, fully determined by `(master_seed, trial index)`.
@@ -1074,12 +850,14 @@ impl Evaluator {
     }
 }
 
-/// The `*_spec` entry points' shared policy factory: build the spec once
-/// up front — failing fast, with the real error, on the calling thread —
-/// and hand that probe instance to the first worker so expensive
-/// construction (LP solves, the exact-opt DP) is not paid twice; any
-/// further worker rebuilds from the same spec.
-fn probe_factory<'a>(
+/// Policy factory for a registry spec, accepted by every trial-running
+/// method: `eval.run_stats(&inst, spec_factory(&registry, &inst, &spec)?)`.
+///
+/// Builds the spec once up front — failing fast, with the real error, on
+/// the calling thread — and hands that probe instance to the first
+/// worker so expensive construction (LP solves, the exact-opt DP) is not
+/// paid twice; any further worker rebuilds from the same spec.
+pub fn spec_factory<'a>(
     registry: &'a PolicyRegistry,
     inst: &'a Arc<SuuInstance>,
     spec: &'a PolicySpec,
@@ -1138,10 +916,13 @@ mod tests {
         }
     }
 
+    /// Makespans of 64 trials in batches of 8: eight chunks, so every
+    /// thread count up to 8 really runs that many workers.
     fn outcomes_with_threads(threads: usize) -> Vec<u64> {
         let inst = workload::homogeneous(3, 6, 0.5, Precedence::Independent);
         Evaluator::seeded(64, 99)
             .with_threads(threads)
+            .with_batch(8)
             .run(&inst, JitteryGang::new)
             .outcomes
             .iter()
@@ -1164,7 +945,7 @@ mod tests {
     #[test]
     fn parallel_matches_serial_reference() {
         let inst = workload::homogeneous(2, 5, 0.6, Precedence::Independent);
-        let eval = Evaluator::seeded(50, 7);
+        let eval = Evaluator::seeded(50, 7).with_threads(3).with_batch(8);
         let par: Vec<u64> = eval
             .run(&inst, JitteryGang::new)
             .outcomes
@@ -1217,19 +998,20 @@ mod tests {
     }
 
     /// Once a cell outgrows the 512-sample exact window its accumulator
-    /// collapses to quantile sketches and can no longer be merged
-    /// ([`crate::stats::MergeError::SketchCollapsed`]) — the supported
-    /// growth route is the extend/replay path. Refine a cell across two
-    /// checkpointed rounds that straddle the collapse and demand the
-    /// final state is bitwise identical to a cold run at that count.
+    /// collapses to quantile sketches; growth still replays trials in
+    /// index order. Refine a cell across two checkpointed rounds that
+    /// straddle the collapse and demand the final state is bitwise
+    /// identical to a cold run at that count.
     #[test]
     fn sketch_collapsed_cell_refined_in_rounds_matches_cold_run() {
         let inst = workload::homogeneous(3, 6, 0.5, Precedence::Independent);
         let eval = Evaluator::seeded(400, 99);
-        let mut warm = eval.run_stats(&inst, JitteryGang::new);
+        let warm = eval.run_stats(&inst, JitteryGang::new);
 
         // Round 1: 400 → 600, crossing the exact-sample cap.
-        eval.extend_stats(&inst, JitteryGang::new, &mut warm, 600);
+        let warm = eval
+            .resume_adaptive(&inst, JitteryGang::new, warm, Precision::FixedTrials(600))
+            .stats;
         let checkpoint = warm.to_json();
         let restored = EvalStats::from_json(&checkpoint).expect("restore");
         assert_eq!(restored.trials(), 600);
@@ -1240,15 +1022,16 @@ mod tests {
                 .is_some(),
             "600 > 512 trials must have collapsed to sketches"
         );
-        let mut probe = OutcomeAccumulator::new();
-        assert_eq!(
-            probe.merge(&restored.acc),
-            Err(crate::stats::MergeError::SketchCollapsed { samples: 600 })
-        );
 
         // Round 2: resume the restored checkpoint 600 → 780.
-        let mut warm = restored;
-        eval.extend_stats(&inst, JitteryGang::new, &mut warm, 780);
+        let warm = eval
+            .resume_adaptive(
+                &inst,
+                JitteryGang::new,
+                restored,
+                Precision::FixedTrials(780),
+            )
+            .stats;
 
         let cold = Evaluator::seeded(780, 99).run_stats(&inst, JitteryGang::new);
         assert_eq!(warm.trials(), 780);
@@ -1257,5 +1040,21 @@ mod tests {
             cold.acc.to_json().to_canonical(),
             "refined-in-rounds cell must be bitwise identical to a cold run"
         );
+    }
+
+    /// A damaged `wall_clock_s` is a checkpoint error, not a panic: the
+    /// cell store loads every cached cell through `from_json`.
+    #[test]
+    fn checkpoint_with_invalid_wall_clock_is_an_error() {
+        let inst = workload::deterministic(2, 4, Precedence::Independent);
+        let good = Evaluator::seeded(4, 3)
+            .run_stats(&inst, JitteryGang::new)
+            .to_json();
+        for bad in [-1.0, 1e300] {
+            let err = EvalStats::from_json(&good.clone().field("wall_clock_s", bad))
+                .expect_err("invalid duration must be rejected");
+            assert!(err.contains("wall_clock_s"), "{err}");
+        }
+        assert!(EvalStats::from_json(&good).is_ok());
     }
 }

@@ -40,18 +40,19 @@
 //!   trials fan out across worker threads with per-trial RNG streams
 //!   derived from one master seed (engine and policy randomness in
 //!   separate domains), producing bitwise-identical outcomes at any
-//!   thread count. Its default [`Evaluator::run_stats`] path runs trials
-//!   through the **batched SoA engine** ([`engine::batch`]) — stationary
-//!   policies share one `decide` per distinct remaining set across a
-//!   whole batch — and folds them into the streaming [`stats`] layer
-//!   (Welford moments + P² quantile sketches with an exact small-sample
-//!   fallback), so evaluation memory is independent of the trial count.
-//!   Cells are **resumable** ([`Evaluator::extend_stats`]: extending
-//!   `n → n+k` is bitwise a fresh `n+k` run) and grow **adaptively**
-//!   ([`Evaluator::run_adaptive`]: deterministic sequential stopping on
-//!   Student-t confidence intervals); [`Evaluator::run_paired`] compares
-//!   two policies per trial on common random numbers so the variance of
-//!   the difference drives the comparison budget.
+//!   thread count. Every path but the per-trial [`Evaluator::run_serial`]
+//!   reference runs trials through the **batched SoA engine**
+//!   ([`engine::batch`]) — stationary policies share one `decide` per
+//!   distinct remaining set across a whole batch — and
+//!   [`Evaluator::run_stats`] folds them into the streaming [`stats`]
+//!   layer (Welford moments + P² quantile sketches with an exact
+//!   small-sample fallback), so evaluation memory is independent of the
+//!   trial count. Cells are **resumable** and grow **adaptively**
+//!   ([`Evaluator::resume_adaptive`]: growing `n → n+k` is bitwise a
+//!   fresh `n+k` run; a [`Precision`] rule stops growth on Student-t
+//!   confidence intervals); [`Evaluator::run_paired`] compares two
+//!   policies per trial on common random numbers so the variance of the
+//!   difference drives the comparison budget.
 
 pub mod engine;
 pub mod evaluate;
@@ -64,15 +65,16 @@ pub mod trace;
 pub use engine::batch::{execute_batch, BatchMetrics, BatchRunner, BatchTrial};
 pub use engine::{execute, EngineKind, ExecConfig, ExecOutcome, Semantics};
 pub use evaluate::{
-    derive_seed, AdaptiveStats, EvalConfig, EvalReport, EvalStats, Evaluator, PairedStats,
+    derive_seed, spec_factory, AdaptiveStats, EvalConfig, EvalReport, EvalStats, Evaluator,
+    PairedStats,
 };
 pub use policy::{Assignment, Decision, Policy, StateView};
 pub use registry::{
     factory, PolicyFactory, PolicyRegistry, PolicySpec, RegistryError, StructureClass,
 };
 pub use stats::{
-    student_t_quantile, summarize, t_ci95_scale, MergeError, OutcomeAccumulator, P2Quantile,
-    PairedDelta, Precision, StopReason, Streaming, Summary,
+    student_t_quantile, summarize, t_ci95_scale, OutcomeAccumulator, P2Quantile, PairedDelta,
+    Precision, StopReason, Streaming, Summary,
 };
 pub use sweep::{BudgetLadder, PairedMargin};
 pub use trace::{Trace, TraceStep, Tracing};

@@ -20,10 +20,10 @@
 //! first, the z≈1.96 normal approximation understates the interval badly
 //! (t₀.₉₇₅ is 12.71 at n=2 and 2.78 at n=5). Accumulators can be
 //! **snapshotted** to [`suu_core::json`] ([`OutcomeAccumulator::to_json`])
-//! and later resumed or [merged][`OutcomeAccumulator::merge`], which is
-//! what makes cells resumable: extending a cell replays the same
-//! per-trial values in the same order, so the restored state — moments
-//! *and* sketch markers — is bitwise what a fresh longer run produces.
+//! and later resumed, which is what makes cells resumable: extending a
+//! cell replays the same per-trial values in the same order, so the
+//! restored state — moments *and* sketch markers — is bitwise what a
+//! fresh longer run produces.
 
 use crate::engine::ExecOutcome;
 use suu_core::json::Json;
@@ -672,37 +672,6 @@ impl P2Quantile {
     }
 }
 
-/// Why [`OutcomeAccumulator::merge`] refused to fold a right-hand side.
-///
-/// Typed (rather than a bare message) so orchestration layers can branch:
-/// a sketch-collapsed cell is not corrupt, it has simply outlived the
-/// merge contract and must be grown through the replay-safe extend path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MergeError {
-    /// The right-hand accumulator outgrew its exact cap and collapsed to
-    /// P² sketch markers; the original push sequence is gone, so no
-    /// bitwise-faithful merge exists. Carries the RHS sample count.
-    SketchCollapsed {
-        /// Number of samples the collapsed accumulator has folded.
-        samples: u64,
-    },
-}
-
-impl std::fmt::Display for MergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MergeError::SketchCollapsed { samples } => write!(
-                f,
-                "merge requires the right-hand accumulator to retain its exact \
-                 sample; it collapsed to quantile sketches at {samples} samples \
-                 (grow it through the extend/replay path instead)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
-
 /// Streaming accumulator over trial outcomes: everything the report layer
 /// needs — makespan moments, min/max, median/p95, completion and
 /// violation counts — in memory independent of the trial count.
@@ -775,18 +744,10 @@ impl OutcomeAccumulator {
     /// accumulator ([`summarize`]'s `usize::MAX` cap) never pays for the
     /// sketches at all.
     pub fn push_makespan(&mut self, makespan: f64, completed: bool, ineligible: u64) {
-        self.fold_value(makespan);
         if completed {
             self.completed += 1;
         }
         self.ineligible += ineligible;
-    }
-
-    /// The makespan half of a push: moments plus the exact-sample /
-    /// sketch bookkeeping. Shared by [`OutcomeAccumulator::push_makespan`]
-    /// and [`OutcomeAccumulator::merge`], so a merged value goes through
-    /// exactly the state transitions a directly-pushed one does.
-    fn fold_value(&mut self, makespan: f64) {
         self.makespan.push(makespan);
         match &mut self.exact {
             Some(exact) if exact.len() < self.exact_cap => exact.push(makespan),
@@ -805,32 +766,6 @@ impl OutcomeAccumulator {
                 self.p95.push(makespan);
             }
         }
-    }
-
-    /// Fold another accumulator's trials into this one, **in the order
-    /// they were pushed there** — bitwise what pushing them here directly
-    /// would have produced (moments, exact sample, sketch markers, and
-    /// the cap-crossing replay all reuse the single-push code path).
-    ///
-    /// Only works while `other` still retains its exact sample (its
-    /// count is within its cap): once values are collapsed into sketch
-    /// markers the original sequence is gone and no bitwise-faithful
-    /// merge exists — that case is the typed
-    /// [`MergeError::SketchCollapsed`] so callers can branch on it
-    /// (the sweep orchestrator routes collapsed cells through the
-    /// replay-safe `resume_adaptive`/`extend_stats` path instead).
-    /// Callers doing distributed accumulation should give shard
-    /// accumulators a cap at least their shard size.
-    pub fn merge(&mut self, other: &OutcomeAccumulator) -> Result<(), MergeError> {
-        let values = other.exact.as_ref().ok_or(MergeError::SketchCollapsed {
-            samples: other.makespan.count(),
-        })?;
-        for &v in values {
-            self.fold_value(v);
-        }
-        self.completed += other.completed;
-        self.ineligible += other.ineligible;
-        Ok(())
     }
 
     /// Snapshot schema identifier stamped on [`OutcomeAccumulator::to_json`].
@@ -1535,40 +1470,6 @@ mod tests {
         snapshot_roundtrip_case(&values, 5, 8); // crossing after restore
         snapshot_roundtrip_case(&values, 0, 16);
         snapshot_roundtrip_case(&values, 40, 16);
-    }
-
-    #[test]
-    fn accumulator_merge_matches_direct_pushes() {
-        let values: Vec<f64> = (0..30).map(|i| ((i * 17 + 3) % 19) as f64).collect();
-        let mut left = OutcomeAccumulator::with_exact_cap(12);
-        let mut right = OutcomeAccumulator::with_exact_cap(usize::MAX);
-        let mut whole = OutcomeAccumulator::with_exact_cap(12);
-        for (i, &v) in values.iter().enumerate() {
-            let completed = i % 3 != 0;
-            whole.push_makespan(v, completed, i as u64);
-            if i < 9 {
-                left.push_makespan(v, completed, i as u64);
-            } else {
-                right.push_makespan(v, completed, i as u64);
-            }
-        }
-        left.merge(&right).unwrap();
-        assert_eq!(left.to_json().to_compact(), whole.to_json().to_compact());
-        assert_eq!(left.completion_rate(), whole.completion_rate());
-        assert_eq!(left.total_ineligible(), whole.total_ineligible());
-
-        // A sketch-collapsed right-hand side cannot merge faithfully; the
-        // refusal is typed so orchestrators can reroute to the extend path.
-        let mut collapsed = OutcomeAccumulator::with_exact_cap(4);
-        for &v in &values[..10] {
-            collapsed.push_makespan(v, true, 0);
-        }
-        assert!(!collapsed.exact_quantiles());
-        let err = OutcomeAccumulator::new()
-            .merge(&collapsed)
-            .expect_err("collapsed RHS must not merge");
-        assert_eq!(err, MergeError::SketchCollapsed { samples: 10 });
-        assert!(err.to_string().contains("extend/replay"));
     }
 
     #[test]

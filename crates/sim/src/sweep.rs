@@ -6,12 +6,12 @@
 //! with no knowledge of grids or caches:
 //!
 //! * [`BudgetLadder`] — the deterministic trial-budget schedule a cell
-//!   climbs while its comparison is unresolved. The rungs are exactly
-//!   the checkpoints `Evaluator::run_adaptive`'s internal round schedule
-//!   visits (1.5× growth anchored at the initial budget), so a cell
-//!   grown rung-by-rung through the cache's extend path lands on the
-//!   same trial counts a single adaptive run would have, and stays
-//!   bitwise reusable by either.
+//!   climbs while its comparison is unresolved. It is the one 1.5×
+//!   round schedule in the workspace: the evaluator's adaptive and
+//!   paired loops climb the same ladder, so a cell grown rung-by-rung
+//!   through the cache's extend path lands on the same trial counts a
+//!   single adaptive run would have, and stays bitwise reusable by
+//!   either.
 //! * [`PairedMargin`] — the winner margin between two policies evaluated
 //!   under common random numbers, with a **conservative** 95% CI for
 //!   the difference. The sweep only sees each policy's marginal
@@ -24,9 +24,9 @@
 
 /// Deterministic trial-budget schedule for one sweep cell.
 ///
-/// Rungs follow the adaptive evaluator's round schedule: the first rung
-/// is `initial`, every later rung is `n + max(n/2, 1)` (1.5× growth),
-/// clamped to `max`. A pure function of its inputs — no state, no
+/// The first rung is `initial`, every later rung is `n + max(n/2, 1)`
+/// (1.5× growth), clamped to `max`; the evaluator's adaptive rounds
+/// climb the ladder anchored at a [`crate::Precision`]'s `min_trials`. A pure function of its inputs — no state, no
 /// clocks — so every re-run of a sweep climbs identical rungs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetLadder {

@@ -312,8 +312,8 @@ fn single_thread_matches_multi_thread() {
             trials: 64,
             master_seed: 42,
             threads,
+            batch: 8, // eight chunks: eight real workers at 8 threads
             exec: cfg(Semantics::SuuStar),
-            ..EvalConfig::default()
         })
         .run(&inst, || SpreadPolicy)
         .outcomes
@@ -338,14 +338,15 @@ fn summary_of_makespans() {
 
 #[test]
 fn batched_run_matches_per_trial_run_bitwise() {
-    // GangPolicy declares stationary, so run_batched goes through the SoA
-    // fast path; its outcome vector must equal the per-trial engine's.
+    // GangPolicy declares stationary, so the batched pipeline goes through
+    // the SoA fast path; its outcome vector must equal the per-trial
+    // engine's.
     let mut grng = StdRng::seed_from_u64(9);
     let inst = workload::uniform_unrelated(3, 7, 0.25, 0.95, Precedence::Independent, &mut grng);
     for semantics in [Semantics::Suu, Semantics::SuuStar] {
         let evaluator = eval(70, 123, semantics).with_threads(1).with_batch(16);
-        let per_trial = evaluator.run(&inst, || GangPolicy);
-        let batched = evaluator.run_batched(&inst, || GangPolicy);
+        let per_trial = evaluator.run_serial(&inst, || GangPolicy);
+        let batched = evaluator.run(&inst, || GangPolicy);
         assert_eq!(per_trial.outcomes, batched.outcomes, "{semantics:?}");
     }
 }
@@ -354,10 +355,7 @@ fn batched_run_matches_per_trial_run_bitwise() {
 fn run_stats_matches_collected_report_and_any_thread_count() {
     let inst = workload::homogeneous(3, 6, 0.6, Precedence::Independent);
     let evaluator = eval(300, 77, Semantics::SuuStar).with_batch(32);
-    let reference = evaluator
-        .with_threads(1)
-        .run(&inst, || SpreadPolicy)
-        .to_stats();
+    let reference = evaluator.run_serial(&inst, || SpreadPolicy).to_stats();
     let ref_summary = reference.summary().expect("nonempty");
     for threads in [1, 2, 5] {
         let stats = evaluator

@@ -25,7 +25,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use suu::core::{workload, Precedence};
-//! use suu::sim::{Evaluator, PolicySpec};
+//! use suu::sim::{spec_factory, Evaluator, PolicySpec};
 //! use rand::rngs::SmallRng;
 //! use rand::SeedableRng;
 //!
@@ -36,9 +36,10 @@
 //!
 //! // The paper's O(log log min(m,n)) semioblivious schedule, by name.
 //! let registry = suu::algos::standard_registry();
-//! let report = Evaluator::seeded(20, 1)
-//!     .run_spec(&registry, &inst, &PolicySpec::new("suu-i-sem"))
+//! let spec = PolicySpec::new("suu-i-sem");
+//! let make_policy = spec_factory(&registry, &inst, &spec)
 //!     .expect("suu-i-sem builds on independent instances");
+//! let report = Evaluator::seeded(20, 1).run(&inst, make_policy);
 //! assert!(report.all_completed());
 //! assert!(report.mean_makespan() >= 1.0);
 //! ```

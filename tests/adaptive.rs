@@ -4,9 +4,14 @@
 //! engines), deterministic sequential stopping, checkpoint round-trips,
 //! and paired CRN comparisons.
 
+use std::sync::Arc;
 use suu::algos::standard_registry;
 use suu::bench::scenario::Scenario;
-use suu::sim::{EngineKind, EvalConfig, EvalStats, Evaluator, ExecConfig, PolicySpec, Precision};
+use suu::core::SuuInstance;
+use suu::sim::{
+    spec_factory, EngineKind, EvalConfig, EvalStats, Evaluator, ExecConfig, PolicyRegistry,
+    PolicySpec, Precision,
+};
 
 fn evaluator(trials: usize, threads: usize, engine: EngineKind) -> Evaluator {
     Evaluator::new(EvalConfig {
@@ -21,6 +26,30 @@ fn evaluator(trials: usize, threads: usize, engine: EngineKind) -> Evaluator {
     })
 }
 
+/// Fixed-budget cell of a registry policy.
+fn run_stats(
+    eval: &Evaluator,
+    registry: &PolicyRegistry,
+    inst: &Arc<SuuInstance>,
+    spec: &PolicySpec,
+) -> EvalStats {
+    eval.run_stats(inst, spec_factory(registry, inst, spec).unwrap())
+}
+
+/// Extend a saved cell to `total` trials: growth under `FixedTrials`.
+fn extend(
+    eval: &Evaluator,
+    registry: &PolicyRegistry,
+    inst: &Arc<SuuInstance>,
+    spec: &PolicySpec,
+    cell: EvalStats,
+    total: usize,
+) -> EvalStats {
+    eval.resume_adaptive_spec(registry, inst, spec, cell, Precision::FixedTrials(total))
+        .unwrap()
+        .stats
+}
+
 /// Resume determinism: run `base` trials, extend to `total`, and compare
 /// the complete accumulator state (JSON snapshot: Welford words, exact
 /// sample, sketch markers, counters) against a fresh `total`-trial run.
@@ -30,15 +59,16 @@ fn assert_resume_bitwise(spec: &str, sc: &Scenario, base: usize, total: usize) {
     let spec = PolicySpec::parse(spec).unwrap();
     for engine in [EngineKind::Events, EngineKind::Dense] {
         for threads in [1usize, 2, 3] {
-            let fresh = evaluator(total, threads, engine)
-                .run_stats_spec(&registry, &inst, &spec)
-                .unwrap();
-            let mut resumed = evaluator(base, threads, engine)
-                .run_stats_spec(&registry, &inst, &spec)
-                .unwrap();
-            evaluator(total, threads, engine)
-                .extend_stats_spec(&registry, &inst, &spec, &mut resumed, total)
-                .unwrap();
+            let fresh = run_stats(&evaluator(total, threads, engine), &registry, &inst, &spec);
+            let resumed = run_stats(&evaluator(base, threads, engine), &registry, &inst, &spec);
+            let resumed = extend(
+                &evaluator(total, threads, engine),
+                &registry,
+                &inst,
+                &spec,
+                resumed,
+                total,
+            );
             assert_eq!(resumed.trials(), total as u64);
             assert_eq!(
                 resumed.acc.to_json().to_compact(),
@@ -69,16 +99,21 @@ fn extend_is_bitwise_identical_past_the_sketch_cap() {
     let sc = Scenario::uniform(2, 5, 0.4, 0.9, 11);
     let inst = sc.instantiate();
     let spec = PolicySpec::new("best-machine");
-    let fresh = evaluator(600, 2, EngineKind::Events)
-        .run_stats_spec(&registry, &inst, &spec)
-        .unwrap();
+    let fresh = run_stats(
+        &evaluator(600, 2, EngineKind::Events),
+        &registry,
+        &inst,
+        &spec,
+    );
     assert!(!fresh.acc.exact_quantiles(), "cap must be crossed");
-    let mut resumed = evaluator(300, 3, EngineKind::Events)
-        .run_stats_spec(&registry, &inst, &spec)
-        .unwrap();
-    evaluator(600, 1, EngineKind::Events)
-        .extend_stats_spec(&registry, &inst, &spec, &mut resumed, 600)
-        .unwrap();
+    let resumed = run_stats(
+        &evaluator(300, 3, EngineKind::Events),
+        &registry,
+        &inst,
+        &spec,
+    );
+    let eval = evaluator(600, 1, EngineKind::Events);
+    let resumed = extend(&eval, &registry, &inst, &spec, resumed, 600);
     assert_eq!(
         resumed.acc.to_json().to_compact(),
         fresh.acc.to_json().to_compact()
@@ -98,19 +133,24 @@ fn checkpoint_roundtrip_then_extend_matches_fresh() {
     let sc = Scenario::uniform(3, 7, 0.2, 0.9, 13);
     let inst = sc.instantiate();
     let spec = PolicySpec::new("greedy-lr");
-    let partial = evaluator(20, 1, EngineKind::Events)
-        .run_stats_spec(&registry, &inst, &spec)
-        .unwrap();
+    let partial = run_stats(
+        &evaluator(20, 1, EngineKind::Events),
+        &registry,
+        &inst,
+        &spec,
+    );
     let wire = partial.to_json().to_pretty();
-    let mut restored = EvalStats::from_json(&suu::core::json::parse(&wire).unwrap()).unwrap();
+    let restored = EvalStats::from_json(&suu::core::json::parse(&wire).unwrap()).unwrap();
     assert_eq!(restored.trials(), 20);
     assert_eq!(restored.policy, partial.policy);
-    evaluator(50, 2, EngineKind::Events)
-        .extend_stats_spec(&registry, &inst, &spec, &mut restored, 50)
-        .unwrap();
-    let fresh = evaluator(50, 1, EngineKind::Events)
-        .run_stats_spec(&registry, &inst, &spec)
-        .unwrap();
+    let eval = evaluator(50, 2, EngineKind::Events);
+    let restored = extend(&eval, &registry, &inst, &spec, restored, 50);
+    let fresh = run_stats(
+        &evaluator(50, 1, EngineKind::Events),
+        &registry,
+        &inst,
+        &spec,
+    );
     assert_eq!(
         restored.acc.to_json().to_compact(),
         fresh.acc.to_json().to_compact()
@@ -207,21 +247,28 @@ fn resume_adaptive_matches_cold_run_at_tighter_precision() {
 
 #[test]
 fn resume_adaptive_under_fixed_budget_matches_plain_extension() {
-    // FixedTrials(n) through resume_adaptive is exactly extend_stats to
-    // n — the daemon uses one code path for both request shapes.
+    // FixedTrials(n) through resume_adaptive is the extend path: a cell
+    // grown to n equals a fresh n-trial run, so the daemon uses one code
+    // path for both request shapes.
     let registry = standard_registry();
     let sc = Scenario::uniform(3, 8, 0.3, 0.9, 17);
     let inst = sc.instantiate();
     let spec = PolicySpec::new("gang-sequential");
-    let base = evaluator(12, 1, EngineKind::Events)
-        .run_stats_spec(&registry, &inst, &spec)
-        .unwrap();
+    let base = run_stats(
+        &evaluator(12, 1, EngineKind::Events),
+        &registry,
+        &inst,
+        &spec,
+    );
     let resumed = evaluator(12, 1, EngineKind::Events)
         .resume_adaptive_spec(&registry, &inst, &spec, base, Precision::FixedTrials(40))
         .unwrap();
-    let fresh = evaluator(40, 2, EngineKind::Events)
-        .run_stats_spec(&registry, &inst, &spec)
-        .unwrap();
+    let fresh = run_stats(
+        &evaluator(40, 2, EngineKind::Events),
+        &registry,
+        &inst,
+        &spec,
+    );
     assert_eq!(resumed.trials_used(), 40);
     assert_eq!(resumed.stop_reason, suu::sim::StopReason::FixedBudget);
     assert_eq!(
@@ -241,9 +288,12 @@ fn fixed_precision_matches_run_stats() {
     let adaptive = evaluator(0, 2, EngineKind::Events)
         .run_adaptive_spec(&registry, &inst, &spec, Precision::FixedTrials(40))
         .unwrap();
-    let plain = evaluator(40, 2, EngineKind::Events)
-        .run_stats_spec(&registry, &inst, &spec)
-        .unwrap();
+    let plain = run_stats(
+        &evaluator(40, 2, EngineKind::Events),
+        &registry,
+        &inst,
+        &spec,
+    );
     assert_eq!(adaptive.stop_reason, suu::sim::StopReason::FixedBudget);
     assert_eq!(
         adaptive.stats.acc.to_json().to_compact(),
@@ -257,9 +307,13 @@ fn paired_crn_self_comparison_is_exactly_zero() {
     let sc = Scenario::uniform(3, 8, 0.3, 0.9, 23);
     let inst = sc.instantiate();
     let spec = PolicySpec::new("greedy-lr");
-    let paired = evaluator(0, 1, EngineKind::Events)
-        .run_paired_spec(&registry, &inst, &spec, &spec, Precision::FixedTrials(40))
-        .unwrap();
+    let make = || spec_factory(&registry, &inst, &spec).unwrap();
+    let paired = evaluator(0, 1, EngineKind::Events).run_paired(
+        &inst,
+        make(),
+        make(),
+        Precision::FixedTrials(40),
+    );
     assert_eq!(paired.trials_used(), 40);
     assert_eq!(paired.delta_mean(), Some(0.0));
     assert_eq!(paired.delta_ci95(), Some(0.0));
@@ -279,17 +333,14 @@ fn paired_delta_mean_matches_marginal_means() {
         PolicySpec::new("gang-sequential"),
     );
     let eval = evaluator(60, 1, EngineKind::Events);
-    let paired = eval
-        .run_paired_spec(&registry, &inst, &a, &b, Precision::FixedTrials(60))
-        .unwrap();
-    let mean_a = eval
-        .run_stats_spec(&registry, &inst, &a)
-        .unwrap()
-        .mean_makespan();
-    let mean_b = eval
-        .run_stats_spec(&registry, &inst, &b)
-        .unwrap()
-        .mean_makespan();
+    let paired = eval.run_paired(
+        &inst,
+        spec_factory(&registry, &inst, &a).unwrap(),
+        spec_factory(&registry, &inst, &b).unwrap(),
+        Precision::FixedTrials(60),
+    );
+    let mean_a = run_stats(&eval, &registry, &inst, &a).mean_makespan();
+    let mean_b = run_stats(&eval, &registry, &inst, &b).mean_makespan();
     let delta = paired.delta_mean().unwrap();
     assert!(
         (delta - (mean_a - mean_b)).abs() < 1e-9,
@@ -314,19 +365,18 @@ fn paired_crn_variance_is_smaller_than_marginal_variance() {
         PolicySpec::new("best-machine"),
     );
     let eval = evaluator(120, 1, EngineKind::Events);
-    let paired = eval
-        .run_paired_spec(&registry, &inst, &a, &b, Precision::FixedTrials(120))
-        .unwrap();
-    let var_a = eval
-        .run_stats_spec(&registry, &inst, &a)
-        .unwrap()
+    let paired = eval.run_paired(
+        &inst,
+        spec_factory(&registry, &inst, &a).unwrap(),
+        spec_factory(&registry, &inst, &b).unwrap(),
+        Precision::FixedTrials(120),
+    );
+    let var_a = run_stats(&eval, &registry, &inst, &a)
         .summary()
         .unwrap()
         .std_dev
         .powi(2);
-    let var_b = eval
-        .run_stats_spec(&registry, &inst, &b)
-        .unwrap()
+    let var_b = run_stats(&eval, &registry, &inst, &b)
         .summary()
         .unwrap()
         .std_dev
@@ -373,8 +423,7 @@ fn seed_collision_regression_correlates_old_streams() {
             threads: 1,
             ..EvalConfig::default()
         })
-        .run_spec(&registry, &inst, &spec)
-        .unwrap()
+        .run(&inst, spec_factory(&registry, &inst, &spec).unwrap())
         .outcomes
         .iter()
         .map(|o| o.makespan)
@@ -390,43 +439,51 @@ fn seed_collision_regression_correlates_old_streams() {
 
 #[test]
 fn accumulator_merge_matches_contiguous_run() {
-    // Distributed-accumulation spelling: two shards of the same trial
-    // range, folded shard-by-shard into a master accumulator, equal the
-    // contiguous run bitwise.
+    // A cell accumulated in two segments — trials 0..16 on one thread
+    // count, 16..48 on another — equals the contiguous run bitwise.
     let registry = standard_registry();
     let sc = Scenario::uniform(3, 8, 0.3, 0.9, 41);
     let inst = sc.instantiate();
     let spec = PolicySpec::new("greedy-lr");
-    let whole = evaluator(48, 1, EngineKind::Events)
-        .run_stats_spec(&registry, &inst, &spec)
-        .unwrap();
-    let mut first = evaluator(16, 1, EngineKind::Events)
-        .run_stats_spec(&registry, &inst, &spec)
-        .unwrap();
-    let mut second = evaluator(16, 2, EngineKind::Events)
-        .run_stats_spec(&registry, &inst, &spec)
-        .unwrap();
-    evaluator(48, 2, EngineKind::Events)
-        .extend_stats_spec(&registry, &inst, &spec, &mut second, 48)
-        .unwrap();
+    let whole = run_stats(
+        &evaluator(48, 1, EngineKind::Events),
+        &registry,
+        &inst,
+        &spec,
+    );
+    let first = run_stats(
+        &evaluator(16, 1, EngineKind::Events),
+        &registry,
+        &inst,
+        &spec,
+    );
+    let second = run_stats(
+        &evaluator(16, 2, EngineKind::Events),
+        &registry,
+        &inst,
+        &spec,
+    );
+    let second = extend(
+        &evaluator(48, 2, EngineKind::Events),
+        &registry,
+        &inst,
+        &spec,
+        second,
+        48,
+    );
     assert_eq!(
         second.acc.to_json().to_compact(),
         whole.acc.to_json().to_compact(),
         "extension across a different thread count diverged"
     );
-    // Merge API end to end: fold `first` (trials 0..16, exact-retained)
-    // into an empty accumulator, then extend the result to 48 — bitwise
-    // the contiguous run.
-    let mut merged = suu::sim::OutcomeAccumulator::new();
-    merged.merge(&first.acc).unwrap();
-    assert_eq!(
-        merged.to_json().to_compact(),
-        first.acc.to_json().to_compact()
+    let first = extend(
+        &evaluator(48, 3, EngineKind::Events),
+        &registry,
+        &inst,
+        &spec,
+        first,
+        48,
     );
-    first.acc = merged;
-    evaluator(48, 3, EngineKind::Events)
-        .extend_stats_spec(&registry, &inst, &spec, &mut first, 48)
-        .unwrap();
     assert_eq!(
         first.acc.to_json().to_compact(),
         whole.acc.to_json().to_compact()

@@ -11,7 +11,9 @@ use suu::algos::bounds::lower_bound;
 use suu::algos::{standard_registry, SemPolicy};
 use suu::core::{workload, Precedence, SuuInstance};
 use suu::dag::generators;
-use suu::sim::{EvalConfig, EvalReport, Evaluator, ExecConfig, PolicySpec, Semantics};
+use suu::sim::{
+    spec_factory, EvalConfig, EvalReport, Evaluator, ExecConfig, PolicySpec, Semantics,
+};
 
 fn evaluator(trials: usize, semantics: Semantics) -> Evaluator {
     Evaluator::new(EvalConfig {
@@ -79,9 +81,11 @@ fn independent_matrix_all_policies_all_semantics() {
         for semantics in [Semantics::Suu, Semantics::SuuStar] {
             let eval = evaluator(15, semantics);
             for spec in specs {
-                let report = eval
-                    .run_spec(&registry, &inst, &PolicySpec::new(spec))
-                    .unwrap_or_else(|e| panic!("{spec}: {e}"));
+                let report = eval.run(
+                    &inst,
+                    spec_factory(&registry, &inst, &PolicySpec::new(spec))
+                        .unwrap_or_else(|e| panic!("{spec}: {e}")),
+                );
                 let mean = checked_mean(&report);
                 assert!(
                     mean >= lb - 1.0,
@@ -102,16 +106,14 @@ fn chains_matrix() {
         let lb = lower_bound(&inst).unwrap();
         for semantics in [Semantics::Suu, Semantics::SuuStar] {
             let eval = evaluator(10, semantics);
-            let suu_c = checked_mean(
-                &eval
-                    .run_spec(&registry, &inst, &PolicySpec::new("suu-c"))
-                    .unwrap(),
-            );
-            let gang = checked_mean(
-                &eval
-                    .run_spec(&registry, &inst, &PolicySpec::new("gang-sequential"))
-                    .unwrap(),
-            );
+            let suu_c = checked_mean(&eval.run(
+                &inst,
+                spec_factory(&registry, &inst, &PolicySpec::new("suu-c")).unwrap(),
+            ));
+            let gang = checked_mean(&eval.run(
+                &inst,
+                spec_factory(&registry, &inst, &PolicySpec::new("gang-sequential")).unwrap(),
+            ));
             assert!(
                 suu_c >= lb - 1.0,
                 "{name}: SUU-C {suu_c:.2} under LB {lb:.2}"
@@ -134,11 +136,10 @@ fn forests_matrix() {
         for (name, inst) in workloads(5, 3, 14, Precedence::Forest(forest.clone())) {
             let inst = Arc::new(inst);
             let eval = evaluator(8, Semantics::SuuStar);
-            let suu_t = checked_mean(
-                &eval
-                    .run_spec(&registry, &inst, &PolicySpec::new("suu-t"))
-                    .unwrap(),
-            );
+            let suu_t = checked_mean(&eval.run(
+                &inst,
+                spec_factory(&registry, &inst, &PolicySpec::new("suu-t")).unwrap(),
+            ));
             assert!(suu_t >= 1.0, "{name}: degenerate makespan");
         }
     }
@@ -162,16 +163,14 @@ fn general_dags_run_under_baselines() {
     ));
     let eval = evaluator(10, Semantics::SuuStar);
     for spec in ["gang-sequential", "round-robin", "greedy-lr"] {
-        checked_mean(
-            &eval
-                .run_spec(&registry, &inst, &PolicySpec::new(spec))
-                .unwrap(),
-        );
+        checked_mean(&eval.run(
+            &inst,
+            spec_factory(&registry, &inst, &PolicySpec::new(spec)).unwrap(),
+        ));
     }
     for spec in ["suu-i-sem", "suu-c", "suu-t"] {
         assert!(
-            eval.run_spec(&registry, &inst, &PolicySpec::new(spec))
-                .is_err(),
+            spec_factory(&registry, &inst, &PolicySpec::new(spec)).is_err(),
             "{spec} must refuse general DAGs"
         );
     }

@@ -3,9 +3,9 @@
 //! randomness semantics,
 //!
 //! * the dense per-step oracle and the event-driven fast path, and
-//! * the per-trial event engine and the **batched SoA engine**
-//!   (`Evaluator::run_batched`, including the stationary shared-decision
-//!   fast path),
+//! * the per-trial event engine (`Evaluator::run_serial`) and the
+//!   **batched SoA pipeline** (`Evaluator::run`, including the
+//!   stationary shared-decision fast path),
 //!
 //! must produce **bitwise-identical** `ExecOutcome`s from the same
 //! master seed — makespans, machine-step counters and per-job completion
@@ -23,8 +23,8 @@ use suu::algos::standard_registry;
 use suu::bench::scenario::ScenarioSuite;
 use suu::core::{workload, Precedence};
 use suu::sim::{
-    execute, Assignment, Decision, EngineKind, EvalConfig, Evaluator, ExecConfig, ExecOutcome,
-    Policy, PolicySpec, RegistryError, Semantics, StateView,
+    execute, spec_factory, Assignment, Decision, EngineKind, EvalConfig, Evaluator, ExecConfig,
+    ExecOutcome, Policy, PolicySpec, RegistryError, Semantics, StateView,
 };
 
 /// Policies to race through the differential harness. Deliberately
@@ -61,7 +61,8 @@ fn outcomes(
         },
         ..EvalConfig::default()
     });
-    Ok(evaluator.run_spec(&registry, inst, spec)?.outcomes)
+    let make_policy = spec_factory(&registry, inst, spec)?;
+    Ok(evaluator.run_serial(inst, make_policy).outcomes)
 }
 
 #[test]
@@ -124,8 +125,8 @@ fn batched_engine_matches_per_trial_engine_on_every_scenario_family() {
                         max_steps: 2_000_000,
                     },
                 });
-                let per_trial = match evaluator.run_spec(&registry, &inst, &spec) {
-                    Ok(report) => report,
+                let make_policy = match spec_factory(&registry, &inst, &spec) {
+                    Ok(make_policy) => make_policy,
                     // Capability mismatches and size limits (exact-opt on
                     // 20+ jobs) are the registry's business, not this
                     // test's.
@@ -133,7 +134,8 @@ fn batched_engine_matches_per_trial_engine_on_every_scenario_family() {
                     Err(RegistryError::BuildFailed { .. }) => continue,
                     Err(e) => panic!("{}/{name}: {e}", sc.id),
                 };
-                let batched = evaluator.run_batched_spec(&registry, &inst, &spec).unwrap();
+                let per_trial = evaluator.run_serial(&inst, &make_policy);
+                let batched = evaluator.run(&inst, &make_policy);
                 assert_eq!(
                     per_trial.outcomes, batched.outcomes,
                     "batched engine diverges on {}/{name}/{semantics:?}",
@@ -141,7 +143,7 @@ fn batched_engine_matches_per_trial_engine_on_every_scenario_family() {
                 );
                 // The streaming path folds the same outcomes, so its
                 // moments must equal the collected report's bitwise.
-                let stats = evaluator.run_stats_spec(&registry, &inst, &spec).unwrap();
+                let stats = evaluator.run_stats(&inst, &make_policy);
                 let collected = per_trial.to_stats();
                 assert_eq!(
                     stats.summary().unwrap().mean.to_bits(),
@@ -196,8 +198,9 @@ fn batched_engine_matches_per_trial_engine_for_exact_opt() {
                     max_steps: 2_000_000,
                 },
             });
-            let per_trial = evaluator.run_spec(&registry, inst, &spec).unwrap();
-            let batched = evaluator.run_batched_spec(&registry, inst, &spec).unwrap();
+            let make_policy = spec_factory(&registry, inst, &spec).unwrap();
+            let per_trial = evaluator.run_serial(inst, &make_policy);
+            let batched = evaluator.run(inst, &make_policy);
             assert_eq!(
                 per_trial.outcomes, batched.outcomes,
                 "exact-opt diverges batched ({semantics:?})"

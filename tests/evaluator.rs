@@ -10,16 +10,22 @@ use suu::algos::standard_registry;
 use suu::bench::scenario::Scenario;
 use suu::core::{workload, Precedence};
 use suu::sim::stats::{chi_square_critical_001, chi_square_two_sample, histogram_pair};
-use suu::sim::{EvalConfig, Evaluator, ExecConfig, PolicySpec, Semantics};
+use suu::sim::{spec_factory, EvalConfig, Evaluator, ExecConfig, PolicySpec, Semantics};
 
-/// Makespan vector of a registry policy at a given thread count.
+/// Makespan vector of a registry policy at a given thread count. 48
+/// trials in batches of 4 make twelve chunks, so each thread count up to
+/// 12 runs that many workers.
 fn makespans(spec: &str, threads: usize, master_seed: u64) -> Vec<u64> {
     let registry = standard_registry();
     let inst = Scenario::chains(3, 12, 4, 77).instantiate();
     Evaluator::seeded(48, master_seed)
         .with_threads(threads)
-        .run_spec(&registry, &inst, &PolicySpec::parse(spec).unwrap())
-        .unwrap_or_else(|e| panic!("{spec}: {e}"))
+        .with_batch(4)
+        .run(
+            &inst,
+            spec_factory(&registry, &inst, &PolicySpec::parse(spec).unwrap())
+                .unwrap_or_else(|e| panic!("{spec}: {e}")),
+        )
         .outcomes
         .iter()
         .map(|o| o.makespan)
@@ -52,11 +58,10 @@ fn different_master_seeds_decorrelate() {
 fn parallel_run_matches_serial_reference_through_registry() {
     let registry = standard_registry();
     let inst = Scenario::uniform(3, 10, 0.2, 0.9, 5).instantiate();
-    let eval = Evaluator::seeded(40, 7);
+    let eval = Evaluator::seeded(40, 7).with_threads(3).with_batch(8);
     let spec = PolicySpec::new("greedy-lr");
     let par: Vec<u64> = eval
-        .run_spec(&registry, &inst, &spec)
-        .unwrap()
+        .run(&inst, spec_factory(&registry, &inst, &spec).unwrap())
         .outcomes
         .iter()
         .map(|o| o.makespan)
@@ -74,9 +79,10 @@ fn parallel_run_matches_serial_reference_through_registry() {
 fn evaluator_wall_clock_is_populated() {
     let registry = standard_registry();
     let inst = Scenario::uniform(3, 8, 0.2, 0.9, 6).instantiate();
-    let report = Evaluator::seeded(10, 3)
-        .run_spec(&registry, &inst, &PolicySpec::new("round-robin"))
-        .unwrap();
+    let report = Evaluator::seeded(10, 3).run(
+        &inst,
+        spec_factory(&registry, &inst, &PolicySpec::new("round-robin")).unwrap(),
+    );
     assert!(report.wall_clock.as_nanos() > 0);
     assert_eq!(report.policy, "round-robin");
 }
@@ -116,8 +122,10 @@ proptest! {
                 },
                 ..EvalConfig::default()
             })
-            .run_spec(&registry, &inst, &PolicySpec::new("gang-sequential"))
-            .unwrap()
+            .run(
+                &inst,
+                spec_factory(&registry, &inst, &PolicySpec::new("gang-sequential")).unwrap(),
+            )
             .outcomes
             .into_iter()
             .map(|o| o.makespan)

@@ -11,7 +11,7 @@ use suu::algos::standard_registry;
 use suu::core::{workload, Precedence};
 use suu::dag::ChainSet;
 use suu::sim::stats::{chi_square_critical_001, chi_square_two_sample, histogram_pair};
-use suu::sim::{EvalConfig, Evaluator, ExecConfig, PolicySpec, Semantics};
+use suu::sim::{spec_factory, EvalConfig, Evaluator, ExecConfig, PolicySpec, Semantics};
 
 fn evaluator(trials: usize, semantics: Semantics, seed: u64) -> Evaluator {
     Evaluator::new(EvalConfig {
@@ -35,8 +35,10 @@ fn chain_of_geometrics_has_known_mean() {
     let inst = Arc::new(workload::homogeneous(1, 3, 0.5, Precedence::Chains(cs)));
     for semantics in [Semantics::Suu, Semantics::SuuStar] {
         let mean = evaluator(6000, semantics, 17)
-            .run_spec(&registry, &inst, &PolicySpec::new("gang-sequential"))
-            .unwrap()
+            .run(
+                &inst,
+                spec_factory(&registry, &inst, &PolicySpec::new("gang-sequential")).unwrap(),
+            )
             .mean_makespan();
         assert!(
             (mean - 6.0).abs() < 0.25,
@@ -54,8 +56,10 @@ fn gang_mean_matches_exact_policy_value() {
     let inst = Arc::new(workload::homogeneous(m, n, q, Precedence::Independent));
     let expected = n as f64 / (1.0 - q.powi(m as i32));
     let mean = evaluator(6000, Semantics::SuuStar, 23)
-        .run_spec(&registry, &inst, &PolicySpec::new("gang-sequential"))
-        .unwrap()
+        .run(
+            &inst,
+            spec_factory(&registry, &inst, &PolicySpec::new("gang-sequential")).unwrap(),
+        )
         .mean_makespan();
     assert!(
         (mean - expected).abs() < 0.15,
@@ -86,8 +90,10 @@ fn sem_within_constant_of_exact_opt_across_shapes() {
         ));
         let opt = exact_opt(&inst, OptLimits::default()).expect("tiny");
         let mean = evaluator(400, Semantics::SuuStar, idx as u64)
-            .run_spec(&registry, &inst, &PolicySpec::new("suu-i-sem"))
-            .unwrap()
+            .run(
+                &inst,
+                spec_factory(&registry, &inst, &PolicySpec::new("suu-i-sem")).unwrap(),
+            )
             .mean_makespan();
         let ratio = mean / opt;
         assert!(
@@ -114,9 +120,10 @@ fn simulated_exact_opt_policy_matches_dp_value() {
         &mut rng,
     ));
     let opt = exact_opt(&inst, OptLimits::default()).unwrap();
-    let report = evaluator(8000, Semantics::SuuStar, 3)
-        .run_spec(&registry, &inst, &PolicySpec::new("exact-opt"))
-        .unwrap();
+    let report = evaluator(8000, Semantics::SuuStar, 3).run(
+        &inst,
+        spec_factory(&registry, &inst, &PolicySpec::new("exact-opt")).unwrap(),
+    );
     let summary = report.summary().expect("nonempty");
     let ci = 4.0 * summary.std_err; // ~4 sigma
     assert!(
@@ -142,8 +149,10 @@ fn semantics_equivalence_workspace_level() {
     ));
     let collect = |semantics| {
         evaluator(5000, semantics, 1234)
-            .run_spec(&registry, &inst, &PolicySpec::new("gang-sequential"))
-            .unwrap()
+            .run(
+                &inst,
+                spec_factory(&registry, &inst, &PolicySpec::new("gang-sequential")).unwrap(),
+            )
             .outcomes
             .into_iter()
             .map(|o| o.makespan)
@@ -182,9 +191,10 @@ fn monte_carlo_agrees_with_exact_policy_evaluation() {
     })
     .expect("gang makes progress");
 
-    let report = evaluator(8000, Semantics::SuuStar, 9)
-        .run_spec(&registry, &inst, &PolicySpec::new("gang-sequential"))
-        .unwrap();
+    let report = evaluator(8000, Semantics::SuuStar, 9).run(
+        &inst,
+        spec_factory(&registry, &inst, &PolicySpec::new("gang-sequential")).unwrap(),
+    );
     let summary = report.summary().expect("nonempty");
     let ci = 4.0 * summary.std_err; // ~4 sigma
     assert!(
@@ -200,9 +210,10 @@ fn makespan_distribution_has_geometric_tail() {
     // empirical 90th percentile against the analytic quantile.
     let registry = standard_registry();
     let inst = Arc::new(workload::homogeneous(1, 1, 0.7, Precedence::Independent));
-    let report = evaluator(8000, Semantics::Suu, 3)
-        .run_spec(&registry, &inst, &PolicySpec::new("gang-sequential"))
-        .unwrap();
+    let report = evaluator(8000, Semantics::Suu, 3).run(
+        &inst,
+        spec_factory(&registry, &inst, &PolicySpec::new("gang-sequential")).unwrap(),
+    );
     let mut makespans: Vec<u64> = report.outcomes.iter().map(|o| o.makespan).collect();
     makespans.sort_unstable();
     let p90 = makespans[(makespans.len() * 9) / 10] as f64;
