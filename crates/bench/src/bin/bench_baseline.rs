@@ -439,13 +439,12 @@ fn main() {
         let reference = eval.with_threads(1).run_serial(&inst, make_policy);
         let serial = eval.with_threads(1).run(&inst, make_policy);
         let parallel = eval.with_threads(0).run(&inst, make_policy);
-        // Workers the all-cores run really had: the pipeline never runs
+        // Workers the all-cores run really had: the pool cuts the run into
+        // chunks of min(batch, ceil(trials / cores)) trials and never runs
         // more workers than it has chunks.
-        let chunks = eval
-            .config
-            .trials
-            .div_ceil(suu_sim::evaluate::DEFAULT_BATCH);
-        let workers = cores.min(chunks);
+        let trials = eval.config.trials;
+        let chunk = suu_sim::evaluate::DEFAULT_BATCH.min(trials.div_ceil(cores));
+        let workers = cores.min(trials.div_ceil(chunk));
 
         let same = |r: &EvalReport| {
             r.outcomes

@@ -46,29 +46,6 @@ pub mod scenario;
 pub mod sweep;
 
 use std::time::Instant;
-use suu_sim::engine::ExecOutcome;
-
-/// Measure mean makespan over completed trials; panics if any trial hit
-/// the step cap (experiments must be sized to always complete).
-pub fn mean_makespan(outcomes: &[ExecOutcome]) -> f64 {
-    assert!(
-        outcomes.iter().all(|o| o.completed),
-        "an experiment trial hit the step cap"
-    );
-    outcomes.iter().map(|o| o.makespan as f64).sum::<f64>() / outcomes.len() as f64
-}
-
-/// Standard error of the mean makespan.
-pub fn sem_makespan(outcomes: &[ExecOutcome]) -> f64 {
-    let mean = mean_makespan(outcomes);
-    let n = outcomes.len() as f64;
-    let var = outcomes
-        .iter()
-        .map(|o| (o.makespan as f64 - mean).powi(2))
-        .sum::<f64>()
-        / (n - 1.0).max(1.0);
-    (var / n).sqrt()
-}
 
 /// Print a header row followed by a separator sized to the given widths.
 pub fn print_header(cols: &[(&str, usize)]) {

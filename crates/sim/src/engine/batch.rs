@@ -170,10 +170,15 @@ impl PlanCache {
     fn maybe_evict(&mut self) {
         if self.plans.len() >= self.cap {
             self.evictions += self.plans.len() as u64;
-            self.map.clear();
-            self.plans.clear();
-            self.runs.clear();
+            self.clear();
         }
+    }
+
+    /// Drop every plan, keeping the arenas' allocations.
+    fn clear(&mut self) {
+        self.map.clear();
+        self.plans.clear();
+        self.runs.clear();
     }
 }
 
@@ -310,6 +315,15 @@ impl<'i> BatchRunner<'i> {
     pub fn with_plan_cap(mut self, cap: usize) -> Self {
         self.cache.cap = cap.max(1);
         self
+    }
+
+    /// Drop every cached plan between `run` calls, keeping the cache's
+    /// allocations and its counters. Plans are a pure function of the
+    /// remaining set, so this never changes an outcome; it bounds how
+    /// long a long-lived runner holds plans (the evaluator clears once
+    /// per adaptive rung).
+    pub(crate) fn clear_plans(&mut self) {
+        self.cache.clear();
     }
 
     /// The instance this runner executes.
@@ -905,6 +919,18 @@ mod tests {
         assert!(metrics.cache_hits > 0, "warm chunks must hit the cache");
         assert_eq!(metrics.cache_entries, metrics.cache_misses);
         assert_eq!(metrics.cache_evictions, 0);
+
+        // Dropping the plans empties the cache, keeps the counters and
+        // changes no outcome.
+        runner.clear_plans();
+        assert_eq!(runner.metrics().cache_entries, 0);
+        assert_eq!(runner.run(&mut Spread, &trials), one_shot);
+        let rerun = runner.metrics();
+        assert_eq!(
+            rerun.cache_misses,
+            metrics.cache_misses + rerun.cache_entries
+        );
+        assert_eq!(rerun.cache_evictions, 0);
     }
 
     #[test]

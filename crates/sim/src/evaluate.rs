@@ -20,27 +20,52 @@
 //! (rather than `base_seed + k`) keeps nearby master seeds from sharing
 //! trial streams.
 //!
-//! Every method but the [`Evaluator::run_serial`] reference runs its
-//! trials through one pipeline: the batched engine, one warm
-//! [`BatchRunner`] per worker, with chunks delivered to a sink strictly
-//! in trial order. [`Evaluator::run`] keeps every [`ExecOutcome`] in an
-//! [`EvalReport`] (for differential tests and histogram experiments that
-//! need the raw sample); every other path folds them into an
-//! [`OutcomeAccumulator`] and returns [`EvalStats`] — `O(threads ·
-//! batch)` peak memory, independent of the trial count, and bitwise
-//! identical at any thread count, even the order-sensitive P² sketches.
+//! Every method but the [`Evaluator::run_serial`] reference and the
+//! serial [`Evaluator::run_paired`] runs its trials through one worker
+//! pool that lives for the whole call: the batched engine, with chunks
+//! folded on the calling thread strictly in trial order.
+//! [`Evaluator::run`] keeps every [`ExecOutcome`] in an [`EvalReport`]
+//! (for differential tests and histogram experiments that need the raw
+//! sample); every other path folds them into an [`OutcomeAccumulator`]
+//! and returns [`EvalStats`] — `O(threads · batch)` peak memory,
+//! independent of the trial count, and bitwise identical at any thread
+//! count, even the order-sensitive P² sketches.
 //!
 //! The accumulating paths are one core: grow a cell from its current
 //! trial count until a [`Precision`] rule fires, in deterministic rounds
-//! on the [`BudgetLadder`] schedule. [`Evaluator::run_stats`] is growth
-//! from empty under `FixedTrials(n)`; [`Evaluator::resume_adaptive`]
-//! grows a saved cell (under `FixedTrials(n)` that is a plain extend to
-//! `n` trials). Because every trial's randomness is keyed by its
-//! **index** (not by anything a previous trial did), growing a cell from
-//! `n` to `n+k` trials is bitwise identical — moments *and* sketch state
-//! — to a fresh `n+k`-trial run. Checkpoints serialize via
-//! [`EvalStats::to_json`]; the `suu-serve` daemon's content-addressed
-//! result cache is built on that.
+//! (*rungs*) on the [`BudgetLadder`] schedule. [`Evaluator::run_stats`]
+//! is growth from empty under `FixedTrials(n)`;
+//! [`Evaluator::resume_adaptive`] grows a saved cell (under
+//! `FixedTrials(n)` that is a plain extend to `n` trials). Because every
+//! trial's randomness is keyed by its **index** (not by anything a
+//! previous trial did), growing a cell from `n` to `n+k` trials is
+//! bitwise identical — moments *and* sketch state — to a fresh
+//! `n+k`-trial run. Checkpoints serialize via [`EvalStats::to_json`];
+//! the `suu-serve` daemon's content-addressed result cache is built on
+//! that.
+//!
+//! # The worker pool
+//!
+//! * **Lifetime.** The calling thread is one worker; the others are
+//!   threads started on the first rung that has chunks for them, and all
+//!   of them return when the call does. Each worker builds its policy and
+//!   its [`BatchRunner`] once per call, so both stay warm across every
+//!   rung.
+//! * **Rung split.** The pool runs one rung at a time, cut into chunks of
+//!   `min(batch, ceil(rung / workers))` trials, so even a small rung
+//!   keeps every worker busy. The precision check runs between rungs: no
+//!   trial of the next rung starts before it, so the trials run are
+//!   exactly the trials used. Chunking cannot change an outcome: trial
+//!   seeds are keyed by absolute index, and the batched engine is bitwise
+//!   equal to per-trial execution for any batch composition.
+//! * **Plan-cache lifetime.** Each runner drops its cached decision plans
+//!   when a rung starts (keeping the allocations), so plans live for one
+//!   rung. That bounds the daemon's memory: plans kept for a whole cell
+//!   raised its peak RSS by half, for no measurable time.
+//! * **Panics.** A panic on a worker thread stops the handing-out of
+//!   chunks; the other workers return and the first panic is re-raised
+//!   on the calling thread, so a policy bug fails the call instead of
+//!   hanging it.
 //!
 //! [`Evaluator::run_paired`] compares two policies on **common random
 //! numbers** (the same per-trial engine seeds), so the variance of the
@@ -53,7 +78,11 @@ use crate::policy::Policy;
 use crate::registry::{PolicyRegistry, PolicySpec, RegistryError};
 use crate::stats::{OutcomeAccumulator, PairedDelta, Precision, StopReason, Summary};
 use crate::sweep::BudgetLadder;
-use std::sync::Arc;
+use std::any::Any;
+use std::collections::BTreeMap;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 use suu_core::json::Json;
 use suu_core::SuuInstance;
@@ -82,9 +111,11 @@ pub struct EvalConfig {
     pub trials: usize,
     /// Root of every trial's randomness.
     pub master_seed: u64,
-    /// Worker threads (`0` = one per available core, `1` = serial).
+    /// Workers, the calling thread included (`0` = one per available
+    /// core, `1` = serial).
     pub threads: usize,
-    /// Trials per batch handed to the batched engine; bounds the
+    /// Most trials per batch handed to the batched engine (a rung
+    /// split across workers may use smaller batches); bounds the
     /// accumulating paths' peak memory at `O(threads · batch)` outcomes.
     /// `0` means the default (256). [`Evaluator::run_serial`] ignores it.
     pub batch: usize,
@@ -454,9 +485,10 @@ impl Evaluator {
     /// Run the policy produced by `make_policy` for every trial and
     /// collect the outcomes in trial order.
     ///
-    /// `make_policy` is invoked once per worker thread; each trial reseeds
-    /// and resets the worker's policy value, so construction cost (LP
-    /// solves) is amortized without compromising determinism.
+    /// The trials are one rung of the worker pool (see the module docs):
+    /// `make_policy` is invoked at most once per worker; each trial
+    /// reseeds and resets the worker's policy value, so construction cost
+    /// (LP solves) is amortized without compromising determinism.
     pub fn run<F, P>(&self, inst: &SuuInstance, make_policy: F) -> EvalReport
     where
         F: Fn() -> P + Sync,
@@ -464,11 +496,12 @@ impl Evaluator {
     {
         let started = Instant::now();
         let mut outcomes = Vec::with_capacity(self.config.trials);
-        let policy = self.stream_range(inst, &make_policy, 0, self.config.trials, |chunk| {
-            outcomes.extend(chunk)
+        let policy = self.with_pool(inst, &make_policy, |pool| {
+            pool.run_rung(0, self.config.trials, |chunk| outcomes.extend(chunk));
+            pool.policy_name()
         });
         EvalReport {
-            policy,
+            policy: policy.unwrap_or_else(|| "unnamed".to_string()),
             config: self.config,
             outcomes,
             wall_clock: started.elapsed(),
@@ -595,6 +628,9 @@ impl Evaluator {
     /// cold runs walk identical checkpoints once their counts coincide;
     /// same master seed ⇒ same statistics at every check ⇒ same stopping
     /// point, at any thread count.
+    ///
+    /// One [`TrialPool`] serves the whole call, one rung at a time; the
+    /// check runs on the calling thread once a rung is fully folded.
     fn grow<F, P>(
         &self,
         inst: &SuuInstance,
@@ -609,26 +645,25 @@ impl Evaluator {
         let started = Instant::now();
         let ladder = BudgetLadder::new(precision.min_trials(), precision.max_trials());
         let mut done = stats.trials() as usize;
-        let stop_reason = loop {
-            let (mean, ci95) = match stats.acc.summary() {
-                Some(s) => (s.mean, s.ci95),
-                None => (0.0, f64::INFINITY),
+        let (stop_reason, name) = self.with_pool(inst, make_policy, |pool| {
+            let reason = loop {
+                let (mean, ci95) = match stats.acc.summary() {
+                    Some(s) => (s.mean, s.ci95),
+                    None => (0.0, f64::INFINITY),
+                };
+                if let Some(reason) = precision.check(done, mean, ci95) {
+                    break reason;
+                }
+                let target = ladder.next(done).expect("every rule stops at its cap");
+                pool.run_rung(done, target, |chunk| {
+                    chunk.iter().for_each(|o| stats.acc.push(o))
+                });
+                done = target;
             };
-            if let Some(reason) = precision.check(done, mean, ci95) {
-                break reason;
-            }
-            let target = ladder.next(done).expect("every rule stops at its cap");
-            let acc = &mut stats.acc;
-            let name = self.stream_range(inst, make_policy, done, target, |chunk| {
-                chunk.iter().for_each(|o| acc.push(o))
-            });
-            if stats.policy.is_empty() {
-                stats.policy = name;
-            }
-            done = target;
-        };
+            (reason, pool.policy_name())
+        });
         if stats.policy.is_empty() {
-            stats.policy = "unnamed".to_string();
+            stats.policy = name.unwrap_or_else(|| "unnamed".to_string());
         }
         stats.config.trials = done;
         stats.wall_clock += started.elapsed();
@@ -719,122 +754,46 @@ impl Evaluator {
         }
     }
 
-    /// The trial pipeline: execute trials `lo..hi` through the batched
-    /// engine and hand their outcomes to `sink` chunk by chunk, strictly
-    /// in trial order, returning the policy's display name.
-    ///
-    /// Parallelism is a bounded pipeline: workers pull chunk indices from
-    /// a shared counter and send `(index, outcomes)` through a bounded
-    /// channel; the calling thread delivers chunks strictly in index
-    /// order. The sink therefore sees the trials in trial order no matter
-    /// how many workers run, so everything folded from it (including the
-    /// order-sensitive P² sketches) is **bitwise identical at any thread
-    /// count**.
-    fn stream_range<F, P>(
+    /// Run `body` with this call's worker pool and return what it
+    /// returns. The pool closes when `body` ends (normally or by
+    /// unwinding) and every worker has returned before this does; the
+    /// first worker panic is re-raised here, on the calling thread.
+    fn with_pool<F, P, R>(
         &self,
         inst: &SuuInstance,
         make_policy: &F,
-        lo: usize,
-        hi: usize,
-        mut sink: impl FnMut(Vec<ExecOutcome>),
-    ) -> String
+        body: impl FnOnce(&mut TrialPool<'_, '_, F, P>) -> R,
+    ) -> R
     where
         F: Fn() -> P + Sync,
         P: Policy,
     {
-        let cfg = self.config;
-        let batch = self.batch_size();
-        let chunks = hi.saturating_sub(lo).div_ceil(batch);
-        let workers = {
-            let t = if cfg.threads == 0 {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            } else {
-                cfg.threads
-            };
-            t.min(chunks.max(1))
+        let workers = match self.config.threads {
+            0 => std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1),
+            t => t,
         };
-
-        let policy_name;
-        if workers <= 1 {
-            let mut policy = make_policy();
-            policy_name = policy.name().to_string();
-            let mut runner = BatchRunner::new(inst, &cfg.exec);
-            for chunk in 0..chunks {
-                let trials = self.chunk_trials(lo, hi, chunk, batch);
-                sink(runner.run(&mut policy, &trials));
-            }
-        } else {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            let name = std::sync::Mutex::new(None::<String>);
-            let next = AtomicUsize::new(0);
-            // Chunks delivered to the sink so far. Workers refuse to
-            // *execute* a chunk more than `window` ahead of it, which is
-            // what actually bounds the chunks in flight (the channel alone
-            // cannot: the fold loop drains it eagerly while waiting for
-            // the next in-order chunk, so a slow early chunk would
-            // otherwise let the reorder buffer grow to O(trials)).
-            let folded = AtomicUsize::new(0);
-            let window = 2 * workers;
-            let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Vec<ExecOutcome>)>(window);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let (next, folded, name, make_policy) = (&next, &folded, &name, &make_policy);
-                    scope.spawn(move || {
-                        let mut policy = make_policy();
-                        {
-                            let mut slot = name.lock().expect("name lock");
-                            if slot.is_none() {
-                                *slot = Some(policy.name().to_string());
-                            }
-                        }
-                        // Worker-local runner: decision cache and SoA
-                        // scratch stay warm across every chunk this
-                        // worker claims.
-                        let mut runner = BatchRunner::new(inst, &cfg.exec);
-                        loop {
-                            let chunk = next.fetch_add(1, Ordering::Relaxed);
-                            if chunk >= chunks {
-                                break;
-                            }
-                            // Backpressure: chunks are claimed in index
-                            // order, so the worker holding the next
-                            // in-order chunk is always within the window
-                            // and progresses — no deadlock.
-                            while chunk >= folded.load(Ordering::Acquire) + window {
-                                std::thread::yield_now();
-                            }
-                            let trials = self.chunk_trials(lo, hi, chunk, batch);
-                            let outcomes = runner.run(&mut policy, &trials);
-                            if tx.send((chunk, outcomes)).is_err() {
-                                break; // receiver gone: nothing left to do
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-                // Deliver strictly in chunk order; out-of-order arrivals
-                // wait in `pending`, bounded by the execution window above.
-                let mut pending = std::collections::BTreeMap::new();
-                let mut want = 0usize;
-                for (chunk, outcomes) in rx {
-                    pending.insert(chunk, outcomes);
-                    while let Some(outcomes) = pending.remove(&want) {
-                        sink(outcomes);
-                        want += 1;
-                        folded.store(want, Ordering::Release);
-                    }
-                }
-                debug_assert!(pending.is_empty(), "chunk lost in the pipeline");
-            });
-            policy_name = name
-                .into_inner()
-                .expect("name lock")
-                .unwrap_or_else(|| "unnamed".to_string());
+        let shared = Shared::default();
+        let out = std::thread::scope(|scope| {
+            body(&mut TrialPool {
+                eval: self,
+                inst,
+                make_policy,
+                workers,
+                scope,
+                shared: &shared,
+                spawned: 0,
+                own: None,
+                rungs: 0,
+            })
+        });
+        // A worker that panicked after the last chunk it mattered to was
+        // folded (say in `make_policy`) is still a bug: report it.
+        if let Some(payload) = shared.lock().panic.take() {
+            std::panic::resume_unwind(payload);
         }
-        policy_name
+        out
     }
 
     /// One trial, fully determined by `(master_seed, trial index)`.
@@ -847,6 +806,285 @@ impl Evaluator {
             &cfg.exec,
             derive_seed(cfg.master_seed, k, ENGINE_DOMAIN),
         )
+    }
+}
+
+/// One rung handed to a [`TrialPool`]: trials `lo..hi`, cut into chunks
+/// of `size` consecutive trials. `id` numbers the call's rungs from 1.
+#[derive(Debug, Clone, Copy, Default)]
+struct Rung {
+    id: u64,
+    lo: usize,
+    hi: usize,
+    size: usize,
+}
+
+impl Rung {
+    fn chunks(&self) -> usize {
+        (self.hi - self.lo).div_ceil(self.size.max(1))
+    }
+}
+
+/// One worker's state for a whole evaluator call: its policy and its
+/// warm runner, each built once, and the last rung it ran.
+struct Worker<'i, P> {
+    policy: P,
+    runner: BatchRunner<'i>,
+    rung: u64,
+}
+
+impl<'i, P: Policy> Worker<'i, P> {
+    fn new(inst: &'i SuuInstance, exec: &ExecConfig, make_policy: &impl Fn() -> P) -> Self {
+        Worker {
+            policy: make_policy(),
+            runner: BatchRunner::new(inst, exec),
+            rung: 0,
+        }
+    }
+
+    /// Chunk `index` of `rung`. The worker's first chunk of a rung drops
+    /// the plans it cached on the last one: a plan cache lives for one
+    /// rung, which bounds memory, and plans depend only on the remaining
+    /// set, so dropping them cannot change a result.
+    fn run(&mut self, eval: &Evaluator, rung: Rung, index: usize) -> Vec<ExecOutcome> {
+        if self.rung != rung.id {
+            self.runner.clear_plans();
+            self.rung = rung.id;
+        }
+        let trials = eval.chunk_trials(rung.lo, rung.hi, index, rung.size);
+        self.runner.run(&mut self.policy, &trials)
+    }
+}
+
+/// What the calling thread and the worker threads of a [`TrialPool`]
+/// share.
+#[derive(Default)]
+struct Shared {
+    state: Mutex<PoolState>,
+    /// Worker threads wait here for a chunk they may run, or the close.
+    work: Condvar,
+    /// The calling thread waits here for the next chunk in trial order.
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct PoolState {
+    /// The open rung.
+    rung: Rung,
+    /// Next chunk of the open rung to hand out.
+    next: usize,
+    /// Chunks of the open rung the calling thread has taken to fold.
+    taken: usize,
+    /// Finished chunks not yet folded.
+    done: BTreeMap<usize, Vec<ExecOutcome>>,
+    /// The first worker-thread panic, for the calling thread to re-raise.
+    panic: Option<Box<dyn Any + Send>>,
+    /// No more chunks will be handed out: worker threads return.
+    closed: bool,
+}
+
+impl PoolState {
+    /// Hand out the next chunk of the open rung, unless all are out or it
+    /// would run more than `window` chunks ahead of the fold.
+    fn claim(&mut self, window: usize) -> Option<usize> {
+        let free = self.next < self.rung.chunks() && self.next < self.taken + window;
+        free.then(|| {
+            self.next += 1;
+            self.next - 1
+        })
+    }
+}
+
+/// What the calling thread does next for the chunk it must fold.
+enum Step {
+    /// Fold these outcomes: the chunk is done.
+    Fold(Vec<ExecOutcome>),
+    /// Run this chunk first.
+    Run(usize),
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state
+            .lock()
+            .expect("pool lock: no code that can panic runs under it")
+    }
+
+    /// Worker thread: wait for a chunk of the open rung; `None` once the
+    /// pool closes or a worker panicked.
+    fn claim(&self, window: usize) -> Option<(Rung, usize)> {
+        let mut st = self.lock();
+        loop {
+            if st.closed || st.panic.is_some() {
+                return None;
+            }
+            if let Some(index) = st.claim(window) {
+                return Some((st.rung, index));
+            }
+            st = self.work.wait(st).expect("pool lock");
+        }
+    }
+
+    /// Hand in chunk `index`'s outcomes.
+    fn finish(&self, index: usize, outcomes: Vec<ExecOutcome>) {
+        self.lock().done.insert(index, outcomes);
+        self.ready.notify_one();
+    }
+
+    /// Worker thread: record a panic (the first one wins) and stop the
+    /// pool.
+    fn fail(&self, payload: Box<dyn Any + Send>) {
+        self.lock().panic.get_or_insert(payload);
+        self.work.notify_all();
+        self.ready.notify_one();
+    }
+
+    /// Calling thread: open `rung` once the previous one is fully folded.
+    fn open(&self, rung: Rung) {
+        let mut st = self.lock();
+        debug_assert!(st.done.is_empty(), "chunk left over from the last rung");
+        st.rung = rung;
+        st.next = 0;
+        st.taken = 0;
+        drop(st);
+        self.work.notify_all();
+    }
+
+    /// Calling thread: the next step towards folding chunk `index`, the
+    /// one after the last folded. The caller runs a free chunk itself
+    /// rather than wait, and waits only while worker threads hold every
+    /// chunk it could fold or run. Re-raises a worker-thread panic.
+    fn step(&self, index: usize, window: usize) -> Step {
+        let mut st = self.lock();
+        loop {
+            if let Some(payload) = st.panic.take() {
+                drop(st);
+                std::panic::resume_unwind(payload);
+            }
+            if let Some(outcomes) = st.done.remove(&index) {
+                st.taken = index + 1;
+                drop(st);
+                self.work.notify_all();
+                return Step::Fold(outcomes);
+            }
+            if let Some(chunk) = st.claim(window) {
+                return Step::Run(chunk);
+            }
+            st = self.ready.wait(st).expect("pool lock");
+        }
+    }
+}
+
+/// The worker pool of one evaluator call (see the module docs), handed
+/// one rung at a time through [`TrialPool::run_rung`].
+///
+/// The calling thread is a worker itself. The other workers are threads
+/// started by the first rung with chunks for them, no more than that rung
+/// needs; a later, larger rung may start the rest. Workers claim chunks
+/// in index order, never more than `2 · workers` chunks ahead of the fold
+/// (which bounds the chunks in flight). The calling thread folds strictly
+/// in index order and runs a free chunk rather than wait for one, so a
+/// worker thread that is slow to wake costs parallelism, never a stall.
+/// A worker-thread panic is re-raised on the calling thread by
+/// [`Shared::step`], or by [`Evaluator::with_pool`] once the threads are
+/// joined.
+struct TrialPool<'s, 'e, F, P> {
+    eval: &'e Evaluator,
+    inst: &'e SuuInstance,
+    make_policy: &'e F,
+    /// Ways each rung is split.
+    workers: usize,
+    scope: &'s Scope<'s, 'e>,
+    shared: &'e Shared,
+    /// Worker threads started so far.
+    spawned: usize,
+    /// The calling thread's own worker, built on the first rung.
+    own: Option<Worker<'e, P>>,
+    /// Rungs opened so far.
+    rungs: u64,
+}
+
+impl<'s, 'e, F, P> TrialPool<'s, 'e, F, P>
+where
+    F: Fn() -> P + Sync,
+    P: Policy,
+{
+    /// Run trials `lo..hi` as the next rung and hand their outcomes to
+    /// `sink` chunk by chunk, strictly in trial order. Returns once the
+    /// whole rung is folded.
+    fn run_rung(&mut self, lo: usize, hi: usize, mut sink: impl FnMut(Vec<ExecOutcome>)) {
+        if hi <= lo {
+            return;
+        }
+        self.rungs += 1;
+        let rung = Rung {
+            id: self.rungs,
+            lo,
+            hi,
+            size: self.eval.batch_size().min((hi - lo).div_ceil(self.workers)),
+        };
+        let (eval, inst, make_policy) = (self.eval, self.inst, self.make_policy);
+        let own = self
+            .own
+            .get_or_insert_with(|| Worker::new(inst, &eval.config.exec, make_policy));
+        let window = 2 * self.workers;
+        while self.spawned + 1 < self.workers.min(rung.chunks()) {
+            spawn_worker(self.scope, eval, inst, make_policy, self.shared, window);
+            self.spawned += 1;
+        }
+        self.shared.open(rung);
+        for index in 0..rung.chunks() {
+            let outcomes = loop {
+                match self.shared.step(index, window) {
+                    Step::Fold(outcomes) => break outcomes,
+                    Step::Run(chunk) => self.shared.finish(chunk, own.run(eval, rung, chunk)),
+                }
+            };
+            sink(outcomes);
+        }
+    }
+
+    /// Display name of the evaluated policy (`None` before any trial ran).
+    fn policy_name(&self) -> Option<String> {
+        self.own.as_ref().map(|own| own.policy.name().to_string())
+    }
+}
+
+/// Start one worker thread of a [`TrialPool`] in `scope`.
+fn spawn_worker<'s, 'e, F, P>(
+    scope: &'s Scope<'s, 'e>,
+    eval: &'e Evaluator,
+    inst: &'e SuuInstance,
+    make_policy: &'e F,
+    shared: &'e Shared,
+    window: usize,
+) where
+    F: Fn() -> P + Sync,
+    P: Policy,
+{
+    scope.spawn(move || {
+        let worked = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut worker = Worker::new(inst, &eval.config.exec, make_policy);
+            while let Some((rung, index)) = shared.claim(window) {
+                shared.finish(index, worker.run(eval, rung, index));
+            }
+        }));
+        if let Err(payload) = worked {
+            shared.fail(payload);
+        }
+    });
+}
+
+impl<F, P> Drop for TrialPool<'_, '_, F, P> {
+    /// Close the pool so every worker thread returns and the scope can
+    /// join them, on the normal path and when the calling thread unwinds.
+    fn drop(&mut self) {
+        self.shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
+        self.shared.work.notify_all();
     }
 }
 
@@ -995,6 +1233,113 @@ mod tests {
         assert_eq!(stats.trials(), 10);
         assert_eq!(stats.policy, "jittery-gang");
         assert!(stats.all_completed());
+    }
+
+    /// A policy with a bug on one trial: its decision panics on the
+    /// trial whose policy seed is `planted`.
+    struct PanicsOnTrial {
+        seed: u64,
+        planted: u64,
+    }
+
+    impl Policy for PanicsOnTrial {
+        fn name(&self) -> &str {
+            "panics-on-trial"
+        }
+        fn reset(&mut self) {}
+        fn reseed(&mut self, seed: u64) {
+            self.seed = seed;
+        }
+        fn decide(&mut self, view: &StateView<'_>, out: &mut Assignment) -> Decision {
+            assert_ne!(self.seed, self.planted, "planted policy bug");
+            let target = view.eligible.first().map(JobId);
+            for i in 0..view.m {
+                out.set_slot(i, target);
+            }
+            Decision::step(view)
+        }
+    }
+
+    /// Panic message of `call`, run on a thread of its own (`None` if it
+    /// returned). Fails the test if `call` has not finished within 10 s.
+    fn panic_within_seconds(call: impl FnOnce() + Send + 'static) -> Option<String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(call));
+            let message = outcome
+                .err()
+                .map(|payload| match payload.downcast::<String>() {
+                    Ok(text) => *text,
+                    Err(_) => "non-string panic payload".to_string(),
+                });
+            tx.send(message).expect("the test thread is waiting");
+        });
+        let message = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a worker panic hung the evaluator call");
+        thread.join().expect("the panic was caught");
+        message
+    }
+
+    /// A worker that panics with many chunks still to go must not hang
+    /// the call: the panic reaches the caller, which the daemon turns
+    /// into a 500 and a released in-flight guard.
+    #[test]
+    fn worker_panic_reaches_the_caller() {
+        let eval = Evaluator::seeded(400, 99).with_threads(2).with_batch(4);
+        let inst = || workload::homogeneous(3, 6, 0.5, Precedence::Independent);
+        // A policy bug on trial 5, with 98 chunks to go after its own.
+        let planted = derive_seed(99, 5, POLICY_DOMAIN);
+        let message = panic_within_seconds(move || {
+            eval.run(&inst(), || PanicsOnTrial { seed: 0, planted });
+        });
+        assert!(message.is_some_and(|m| m.contains("planted policy bug")));
+        // A build that fails on the worker thread: the calling thread's
+        // own worker is always built first.
+        let message = panic_within_seconds(move || {
+            let builds = std::sync::atomic::AtomicUsize::new(0);
+            eval.run(&inst(), || {
+                let built = builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                assert_eq!(built, 0, "planted build failure");
+                JitteryGang::new()
+            });
+        });
+        assert!(message.is_some_and(|m| m.contains("planted build failure")));
+    }
+
+    /// One call builds each worker's policy once, however many rungs it
+    /// grows through, and the grown cell is the same at every thread count.
+    #[test]
+    fn a_call_builds_one_policy_per_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let inst = workload::homogeneous(3, 6, 0.5, Precedence::Independent);
+        let rule = Precision::TargetCi {
+            half_width: 1e-9,
+            relative: false,
+            min_trials: 8,
+            max_trials: 400,
+        };
+        let mut cells = Vec::new();
+        for threads in [1, 2, 3] {
+            let eval = Evaluator::seeded(0, 99)
+                .with_threads(threads)
+                .with_batch(32);
+            let builds = AtomicUsize::new(0);
+            let counting = || {
+                builds.fetch_add(1, Ordering::Relaxed);
+                JitteryGang::new()
+            };
+            let grown = eval.grow(&inst, &counting, eval.empty_cell(), rule);
+            assert_eq!(grown.trials_used(), 400);
+            assert_eq!(grown.stop_reason, StopReason::MaxTrials);
+            let builds = builds.into_inner();
+            assert!(
+                (1..=threads).contains(&builds),
+                "{builds} policy builds at {threads} threads over 11 rungs"
+            );
+            cells.push(grown.stats.acc.to_json().to_canonical());
+        }
+        assert!(cells.iter().all(|cell| *cell == cells[0]));
     }
 
     /// Once a cell outgrows the 512-sample exact window its accumulator

@@ -177,7 +177,7 @@ fn adaptive_stopping_is_deterministic_across_thread_counts() {
         reference.trials_used(),
         reference.stats.config.trials as u64
     );
-    for threads in [2usize, 4] {
+    for threads in [2usize, 3, 4, 8] {
         let other = evaluator(0, threads, EngineKind::Events)
             .run_adaptive_spec(&registry, &inst, &spec, rule)
             .unwrap();
