@@ -2,41 +2,38 @@
 //! nine-family [`suu_bench::scenario::ScenarioSuite`] across every
 //! registry policy that fits each scenario (on the streaming batched
 //! evaluator), measures the batched evaluator's all-cores-vs-one-worker
-//! speedup (outcomes checked against the per-trial reference), races the
-//! **dense stepper against the event engine**, and races the **per-trial
-//! event engine against the batched SoA engine** (identical outcomes
-//! required everywhere, wall clocks recorded). Writes:
+//! speedup (outcomes checked against the per-trial reference), and races
+//! the **per-trial event engine against the batched SoA engine**
+//! (identical outcomes required, wall clocks recorded). Writes:
 //!
 //! * `BENCH_baseline.json` — schema `suu-results/v2` with an extra
 //!   `"evaluator"` block (quality + per-cell wall clock) and an
 //!   `"adaptive_vs_fixed"` block: fixed-budget vs adaptive-precision
 //!   total trial counts at equal CI half-width on high-variance
 //!   families;
-//! * `BENCH_engine_events.json` — dense vs. event engine per scenario
-//!   family (plus a large hard-jobs family where fast-forwarding
-//!   matters most), with `threads` recorded;
 //! * `BENCH_engine_batch.json` — per-trial vs. batched engine per
-//!   scenario family plus the same hard-jobs family (the largest), with
+//!   scenario family plus three large hard-jobs families, with
 //!   `threads`/`host_cores`/`batch_size` recorded and a `stationary`
 //!   flag per cell (stationary policies take the shared-decision SoA
 //!   fast path; the rest measure the fallback's overhead).
 //!
-//! Later scaling PRs re-run this binary and diff the JSON: makespan means
-//! are quality regressions, `wall_clock_s` per cell is the perf
-//! trajectory.
+//! Dense ≡ events is proven bitwise by `tests/engine_differential.rs`,
+//! not here. Later scaling PRs re-run this binary and diff the JSON:
+//! makespan means are quality regressions, `wall_clock_s` per cell is
+//! the perf trajectory.
 //!
 //! ```sh
 //! cargo run --release -p suu-bench --bin bench_baseline \
-//!     [--smoke] [out.json [engine_out.json [batch_out.json]]]
+//!     [--smoke] [out.json [batch_out.json]]
 //! ```
 //!
 //! `--smoke` shrinks everything (smoke suite, few trials) for CI — and
 //! runs the race **adaptively** (`Precision::TargetCi`), so the
 //! sequential-stopping path is exercised end to end. It still asserts
-//! dense ≡ events and per-trial ≡ batched bitwise, so engine regressions
-//! that only manifest under the Race runner fail fast; CI additionally
-//! validates every artifact with the `validate_results` gate (schema
-//! shape, `outcomes_identical`, counted-but-tolerated null speedups).
+//! per-trial ≡ batched bitwise, so engine regressions that only manifest
+//! under the Race runner fail fast; CI additionally validates every
+//! artifact with the `validate_results` gate (schema shape,
+//! `outcomes_identical`, counted-but-tolerated null speedups).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,9 +44,8 @@ use suu_core::json::Json;
 use suu_core::profile::ProfileMode;
 use suu_core::SuuInstance;
 use suu_sim::{
-    execute, spec_factory, BatchRunner, EngineKind, EvalConfig, EvalReport, Evaluator, ExecConfig,
-    ExecOutcome, OutcomeAccumulator, PolicyRegistry, PolicySpec, Precision, RegistryError,
-    Semantics,
+    execute, spec_factory, BatchRunner, EvalConfig, EvalReport, Evaluator, ExecConfig, ExecOutcome,
+    OutcomeAccumulator, PolicyRegistry, PolicySpec, Precision, RegistryError, Semantics,
 };
 
 /// Smallest wall clock a speedup ratio is trusted at: sub-millisecond
@@ -141,83 +137,6 @@ fn with_speedup(cell: Json, baseline_s: f64, contender_s: f64) -> Json {
     } else {
         cell.field("speedup", baseline_s / contender_s)
     }
-}
-
-/// One dense-vs-events cell: min-of-k wall clocks, speedup, equality.
-/// Both sides run the same direct per-trial loop (policy construction
-/// excluded, no thread-pool setup in the timed region).
-fn engine_cell(
-    registry: &PolicyRegistry,
-    inst: &Arc<SuuInstance>,
-    scenario_id: &str,
-    spec: &PolicySpec,
-    trials: usize,
-) -> Result<Json, RegistryError> {
-    let evaluator = Evaluator::new(EvalConfig {
-        trials,
-        master_seed: 0xE7E7,
-        threads: 1, // single worker: wall clocks compare engines, not pools
-        ..EvalConfig::default()
-    });
-    let seeds = evaluator.trial_batch(0, trials);
-    let mut policy = registry.build(inst, spec)?;
-    let dense_cfg = ExecConfig {
-        engine: EngineKind::Dense,
-        ..ExecConfig::default()
-    };
-    let events_cfg = ExecConfig::default();
-
-    let run_all = |policy: &mut dyn suu_sim::Policy, cfg: &ExecConfig| -> Vec<ExecOutcome> {
-        seeds
-            .iter()
-            .map(|t| {
-                if let Some(s) = t.policy_seed {
-                    policy.reseed(s);
-                }
-                execute(inst, policy, cfg, t.engine_seed)
-            })
-            .collect()
-    };
-    let dense_out = run_all(&mut *policy, &dense_cfg);
-    let events_out = run_all(&mut *policy, &events_cfg);
-    let identical = dense_out == events_out;
-    assert!(
-        identical,
-        "event engine diverged from dense oracle on {scenario_id}/{spec}"
-    );
-    let mean = events_out.iter().map(|o| o.makespan as f64).sum::<f64>() / trials.max(1) as f64;
-
-    let dense_t = measure_secs(|| {
-        std::hint::black_box(run_all(&mut *policy, &dense_cfg).len());
-    });
-    let events_t = measure_secs(|| {
-        std::hint::black_box(run_all(&mut *policy, &events_cfg).len());
-    });
-    println!(
-        // suu-lint: allow(float-format, "human console progress line; schema'd floats go through the Json shortest-repr writer")
-        "  {scenario_id:<28} {spec:<18} dense {:>9.4}s  events {:>9.4}s  speedup {:>6.2}x",
-        dense_t.secs,
-        events_t.secs,
-        dense_t.secs / events_t.secs.max(1e-12)
-    );
-    Ok(with_ratio(
-        Json::obj()
-            .field("scenario", scenario_id)
-            .field("policy", spec.to_string())
-            .field("trials", trials as u64)
-            .field("mean_makespan", mean)
-            .field("dense_wall_clock_s", dense_t.secs)
-            .field("events_wall_clock_s", events_t.secs)
-            .field(
-                "timing_reps",
-                Json::obj()
-                    .field("dense", dense_t.reps as u64)
-                    .field("events", events_t.reps as u64),
-            )
-            .field("outcomes_identical", identical),
-        &dense_t,
-        &events_t,
-    ))
 }
 
 /// One per-trial-vs-batched cell (schema `suu-bench/engine-batch/v2`):
@@ -364,12 +283,8 @@ fn main() {
         .first()
         .map(|s| s.to_string())
         .unwrap_or_else(|| "BENCH_baseline.json".to_string());
-    let engine_out_path = positional
-        .get(1)
-        .map(|s| s.to_string())
-        .unwrap_or_else(|| "BENCH_engine_events.json".to_string());
     let batch_out_path = positional
-        .get(2)
+        .get(1)
         .map(|s| s.to_string())
         .unwrap_or_else(|| "BENCH_engine_batch.json".to_string());
 
@@ -486,63 +401,30 @@ fn main() {
         );
     }
 
-    // 3. Dense vs. event engine, per scenario family. The extra
-    //    `uniform-m4-n96` family has near-certain per-step failure
-    //    (q ∈ [0.99, 0.999]): hundreds of unit steps per completion, the
-    //    regime the event engine exists for — and the largest family.
-    println!("\n-- engine comparison: dense stepper vs. event engine --");
-    let engine_trials = if smoke { 4 } else { 60 };
-    let mut engine_scenarios = if smoke {
+    // 3. Per-trial vs. batched engine. Stationary policies take the SoA
+    //    shared-decision fast path; suu-i-obl measures the per-trial
+    //    fallback. Full mode adds three large hard-jobs families (n ≥ 96,
+    //    near-certain per-step failure: hundreds of unit steps per
+    //    completion) and runs both semantics there, so the SUU geometric
+    //    wide kernel is measured alongside the SUU* one.
+    println!("\n-- engine comparison: per-trial event engine vs. batched SoA engine --");
+    let batch_trials = if smoke { 4 } else { 60 };
+    let batch_size = 256usize;
+    let batch_specs = ["gang-sequential", "best-machine", "greedy-lr", "suu-i-obl"];
+    let mut batch_scenarios = if smoke {
         ScenarioSuite::smoke(42).scenarios
     } else {
         ScenarioSuite::standard(42).scenarios
     };
     if !smoke {
-        engine_scenarios.push(Scenario::uniform(4, 96, 0.99, 0.999, 4242));
-    }
-    let engine_specs = ["gang-sequential", "greedy-lr", "suu-i-obl"];
-    let mut cells: Vec<Json> = Vec::new();
-    for sc in &engine_scenarios {
-        let inst = sc.instantiate();
-        for spec_text in engine_specs {
-            let spec = PolicySpec::new(spec_text);
-            match engine_cell(&registry, &inst, &sc.id, &spec, engine_trials) {
-                Ok(cell) => cells.push(cell),
-                Err(RegistryError::UnsupportedStructure { .. }) => continue,
-                Err(e) => panic!("{}/{spec_text}: {e}", sc.id),
-            }
-        }
-    }
-    let engine_doc = Json::obj()
-        .field("schema", suu_core::schemas::BENCH_ENGINE_EVENTS_V1)
-        .field("generated_by", "bench_baseline")
-        .field("mode", if smoke { "smoke" } else { "full" })
-        .field("threads", 1u64)
-        .field("host_cores", cores as u64)
-        .field("trials_per_cell", engine_trials as u64)
-        .field("cells", Json::Arr(cells));
-    std::fs::write(&engine_out_path, engine_doc.to_pretty()).expect("write engine JSON");
-    println!("engine comparison written to {engine_out_path}");
-
-    // 4. Per-trial vs. batched engine. Stationary policies take the SoA
-    //    shared-decision fast path; suu-i-obl measures the per-trial
-    //    fallback. The large hard-jobs families (n ≥ 96, near-certain
-    //    per-step failure) are the satellite speedup table — full mode
-    //    adds two more of them and runs both semantics there, so the SUU
-    //    geometric wide kernel is measured alongside the SUU* one.
-    println!("\n-- engine comparison: per-trial event engine vs. batched SoA engine --");
-    let batch_size = 256usize;
-    let batch_specs = ["gang-sequential", "best-machine", "greedy-lr", "suu-i-obl"];
-    let extra_batch_scenarios = if smoke {
-        Vec::new()
-    } else {
-        vec![
+        batch_scenarios.extend([
+            Scenario::uniform(4, 96, 0.99, 0.999, 4242),
             Scenario::bimodal(4, 96, 0.6, 4343),
             Scenario::uniform(8, 128, 0.9, 0.99, 4444),
-        ]
-    };
+        ]);
+    }
     let mut batch_cells: Vec<Json> = Vec::new();
-    for sc in engine_scenarios.iter().chain(&extra_batch_scenarios) {
+    for sc in &batch_scenarios {
         let inst = sc.instantiate();
         let large = inst.num_jobs() >= 96;
         for spec_text in batch_specs {
@@ -557,7 +439,7 @@ fn main() {
                     &inst,
                     &sc.id,
                     &spec,
-                    engine_trials,
+                    batch_trials,
                     batch_size,
                     sem,
                 ) {
@@ -575,7 +457,7 @@ fn main() {
         .field("threads", 1u64)
         .field("host_cores", cores as u64)
         .field("batch_size", batch_size as u64)
-        .field("trials_per_cell", engine_trials as u64)
+        .field("trials_per_cell", batch_trials as u64)
         .field(
             "note",
             "wall clocks are min-of-3 repeated timings on a single worker thread \
@@ -588,7 +470,7 @@ fn main() {
     std::fs::write(&batch_out_path, batch_doc.to_pretty()).expect("write batch JSON");
     println!("batch comparison written to {batch_out_path}");
 
-    // 5. Fixed vs adaptive trial budgets at equal precision, on
+    // 4. Fixed vs adaptive trial budgets at equal precision, on
     //    high-variance scenario families. The fixed pass spends N trials
     //    on every cell; the loosest (largest) ci95 it achieves is the
     //    precision a fixed budget actually *guarantees* across the
@@ -684,7 +566,6 @@ fn main() {
             .field("cells", Json::Arr(av_cells)),
     );
 
-    doc = doc.field("engine_comparison_file", engine_out_path.as_str());
     doc = doc.field("batch_comparison_file", batch_out_path.as_str());
     std::fs::write(&out_path, doc.to_pretty()).expect("write baseline JSON");
     println!(

@@ -17,17 +17,15 @@
 //!   every run cell must carry a well-formed `cell_key` (16 lowercase
 //!   hex — the content address of its cached evaluation) and no cell
 //!   may record `wall_clock_s` (bodies must replay byte-identically).
-//! * `suu-bench/engine-events/v1` / `suu-bench/engine-batch/v1` — fails
-//!   on any `outcomes_identical: false`; **tolerates but counts**
-//!   `"speedup": null` cells (sub-millisecond wall clocks; each must
-//!   carry a `speedup_note`).
-//! * `suu-bench/engine-batch/v2` — everything v1 checks, plus the
-//!   profile-guided rebuild's per-cell fields: a known `semantics`
-//!   label, a `stationary` flag, a `timing_reps` object (min-of-k
-//!   repeated timing), a `cache` object with integer
-//!   hits/misses/evictions/entries counters, and — when present — a
-//!   well-formed `profile` phase breakdown. With `--min-speedup X`,
-//!   additionally fails if any **timed** v2 cell reports a speedup below
+//! * `suu-bench/engine-batch/v2` — fails on any `outcomes_identical:
+//!   false`; **tolerates but counts** `"speedup": null` cells
+//!   (sub-millisecond wall clocks; each must carry a `speedup_note`);
+//!   and checks the per-cell fields: a known `semantics` label, a
+//!   `stationary` flag, a `timing_reps` object (min-of-k repeated
+//!   timing), a `cache` object with integer hits/misses/evictions/entries
+//!   counters, and — when present — a well-formed `profile` phase
+//!   breakdown. With `--min-speedup X` (a finite, positive floor),
+//!   additionally fails if any **timed** cell reports a speedup below
 //!   `X` (null cells stay tolerated-and-counted) — the CI smoke perf
 //!   sanity gate.
 //! * `suu-results/sweep/v1` — the frontier-sweep gate: per-point
@@ -41,16 +39,6 @@
 //!   re-derives, and — the point of adaptivity — `trials_adaptive` does
 //!   not exceed `trials_fixed_equivalent`. No cell may record
 //!   `wall_clock_s` (sweep artifacts must replay byte-identically).
-//! * `suu-serve/loadgen/v2` — the sharded-serving scaling gate: a
-//!   positive `host_cores`, one entry per distinct shard count, and for
-//!   every entry: request accounting adds up, **zero failed requests,
-//!   zero replay mismatches and zero router-vs-direct mismatches** (the
-//!   scatter/gather merge stayed byte-identical to a single daemon),
-//!   latency percentiles are non-negative and ordered (p50 ≤ p95 ≤ p99
-//!   ≤ max) for every class, throughput is positive, at least one
-//!   identity probe ran, `rejected_429` is tracked, and an aggregated
-//!   `suu-serve/stats/v1` fleet document's per-shard breakdown matches
-//!   the entry's shard count.
 //!
 //! Exits nonzero on the first violation, so it can gate CI directly.
 
@@ -161,46 +149,9 @@ fn validate_results_v2(doc: &Json, path: &str) {
     );
 }
 
-/// Shared engine-cell core: `outcomes_identical` must be true and
-/// `speedup` a number or an explained null. Returns `(speedup,
-/// null_counted)` for the caller's extra checks.
-fn check_engine_cell(cell: &Json, ctx: &str) -> (Option<f64>, bool) {
-    match cell.get("outcomes_identical").and_then(Json::as_bool) {
-        Some(true) => {}
-        Some(false) => fail(format!("{ctx}: outcomes_identical is false")),
-        None => fail(format!("{ctx}: missing bool 'outcomes_identical'")),
-    }
-    match cell.get("speedup") {
-        Some(Json::Null) => {
-            // Tolerated (unmeasurably fast cell), but it must say why
-            // and it is counted by the caller.
-            require_str(cell, "speedup_note", ctx);
-            (None, true)
-        }
-        Some(v) if v.as_f64().is_some() => (v.as_f64(), false),
-        _ => fail(format!("{ctx}: 'speedup' must be a number or null")),
-    }
-}
-
-/// Returns the number of tolerated null-speedup cells.
-fn validate_engine(doc: &Json, path: &str) -> usize {
-    let cells = require_arr(doc, "cells", path);
-    let mut null_speedups = 0usize;
-    for (i, cell) in cells.iter().enumerate() {
-        let ctx = format!("{path}: cells[{i}]");
-        let (_, nulled) = check_engine_cell(cell, &ctx);
-        null_speedups += nulled as usize;
-    }
-    println!(
-        "OK {path}: {} engine cells, {null_speedups} null-speedup cell(s) tolerated",
-        cells.len()
-    );
-    null_speedups
-}
-
-/// The `suu-bench/engine-batch/v2` gate: v1's checks plus the
-/// profile-guided rebuild's fields, and an optional perf sanity floor on
-/// every *timed* cell's speedup.
+/// The `suu-bench/engine-batch/v2` gate: identical outcomes, the
+/// per-cell fields, and an optional perf sanity floor on every *timed*
+/// cell's speedup. Returns the number of tolerated null-speedup cells.
 fn validate_engine_batch_v2(doc: &Json, path: &str, min_speedup: Option<f64>) -> usize {
     let cells = require_arr(doc, "cells", path);
     let mut null_speedups = 0usize;
@@ -248,15 +199,26 @@ fn validate_engine_batch_v2(doc: &Json, path: &str, min_speedup: Option<f64>) ->
                 }
             }
         }
-        let (speedup, nulled) = check_engine_cell(cell, &ctx);
-        null_speedups += nulled as usize;
-        if let (Some(s), Some(floor)) = (speedup, min_speedup) {
-            if s < floor {
-                fail(format!(
+        match cell.get("outcomes_identical").and_then(Json::as_bool) {
+            Some(true) => {}
+            Some(false) => fail(format!("{ctx}: outcomes_identical is false")),
+            None => fail(format!("{ctx}: missing bool 'outcomes_identical'")),
+        }
+        match cell.get("speedup") {
+            // Tolerated (unmeasurably fast cell), but it must say why,
+            // and it is counted.
+            Some(Json::Null) => {
+                require_str(cell, "speedup_note", &ctx);
+                null_speedups += 1;
+            }
+            speedup => match (speedup.and_then(Json::as_f64), min_speedup) {
+                (None, _) => fail(format!("{ctx}: 'speedup' must be a number or null")),
+                (Some(s), Some(floor)) if s < floor => fail(format!(
                     // suu-lint: allow(float-format, "human gate-failure message; never written into a schema document")
                     "{ctx}: timed speedup {s:.3} below the --min-speedup floor {floor}"
-                ));
-            }
+                )),
+                _ => {}
+            },
         }
     }
     println!(
@@ -493,144 +455,41 @@ fn require_u64_field(obj: &Json, key: &str, ctx: &str) -> u64 {
         .unwrap_or_else(|| fail(format!("{ctx}: missing non-negative integer '{key}'")))
 }
 
-/// The shared latency-summary check: every class present, percentiles
-/// non-negative, and ordered (p50 ≤ p95 ≤ p99 ≤ max) unless the class
-/// is legitimately empty.
-fn check_latency_block(holder: &Json, classes: &[&str], ctx: &str) {
-    let latency = holder
-        .get("latency")
-        .unwrap_or_else(|| fail(format!("{ctx}: missing object 'latency'")));
-    for class in classes {
-        let cctx = format!("{ctx}: latency.{class}");
-        let summary = latency
-            .get(class)
-            .unwrap_or_else(|| fail(format!("{cctx}: missing")));
-        let count = require_u64_field(summary, "count", &cctx);
-        let pct = |key: &str| -> f64 {
-            match summary.get(key).and_then(Json::as_f64) {
-                Some(v) if v >= 0.0 => v,
-                _ => fail(format!("{cctx}: '{key}' must be a non-negative number")),
-            }
+/// Split `--min-speedup X` (or `--min-speedup=X`) from the file list.
+/// The floor must be finite and positive: Rust parses `NaN`, which no
+/// speedup is ever below, and a floor at or under zero passes every
+/// cell, so either would disable the gate without a word.
+fn parse_args(raw: &[String]) -> Result<(Option<f64>, Vec<String>), String> {
+    let mut min_speedup = None;
+    let mut files = Vec::new();
+    let mut it = raw.iter();
+    while let Some(a) = it.next() {
+        let value = if a == "--min-speedup" {
+            it.next().ok_or("--min-speedup requires a value")?.as_str()
+        } else if let Some(v) = a.strip_prefix("--min-speedup=") {
+            v
+        } else {
+            files.push(a.clone());
+            continue;
         };
-        let (p50, p95, p99, max) = (pct("p50_ms"), pct("p95_ms"), pct("p99_ms"), pct("max_ms"));
-        if count > 0 && !(p50 <= p95 && p95 <= p99 && p99 <= max) {
-            fail(format!(
-                "{cctx}: percentiles out of order (p50 {p50}, p95 {p95}, p99 {p99}, max {max})"
-            ));
-        }
-    }
-}
-
-/// The `suu-serve/loadgen/v2` gate: per-shard-count scaling entries,
-/// each with a clean run (zero failures and replay mismatches, ordered
-/// latency percentiles, positive throughput) *plus* the sharding
-/// contract — the merged responses stayed byte-identical to a single
-/// daemon's.
-fn validate_loadgen_v2(doc: &Json, path: &str) {
-    let mode = require_str(doc, "mode", path);
-    if !["full", "smoke"].contains(&mode) {
-        fail(format!("{path}: unknown loadgen mode {mode:?}"));
-    }
-    let host_cores = require_u64_field(doc, "host_cores", path);
-    if host_cores == 0 {
-        fail(format!("{path}: 'host_cores' must be positive"));
-    }
-    let entries = require_arr(doc, "entries", path);
-    if entries.is_empty() {
-        fail(format!("{path}: 'entries' must not be empty"));
-    }
-    let mut shard_counts: Vec<u64> = Vec::with_capacity(entries.len());
-    let mut total_requests = 0u64;
-    for (i, entry) in entries.iter().enumerate() {
-        let ctx = format!("{path}: entries[{i}]");
-        let shards = require_u64_field(entry, "shards", &ctx);
-        if shards == 0 {
-            fail(format!("{ctx}: 'shards' must be positive"));
-        }
-        if shard_counts.contains(&shards) {
-            fail(format!("{ctx}: duplicate entry for {shards} shard(s)"));
-        }
-        shard_counts.push(shards);
-        let requests = entry
-            .get("requests")
-            .unwrap_or_else(|| fail(format!("{ctx}: missing object 'requests'")));
-        let total = require_u64_field(requests, "total", &ctx);
-        let classed: u64 = ["primed", "hit", "miss", "extend", "storm", "identity"]
-            .iter()
-            .map(|k| require_u64_field(requests, k, &ctx))
-            .sum();
-        if total == 0 || total != classed {
-            fail(format!(
-                "{ctx}: request accounting broken (total {total}, classes sum {classed})"
-            ));
-        }
-        if require_u64_field(requests, "identity", &ctx) == 0 {
-            fail(format!(
-                "{ctx}: no identity probes — the run never compared router vs direct"
-            ));
-        }
-        total_requests += total;
-        for key in ["failed", "replay_mismatches", "router_vs_direct_mismatches"] {
-            let n = require_u64_field(entry, key, &ctx);
-            if n != 0 {
-                fail(format!("{ctx}: {n} {key} — a clean run is required"));
+        match value.parse::<f64>() {
+            Ok(floor) if floor.is_finite() && floor > 0.0 => min_speedup = Some(floor),
+            _ => {
+                return Err(format!(
+                    "--min-speedup must be a finite positive number, got {value:?}"
+                ))
             }
         }
-        // Load shedding is legitimate under saturation, but must be
-        // accounted for, not silently swallowed.
-        require_u64_field(entry, "rejected_429", &ctx);
-        match entry.get("throughput_rps").and_then(Json::as_f64) {
-            Some(rps) if rps > 0.0 => {}
-            _ => fail(format!("{ctx}: 'throughput_rps' must be positive")),
-        }
-        check_latency_block(entry, &["all", "hit", "miss", "extend", "storm"], &ctx);
-        let stats = entry
-            .get("stats")
-            .unwrap_or_else(|| fail(format!("{ctx}: missing object 'stats'")));
-        let schema = require_str(stats, "schema", &ctx);
-        if schema != schemas::SERVE_STATS_V1 {
-            fail(format!("{ctx}: aggregated stats schema {schema:?}"));
-        }
-        let breakdown = require_arr(stats, "shards", &ctx);
-        if breakdown.len() as u64 != shards {
-            fail(format!(
-                "{ctx}: stats.shards has {} entries for a {shards}-shard fleet",
-                breakdown.len()
-            ));
-        }
     }
-    println!(
-        "OK {path}: suu-serve/loadgen/v2 ({mode}, {host_cores} core(s)), \
-         shard counts {shard_counts:?}, {total_requests} requests, all clean"
-    );
+    if files.is_empty() {
+        return Err("usage: validate_results [--min-speedup X] FILE...".to_string());
+    }
+    Ok((min_speedup, files))
 }
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut min_speedup: Option<f64> = None;
-    let mut args: Vec<String> = Vec::new();
-    let mut it = raw.iter();
-    while let Some(a) = it.next() {
-        if a == "--min-speedup" {
-            let v = it
-                .next()
-                .unwrap_or_else(|| fail("--min-speedup requires a value".to_string()));
-            min_speedup = Some(
-                v.parse()
-                    .unwrap_or_else(|_| fail(format!("--min-speedup: not a number: {v:?}"))),
-            );
-        } else if let Some(v) = a.strip_prefix("--min-speedup=") {
-            min_speedup = Some(
-                v.parse()
-                    .unwrap_or_else(|_| fail(format!("--min-speedup: not a number: {v:?}"))),
-            );
-        } else {
-            args.push(a.clone());
-        }
-    }
-    if args.is_empty() {
-        fail("usage: validate_results [--min-speedup X] FILE...".to_string());
-    }
+    let (min_speedup, args) = parse_args(&raw).unwrap_or_else(|e| fail(e));
     let mut tolerated = 0usize;
     for path in &args {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("{path}: {e}")));
@@ -641,10 +500,6 @@ fn main() {
             Some(schemas::BENCH_ENGINE_BATCH_V2) => {
                 tolerated += validate_engine_batch_v2(&doc, path, min_speedup);
             }
-            Some(s) if s.starts_with("suu-bench/engine-") => {
-                tolerated += validate_engine(&doc, path);
-            }
-            Some(schemas::SERVE_LOADGEN_V2) => validate_loadgen_v2(&doc, path),
             other => fail(format!("{path}: unsupported schema {other:?}")),
         }
     }
@@ -652,4 +507,40 @@ fn main() {
         "all {} artifact(s) valid ({tolerated} null-speedup cell(s) across engine docs)",
         args.len()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn strings(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn min_speedup_floor_must_be_finite_and_positive() {
+        let files = strings(&["a.json"]);
+        assert_eq!(
+            parse_args(&strings(&["--min-speedup", "1.0", "a.json"])),
+            Ok((Some(1.0), files.clone()))
+        );
+        assert_eq!(
+            parse_args(&strings(&["a.json", "--min-speedup=0.5"])),
+            Ok((Some(0.5), files.clone()))
+        );
+        assert_eq!(parse_args(&files), Ok((None, files.clone())));
+        for bad in ["NaN", "nan", "inf", "-inf", "0", "-0", "-1", "fast", ""] {
+            assert!(
+                parse_args(&strings(&["--min-speedup", bad, "a.json"])).is_err(),
+                "--min-speedup {bad:?} accepted"
+            );
+            let joined = format!("--min-speedup={bad}");
+            assert!(
+                parse_args(&strings(&[&joined, "a.json"])).is_err(),
+                "{joined:?} accepted"
+            );
+        }
+        assert!(parse_args(&strings(&["a.json", "--min-speedup"])).is_err());
+        assert!(parse_args(&strings(&["--min-speedup", "1.0"])).is_err());
+    }
 }

@@ -35,19 +35,12 @@ pub const SERVE_HEALTH_V1: &str = "suu-serve/health/v1";
 /// `router` blocks after the daemon's v1 fields, never reorders them).
 pub const SERVE_STATS_V1: &str = "suu-serve/stats/v1";
 
-/// Sharded `suu-loadgen` scaling-sweep document (`BENCH_serve.json`).
-pub const SERVE_LOADGEN_V2: &str = "suu-serve/loadgen/v2";
-
 /// Streaming accumulator snapshot (Welford + P² sketches), the inner
 /// payload of an evaluation checkpoint.
 pub const SIM_ACCUMULATOR_V1: &str = "suu-sim/accumulator/v1";
 
 /// Resumable `EvalStats` checkpoint (accumulator + RNG cursor).
 pub const SIM_EVALSTATS_V1: &str = "suu-sim/evalstats/v1";
-
-/// Event-engine vs dense-engine comparison artifact
-/// (`BENCH_engine_events.json`).
-pub const BENCH_ENGINE_EVENTS_V1: &str = "suu-bench/engine-events/v1";
 
 /// Batched-engine vs per-trial-engine comparison artifact
 /// (`BENCH_engine_batch.json`).
@@ -71,10 +64,8 @@ pub const ALL: &[&str] = &[
     SERVE_INDEX_V1,
     SERVE_HEALTH_V1,
     SERVE_STATS_V1,
-    SERVE_LOADGEN_V2,
     SIM_ACCUMULATOR_V1,
     SIM_EVALSTATS_V1,
-    BENCH_ENGINE_EVENTS_V1,
     BENCH_ENGINE_BATCH_V2,
     LINT_V1,
 ];
@@ -124,7 +115,7 @@ mod tests {
     #[test]
     fn shape_matcher_rejects_near_misses() {
         assert!(is_schema_id("suu-results/v2"));
-        assert!(is_schema_id("suu-serve/loadgen/v2"));
+        assert!(is_schema_id("suu-serve/stats/v1"));
         assert!(is_schema_id("suu-bench/engine-batch/v2"));
         for bad in [
             "suu-results",     // no version

@@ -164,7 +164,7 @@ proptest! {
         let src: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
         let path = [
             "crates/serve/src/router.rs",
-            "crates/serve/src/bin/loadgen.rs",
+            "crates/serve/src/bin/sweep.rs",
             "crates/bench/src/report.rs",
             "crates/core/tests/anything.rs",
         ][which];

@@ -209,7 +209,7 @@ fn run(cfg: &Config, spec: &SweepSpec, cache_dir: &Path, out: &str) -> Result<()
             .map_err(|e| format!("cannot open cache {}: {e}", cache_dir.display()))?;
         Box::new(LocalEval { service })
     } else {
-        let server = ServerProc::spawn_with_cache("suud", cache_dir, &[])?;
+        let server = ServerProc::spawn("suud", cache_dir)?;
         let client = server
             .client(READ_TIMEOUT)
             .map_err(|e| format!("connect to {} failed: {e}", server.addr()))?;

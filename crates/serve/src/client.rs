@@ -1,6 +1,6 @@
 //! Minimal blocking HTTP/1.1 **keep-alive client** — the upstream side
-//! of the router's scatter/gather, also reused by the load generator and
-//! the e2e tests.
+//! of the router's scatter/gather, also reused by `suu-sweep`'s daemon
+//! mode and the e2e tests.
 //!
 //! One [`Client`] is one connection. Requests are written eagerly
 //! ([`Client::send`]) and replies read separately ([`Client::read_reply`]),
@@ -191,8 +191,7 @@ pub const MAX_RETRY_AFTER_MS: u64 = 30_000;
 /// Hardened against untrusted input: unparseable values fall back to
 /// [`DEFAULT_RETRY_AFTER_MS`], the seconds→ms conversion saturates
 /// instead of overflowing, and the result is capped at
-/// [`MAX_RETRY_AFTER_MS`]. Shared by `suu-loadgen` and `suu-sweep`'s
-/// daemon client so both back off identically.
+/// [`MAX_RETRY_AFTER_MS`]. `suu-sweep`'s daemon client backs off by it.
 pub fn retry_after_ms(header: Option<&str>) -> u64 {
     header
         .and_then(|v| v.trim().parse::<u64>().ok())

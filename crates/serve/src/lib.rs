@@ -47,12 +47,8 @@
 //! `--queue-depth`, `--idle-timeout-ms`, `--max-cache-bytes`,
 //! `--cache-dir`), or evaluates one request from a file in `--oneshot`
 //! mode (used by CI to gate daemon-produced documents without holding a
-//! port open). The `suu-loadgen` binary spawns a daemon — or a router
-//! fleet per shard count — and drives a deterministic mixed workload
-//! against it, proving byte-identical replay under load and emitting
-//! the `suu-serve/loadgen/v2` benchmark document (`BENCH_serve.json`)
-//! with per-shard-count scaling curves. See the README's "Serving
-//! evaluations" section for curl examples and the cache-key derivation.
+//! port open). See the README's "Serving evaluations" section for curl
+//! examples and the cache-key derivation.
 
 /// EPIPE-tolerant stderr line: a supervisor (the router, a harness, a
 /// shell pipeline) that closed our stderr must not kill the process

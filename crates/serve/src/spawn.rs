@@ -1,7 +1,6 @@
-//! Spawning sibling serving binaries (`suud`, `suu-router`) as child
-//! processes — shared by `suu-loadgen` (private throwaway cache per
-//! measurement) and `suu-sweep` (persistent cache root that later runs
-//! extend incrementally), and usable from e2e tests.
+//! Spawning a sibling serving binary (`suud`, `suu-router`) as a child
+//! process over a persistent cache root — what `suu-sweep`'s daemon
+//! mode runs on, so later runs extend the cells earlier runs persisted.
 //!
 //! The contract is the banner handshake every serving binary honors:
 //! spawn with `--addr 127.0.0.1:0`, read one stdout line of the form
@@ -11,7 +10,7 @@
 //! `PDEATHSIG`, so dropping a router proc reaps its whole fleet.
 
 use std::io::BufRead as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -19,47 +18,21 @@ use crate::client::Client;
 
 /// A spawned serving process (a direct daemon or a router fleet).
 ///
-/// Killed on drop. The cache directory is removed on drop only when
-/// this proc created it ([`ServerProc::spawn`]); a caller-provided
-/// directory ([`ServerProc::spawn_with_cache`]) is left in place — that
-/// is what makes a daemon-mode sweep incremental across runs.
+/// Killed on drop. Its cache directory is left in place — that is what
+/// makes a daemon-mode sweep incremental across runs.
 pub struct ServerProc {
     child: Child,
     addr: String,
-    cache_dir: PathBuf,
-    owns_cache: bool,
     /// Keeps the child's stdout pipe open for its whole life.
     _stdout: std::io::BufReader<std::process::ChildStdout>,
 }
 
 impl ServerProc {
-    /// Spawn a sibling binary with a private temp cache dir tagged
-    /// `tag` (removed on drop), `--addr 127.0.0.1:0` plus `extra`
-    /// flags, and parse the banner for the bound address.
-    pub fn spawn(bin: &str, tag: &str, extra: &[&str]) -> Result<ServerProc, String> {
-        let cache_dir =
-            std::env::temp_dir().join(format!("suu-spawn-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        ServerProc::spawn_inner(bin, &cache_dir, true, extra)
-    }
-
-    /// Spawn against a caller-provided cache directory, which survives
-    /// the proc: re-spawning over the same directory serves the cells
+    /// Spawn a sibling binary with `--addr 127.0.0.1:0` over
+    /// `cache_dir` and parse the banner for the bound address. The
+    /// directory survives the proc: re-spawning over it serves the cells
     /// earlier runs persisted.
-    pub fn spawn_with_cache(
-        bin: &str,
-        cache_dir: &Path,
-        extra: &[&str],
-    ) -> Result<ServerProc, String> {
-        ServerProc::spawn_inner(bin, cache_dir, false, extra)
-    }
-
-    fn spawn_inner(
-        bin: &str,
-        cache_dir: &Path,
-        owns_cache: bool,
-        extra: &[&str],
-    ) -> Result<ServerProc, String> {
+    pub fn spawn(bin: &str, cache_dir: &Path) -> Result<ServerProc, String> {
         let path = std::env::current_exe()
             .map_err(|e| format!("cannot locate own binary: {e}"))?
             .with_file_name(bin);
@@ -82,7 +55,6 @@ impl ServerProc {
                 "--idle-timeout-ms",
                 "120000",
             ])
-            .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
@@ -112,8 +84,6 @@ impl ServerProc {
         Ok(ServerProc {
             child,
             addr,
-            cache_dir: cache_dir.to_path_buf(),
-            owns_cache,
             _stdout: reader,
         })
     }
@@ -133,8 +103,5 @@ impl Drop for ServerProc {
     fn drop(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
-        if self.owns_cache {
-            let _ = std::fs::remove_dir_all(&self.cache_dir);
-        }
     }
 }

@@ -12,6 +12,10 @@
 //!   `suu-serve/stats/v1` field order as a **byte-compatible prefix**
 //!   (new fields strictly appended) and its sums equal the per-shard
 //!   breakdowns;
+//! * concurrent mixed traffic from several keep-alive connections
+//!   (hits, misses, extends and a coalescing storm) gets only `200`s,
+//!   every reply byte-identical to a direct daemon's, and the fleet
+//!   counts each cell exactly once at any interleaving;
 //! * killing a shard mid-evaluation costs the in-flight request a
 //!   clean, fully-framed `503`, the supervisor **restarts** the shard,
 //!   and post-restart replies are byte-identical to pre-death ones
@@ -21,11 +25,13 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 use suu_bench::request::RaceRequest;
 use suu_core::json::Json;
 use suu_core::schemas;
 use suu_serve::cache::{cell_key_fields, CellKey};
+use suu_serve::client::Client;
 use suu_serve::router::{key_from_hex, owner_of};
 
 extern "C" {
@@ -429,6 +435,159 @@ fn aggregated_stats_keep_v1_field_order_and_sum_the_shards() {
     }
 }
 
+/// A single-cell race on a tiny instance: a miss costs milliseconds,
+/// each `seed` is its own cell, and a larger `trials` grows that cell.
+fn single_cell(seed: u64, trials: u64) -> String {
+    format!(
+        r#"{{"scenarios":[{{"family":"uniform","m":2,"n":4,"lo":0.3,"hi":0.9,"seed":{seed}}}],"policies":["greedy-lr"],"trials":{trials},"master_seed":1}}"#
+    )
+}
+
+/// POST a race over a keep-alive connection and return its body and
+/// `X-Suu-Cache` label. Anything but `200` fails, a `429` included.
+fn post_race(client: &mut Client, body: &str) -> (Vec<u8>, String) {
+    let reply = client
+        .request("POST", "/v1/race", Some(body.as_bytes()))
+        .expect("race round trip");
+    assert_eq!(
+        reply.status,
+        200,
+        "{body}: {}",
+        String::from_utf8_lossy(&reply.body)
+    );
+    let label = reply.header("x-suu-cache").unwrap_or_default().to_string();
+    (reply.body, label)
+}
+
+#[derive(Clone, Copy)]
+enum Step {
+    /// A primed hot cell, requested again.
+    Hit,
+    /// A fresh seed, unique across all connections.
+    Miss,
+    /// The connection's own cell at a growing trial count.
+    Extend,
+}
+
+/// One connection's share of the mixed traffic: 6 hits, 3 misses, and
+/// its own cell requested 3 times at a growing trial count (one miss,
+/// then two extends); then, once every connection reaches the barrier,
+/// the shared `storm` race. `hot` pairs each hot request with its primed
+/// reply. Returns every (request, reply body) pair in order.
+fn mixed_traffic(
+    client: &mut Client,
+    t: u64,
+    hot: &[(String, Vec<u8>)],
+    barrier: &Barrier,
+    storm: &str,
+) -> Vec<(String, Vec<u8>)> {
+    use Step::{Extend, Hit, Miss};
+    const SCHEDULE: [Step; 12] = [
+        Hit, Miss, Extend, Hit, Hit, Extend, Miss, Hit, Extend, Hit, Miss, Hit,
+    ];
+    let schedule = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut log = Vec::new();
+        let (mut misses, mut extends) = (0, 0);
+        for (i, step) in SCHEDULE.iter().enumerate() {
+            let (body, label, primed) = match step {
+                Hit => {
+                    let (body, primed) = &hot[(t as usize + i) % hot.len()];
+                    (body.clone(), "hit", Some(primed))
+                }
+                Miss => {
+                    misses += 1;
+                    (single_cell(2000 + 10 * t + misses, 4), "miss", None)
+                }
+                Extend => {
+                    extends += 1;
+                    let label = if extends == 1 { "miss" } else { "extended" };
+                    (single_cell(3000 + t, 4 * extends), label, None)
+                }
+            };
+            let (reply, got) = post_race(client, &body);
+            assert_eq!(got, label, "connection {t} step {i}: {body}");
+            if let Some(primed) = primed {
+                assert!(reply == *primed, "connection {t} step {i}: hit drifted");
+            }
+            log.push((body, reply));
+        }
+        log
+    }));
+    // Reach the barrier even when the schedule failed, so the other
+    // connections are not left waiting on it; then re-raise the failure.
+    barrier.wait();
+    let mut log = schedule.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    log.push((storm.to_string(), post_race(client, storm).0));
+    log
+}
+
+#[test]
+fn concurrent_mixed_traffic_through_the_router_matches_a_direct_daemon() {
+    const CONNECTIONS: usize = 4;
+    let direct = Daemon::spawn("mixed-direct");
+    let router = RouterProc::spawn("mixed-router", 2);
+    let connect = |addr: &str| Client::connect(addr, Duration::from_secs(120)).expect("connect");
+
+    // Prime 3 hot cells; their replies are the oracle every hit replays.
+    let mut primer = connect(&router.addr);
+    let hot: Vec<(String, Vec<u8>)> = (0..3)
+        .map(|i| {
+            let body = single_cell(1000 + i, 6);
+            let primed = post_race(&mut primer, &body).0;
+            (body, primed)
+        })
+        .collect();
+
+    // Connect every client before any thread starts: a thread that has
+    // started waits at the storm barrier for all the others.
+    let clients: Vec<Client> = (0..CONNECTIONS).map(|_| connect(&router.addr)).collect();
+    let barrier = Barrier::new(clients.len());
+    let storm = single_cell(4000, 6);
+    let logs: Vec<Vec<(String, Vec<u8>)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..)
+            .zip(clients)
+            .map(|(t, mut client)| {
+                let (hot, barrier, storm) = (&hot, &barrier, &storm);
+                scope.spawn(move || mixed_traffic(&mut client, t, hot, barrier, storm))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("traffic thread"))
+            .collect()
+    });
+    let storm_replies: Vec<&Vec<u8>> = logs
+        .iter()
+        .filter_map(|log| log.last())
+        .map(|(_, r)| r)
+        .collect();
+    assert!(
+        storm_replies.iter().all(|r| *r == storm_replies[0]),
+        "storm replies disagree"
+    );
+
+    // Each distinct cell is computed exactly once (3 hot, 12 misses, 4
+    // own cells, 1 storm cell), whatever the interleaving was.
+    let stats = http(&router.addr, "GET", "/v1/stats", None).json();
+    let count = |field: &str| stats.get(field).and_then(Json::as_u64);
+    assert_eq!(count("misses"), Some(20), "{}", stats.to_pretty());
+    assert_eq!(count("cells_on_disk"), Some(20), "{}", stats.to_pretty());
+    assert_eq!(count("extends"), Some(8), "{}", stats.to_pretty());
+    assert_eq!(count("hits"), Some(27), "{}", stats.to_pretty());
+
+    // The direct daemon, fed the priming and then each connection's
+    // requests one at a time, in order, answers with the same bytes.
+    let mut oracle = connect(&direct.addr);
+    for (n, log) in std::iter::once(&hot).chain(&logs).enumerate() {
+        for (i, (body, via_router)) in log.iter().enumerate() {
+            assert!(
+                &post_race(&mut oracle, body).0 == via_router,
+                "log {n} (0 = priming) request {i} differs from the direct daemon: {body}"
+            );
+        }
+    }
+}
+
 #[test]
 fn killed_shard_restarts_and_replays_byte_identically() {
     let router = RouterProc::spawn("death", 2);
@@ -446,11 +605,7 @@ fn killed_shard_restarts_and_replays_byte_identically() {
     let slow_key = key_from_hex(&cell_keys(slow_body)[0]).unwrap();
     let victim = owner_of(slow_key, 2);
     let light_body = (0..)
-        .map(|seed| {
-            format!(
-                r#"{{"scenarios":[{{"family":"uniform","m":2,"n":4,"lo":0.3,"hi":0.9,"seed":{seed}}}],"policies":["greedy-lr"],"trials":5,"master_seed":1}}"#
-            )
-        })
+        .map(|seed| single_cell(seed, 5))
         .find(|body| owner_of(key_from_hex(&cell_keys(body)[0]).unwrap(), 2) == victim)
         .expect("some seed lands on the victim shard");
 

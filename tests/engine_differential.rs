@@ -2,7 +2,8 @@
 //! family of the standard suite, every capable registry policy, and both
 //! randomness semantics,
 //!
-//! * the dense per-step oracle and the event-driven fast path, and
+//! * the dense per-step oracle and the event-driven fast path (plus a
+//!   hard-jobs family, where fast-forwarding skips the most steps), and
 //! * the per-trial event engine (`Evaluator::run_serial`) and the
 //!   **batched SoA pipeline** (`Evaluator::run`, including the
 //!   stationary shared-decision fast path),
@@ -20,7 +21,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use suu::algos::standard_registry;
-use suu::bench::scenario::ScenarioSuite;
+use suu::bench::scenario::{Scenario, ScenarioSuite};
 use suu::core::{workload, Precedence};
 use suu::sim::{
     execute, spec_factory, Assignment, Decision, EngineKind, EvalConfig, Evaluator, ExecConfig,
@@ -67,7 +68,11 @@ fn outcomes(
 
 #[test]
 fn dense_and_event_engines_agree_on_every_scenario_family() {
-    for sc in ScenarioSuite::standard(42).scenarios {
+    let mut scenarios = ScenarioSuite::standard(42).scenarios;
+    // Hard jobs (q ∈ [0.99, 0.999]): hundreds of unit steps per
+    // completion, the regime fast-forwarding exists for.
+    scenarios.push(Scenario::uniform(4, 96, 0.99, 0.999, 4242));
+    for sc in scenarios {
         let inst = sc.instantiate();
         for spec_text in SPECS {
             let spec = PolicySpec::parse(spec_text).unwrap();
