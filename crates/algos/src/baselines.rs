@@ -108,14 +108,25 @@ impl Policy for RoundRobinPolicy {
 pub struct BestMachinePolicy {
     inst: Arc<SuuInstance>,
     name: &'static str,
+    /// Every job, stably sorted by its best rate (scarcest first).
+    order: Vec<u32>,
+    /// Decide scratch: the eligible jobs in `order`.
+    eligible: Vec<u32>,
 }
 
 impl BestMachinePolicy {
     /// New best-machine baseline over the given instance.
     pub fn new(inst: Arc<SuuInstance>) -> Self {
+        let best_ell: Vec<f64> = (0..inst.num_jobs() as u32)
+            .map(|j| inst.best_ell(JobId(j)))
+            .collect();
+        let mut order: Vec<u32> = (0..inst.num_jobs() as u32).collect();
+        sort_jobs_by_key(&mut order, &best_ell);
         BestMachinePolicy {
+            eligible: Vec::with_capacity(order.len()),
             inst,
             name: "best-machine",
+            order,
         }
     }
 }
@@ -126,31 +137,38 @@ impl Policy for BestMachinePolicy {
     }
     fn reset(&mut self) {}
     fn decide(&mut self, view: &StateView<'_>, out: &mut Assignment) -> Decision {
-        let mut eligible: Vec<u32> = view.eligible.iter().collect();
-        if eligible.is_empty() {
+        // Hardest jobs (smallest best rate) pick first. A stable sort
+        // restricted to a subset is that subset stably sorted, so this is
+        // the id-ordered eligible set sorted by best rate.
+        self.eligible.clear();
+        self.eligible.extend(
+            self.order
+                .iter()
+                .copied()
+                .filter(|&j| view.eligible.contains(j)),
+        );
+        if self.eligible.is_empty() {
             return Decision::HOLD;
         }
-        // Hardest jobs (smallest best rate) pick first.
-        eligible.sort_by(|&a, &b| {
-            self.inst
-                .best_ell(JobId(a))
-                .partial_cmp(&self.inst.best_ell(JobId(b)))
-                .expect("ells are finite")
-        });
-        for &j in &eligible {
+        let mut free = view.m;
+        for &j in &self.eligible {
+            if free == 0 {
+                break;
+            }
             // Best *free* machine for j.
             let mut best: Option<(usize, f64)> = None;
             for i in 0..view.m {
                 if out.get(i).is_some() {
                     continue;
                 }
-                let e = self.inst.ell(MachineId(i as u32), JobId(j));
+                let e = self.inst.ell_row(MachineId(i as u32))[j as usize];
                 if e > 0.0 && best.is_none_or(|(_, be)| e > be) {
                     best = Some((i, e));
                 }
             }
             if let Some((i, _)) = best {
                 out.set(i, JobId(j));
+                free -= 1;
             }
         }
         // Leftover machines reinforce their individually best eligible job.
@@ -158,9 +176,10 @@ impl Policy for BestMachinePolicy {
             if out.get(i).is_some() {
                 continue;
             }
+            let row = self.inst.ell_row(MachineId(i as u32));
             let mut best: Option<(u32, f64)> = None;
-            for &j in &eligible {
-                let e = self.inst.ell(MachineId(i as u32), JobId(j));
+            for &j in &self.eligible {
+                let e = row[j as usize];
                 if e > 0.0 && best.is_none_or(|(_, be)| e > be) {
                     best = Some((j, e));
                 }
@@ -178,21 +197,69 @@ impl Policy for BestMachinePolicy {
     }
 }
 
+/// Stable sort of job ids by ascending `key[j]`: equal keys keep their
+/// order.
+fn sort_jobs_by_key(jobs: &mut [u32], key: &[f64]) {
+    jobs.sort_by(|&a, &b| {
+        key[a as usize]
+            .partial_cmp(&key[b as usize])
+            .expect("keys are not NaN")
+    });
+}
+
+/// Clamp target of [`LrGreedyPolicy`]'s marginal mass (1 = aim for
+/// constant success per step).
+const LR_TARGET: f64 = 1.0;
+
+/// [`LrGreedyPolicy`]'s score for adding rate `e` to a job that already
+/// has `planned` mass this step: the marginal clamped contribution toward
+/// the target, tie-broken by raw rate so saturated steps still spread
+/// sensibly.
+fn lr_score(planned: f64, e: f64) -> f64 {
+    (LR_TARGET - planned).max(0.0).min(e) + 1e-9 * e
+}
+
 /// Per-step greedy marginal-mass maximization (Lin–Rajaraman-style).
+///
+/// Each machine in turn takes the eligible job with the highest
+/// [`lr_score`], the lowest job id among equal scores. A job nothing is
+/// planned for yet scores `lr_score(0, ℓ_ij)`, a constant of the instance,
+/// so each machine ranks those jobs once, up front: its best unplanned
+/// job is the first eligible, unplanned one in its ranking. Only the at
+/// most `m` jobs already planned this step are scored per decision.
 pub struct LrGreedyPolicy {
     inst: Arc<SuuInstance>,
     name: &'static str,
-    /// Clamp target for marginal mass (1 = aim for constant success).
-    target: f64,
+    /// Machine `i`'s useful jobs (`ℓ_ij > 0`) are
+    /// `ranked[starts[i]..starts[i + 1]]`, best unplanned score first and
+    /// ties by id.
+    ranked: Vec<u32>,
+    starts: Vec<usize>,
+    /// Decide scratch: the jobs planned this step and their mass.
+    planned: Vec<(u32, f64)>,
 }
 
 impl LrGreedyPolicy {
-    /// New greedy baseline with the standard unit mass target.
+    /// New greedy baseline.
     pub fn new(inst: Arc<SuuInstance>) -> Self {
+        let m = inst.num_machines();
+        let mut ranked = Vec::new();
+        let mut starts = vec![0];
+        for i in 0..m {
+            let row = inst.ell_row(MachineId(i as u32));
+            // Best first: ascending by the negated score.
+            let key: Vec<f64> = row.iter().map(|&e| -lr_score(0.0, e)).collect();
+            let start = ranked.len();
+            ranked.extend((0..row.len() as u32).filter(|&j| row[j as usize] > 0.0));
+            sort_jobs_by_key(&mut ranked[start..], &key);
+            starts.push(ranked.len());
+        }
         LrGreedyPolicy {
             inst,
             name: "greedy-lr",
-            target: 1.0,
+            ranked,
+            starts,
+            planned: Vec::with_capacity(m),
         }
     }
 }
@@ -203,31 +270,31 @@ impl Policy for LrGreedyPolicy {
     }
     fn reset(&mut self) {}
     fn decide(&mut self, view: &StateView<'_>, out: &mut Assignment) -> Decision {
-        let eligible: Vec<u32> = view.eligible.iter().collect();
-        if eligible.is_empty() {
-            return Decision::HOLD;
-        }
-        // Accumulated mass planned for each eligible job this step.
-        let mut planned = vec![0.0f64; eligible.len()];
+        self.planned.clear();
         for i in 0..view.m {
-            let mut best: Option<(usize, f64)> = None;
-            for (p, &j) in eligible.iter().enumerate() {
-                let e = self.inst.ell(MachineId(i as u32), JobId(j));
+            let row = self.inst.ell_row(MachineId(i as u32));
+            let planned = &self.planned;
+            let mut best: Option<(u32, f64)> = self.ranked[self.starts[i]..self.starts[i + 1]]
+                .iter()
+                .find(|&&j| view.eligible.contains(j) && planned.iter().all(|&(p, _)| p != j))
+                .map(|&j| (j, lr_score(0.0, row[j as usize])));
+            for &(j, mass) in planned {
+                let e = row[j as usize];
                 if e <= 0.0 {
                     continue;
                 }
-                // Marginal clamped contribution toward `target`.
-                let marginal = (self.target - planned[p]).max(0.0).min(e);
-                // Prefer strictly-useful contributions; tie-break by raw
-                // rate so saturated steps still spread sensibly.
-                let score = marginal + 1e-9 * e;
-                if best.is_none_or(|(_, bs)| score > bs) {
-                    best = Some((p, score));
+                let score = lr_score(mass, e);
+                if best.is_none_or(|(bj, bs)| score > bs || (score == bs && j < bj)) {
+                    best = Some((j, score));
                 }
             }
-            if let Some((p, _)) = best {
-                planned[p] += self.inst.ell(MachineId(i as u32), JobId(eligible[p]));
-                out.set(i, JobId(eligible[p]));
+            if let Some((j, _)) = best {
+                let e = row[j as usize];
+                match self.planned.iter_mut().find(|(p, _)| *p == j) {
+                    Some((_, mass)) => *mass += e,
+                    None => self.planned.push((j, e)),
+                }
+                out.set(i, JobId(j));
             }
         }
         // Pure function of the eligible set: hold until a completion.
@@ -245,7 +312,7 @@ impl Policy for LrGreedyPolicy {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use suu_core::{workload, Precedence};
     use suu_dag::generators;
     use suu_sim::{execute, ExecConfig};
@@ -340,6 +407,122 @@ mod tests {
         let row = decide_once(&mut policy, &view);
         let jobs: std::collections::HashSet<_> = row.iter().flatten().collect();
         assert_eq!(jobs.len(), 2, "both jobs should be covered: {row:?}");
+    }
+
+    /// `LrGreedyPolicy`'s row the direct way: every eligible job (in id
+    /// order) scored against every machine.
+    fn reference_greedy_row(inst: &SuuInstance, eligible: &[u32]) -> Vec<Option<JobId>> {
+        let mut row = vec![None; inst.num_machines()];
+        let mut planned = vec![0.0f64; eligible.len()];
+        for (i, slot) in row.iter_mut().enumerate() {
+            let mut best: Option<(usize, f64)> = None;
+            for (p, &j) in eligible.iter().enumerate() {
+                let e = inst.ell(MachineId(i as u32), JobId(j));
+                if e <= 0.0 {
+                    continue;
+                }
+                let score = (1.0 - planned[p]).max(0.0).min(e) + 1e-9 * e;
+                if best.is_none_or(|(_, bs)| score > bs) {
+                    best = Some((p, score));
+                }
+            }
+            if let Some((p, _)) = best {
+                planned[p] += inst.ell(MachineId(i as u32), JobId(eligible[p]));
+                *slot = Some(JobId(eligible[p]));
+            }
+        }
+        row
+    }
+
+    /// `BestMachinePolicy`'s row the direct way: the eligible jobs sorted
+    /// on every decision, every job scanning every machine.
+    fn reference_best_machine_row(inst: &SuuInstance, eligible: &[u32]) -> Vec<Option<JobId>> {
+        let m = inst.num_machines();
+        let mut row: Vec<Option<JobId>> = vec![None; m];
+        let mut eligible = eligible.to_vec();
+        eligible.sort_by(|&a, &b| {
+            inst.best_ell(JobId(a))
+                .partial_cmp(&inst.best_ell(JobId(b)))
+                .unwrap()
+        });
+        for &j in &eligible {
+            let mut best: Option<(usize, f64)> = None;
+            for (i, slot) in row.iter().enumerate() {
+                let e = inst.ell(MachineId(i as u32), JobId(j));
+                if slot.is_none() && e > 0.0 && best.is_none_or(|(_, be)| e > be) {
+                    best = Some((i, e));
+                }
+            }
+            if let Some((i, _)) = best {
+                row[i] = Some(JobId(j));
+            }
+        }
+        for (i, slot) in row.iter_mut().enumerate() {
+            if slot.is_some() {
+                continue;
+            }
+            let mut best: Option<(u32, f64)> = None;
+            for &j in &eligible {
+                let e = inst.ell(MachineId(i as u32), JobId(j));
+                if e > 0.0 && best.is_none_or(|(_, be)| e > be) {
+                    best = Some((j, e));
+                }
+            }
+            *slot = best.map(|(j, _)| JobId(j));
+        }
+        row
+    }
+
+    #[test]
+    fn stationary_rows_match_the_reference_loops() {
+        // q on a coarse grid makes equal scores common, q = 1 makes
+        // useless pairs (ell = 0) and q <= 0.5 saturates the greedy's
+        // clamp within one machine.
+        let grid = [0.0, 0.25, 0.5, 0.5, 0.75, 0.9, 1.0];
+        for seed in 0..60u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let m = rng.random_range(1..=7usize);
+            let n = rng.random_range(1..=30usize);
+            let mut q: Vec<f64> = (0..m * n)
+                .map(|_| grid[rng.random_range(0..grid.len())])
+                .collect();
+            for j in 0..n {
+                if (0..m).all(|i| q[i * n + j] >= 1.0) {
+                    q[j] = 0.5; // every job needs one useful machine
+                }
+            }
+            let inst = Arc::new(SuuInstance::new(m, n, q, Precedence::Independent).unwrap());
+            let mut greedy = LrGreedyPolicy::new(inst.clone());
+            let mut matching = BestMachinePolicy::new(inst.clone());
+            let remaining = suu_core::BitSet::full(n);
+            for _ in 0..20 {
+                let mut eligible = suu_core::BitSet::new(n);
+                for j in 0..n as u32 {
+                    if rng.random_bool(0.6) {
+                        eligible.insert(j);
+                    }
+                }
+                let ids: Vec<u32> = eligible.iter().collect();
+                let view = StateView {
+                    time: 0,
+                    epoch: 0,
+                    remaining: &remaining,
+                    eligible: &eligible,
+                    n,
+                    m,
+                };
+                assert_eq!(
+                    decide_once(&mut greedy, &view),
+                    reference_greedy_row(&inst, &ids),
+                    "greedy-lr, seed {seed}, eligible {ids:?}"
+                );
+                assert_eq!(
+                    decide_once(&mut matching, &view),
+                    reference_best_machine_row(&inst, &ids),
+                    "best-machine, seed {seed}, eligible {ids:?}"
+                );
+            }
+        }
     }
 
     #[test]

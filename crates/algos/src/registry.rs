@@ -6,7 +6,7 @@
 //! | `gang-sequential` | naive `O(n)` fallback | dag | yes | — |
 //! | `round-robin` | naive spread | dag | no | — |
 //! | `best-machine` | greedy matching | dag | yes | — |
-//! | `greedy-lr` | Lin–Rajaraman-style greedy \[11\] | dag | yes | `target` (f64, 1.0) |
+//! | `greedy-lr` | Lin–Rajaraman-style greedy \[11\] | dag | yes | — |
 //! | `suu-i-obl` | Theorem 3 oblivious `O(log n)` | independent | no | — |
 //! | `suu-i-sem` | Theorem 4 semioblivious `O(log log)` | independent | no | — |
 //! | `suu-c` | Theorems 7/9 chain schedule | chains | no | `delay`, `coarsen` (bool), `seed`, `fallback` (u64) |
@@ -346,10 +346,15 @@ mod tests {
         let reg = standard_registry();
         let inst = independent(5);
         assert!(reg.build_named(&inst, "suu-c(seed=9,delay=false)").is_ok());
-        assert!(matches!(
-            reg.build_named(&inst, "suu-c(sead=9)"),
-            Err(RegistryError::UnknownParams { .. })
-        ));
+        for typo in ["suu-c(sead=9)", "greedy-lr(target=1.0)"] {
+            assert!(
+                matches!(
+                    reg.build_named(&inst, typo),
+                    Err(RegistryError::UnknownParams { .. })
+                ),
+                "{typo}"
+            );
+        }
         assert!(matches!(
             reg.build_named(&inst, "suu-c(seed=notanumber)"),
             Err(RegistryError::BadParam { .. })

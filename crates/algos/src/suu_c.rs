@@ -20,7 +20,11 @@
 //! 5. **Long jobs** (`d_j > γ = t_LP2 / log₂(n+m)`): replaced in their
 //!    chain by a γ-superstep *pause*; at the end of each γ-superstep
 //!    *segment*, all long jobs whose pauses started in that segment run to
-//!    completion under [`SemPolicy`] while the chains suspend.
+//!    completion under [`SemPolicy`] while the chains suspend. One
+//!    `SemPolicy` serves every phase of a policy value, restarted on each
+//!    phase's jobs ([`SemPolicy::restart`]), so its LP1 timetable memo
+//!    spans all phases and trials: a (round, job list) seen before replays
+//!    its table instead of solving LP1 again.
 //! 6. **Fallback**: if the execution blows past its high-probability
 //!    budget (the paper's "bad event"), switch to the `O(n)` sequential
 //!    gang schedule.
@@ -117,7 +121,9 @@ pub struct ChainPolicy {
     superstep: u64,
     /// Long jobs whose pause started in the current segment.
     seg_long_jobs: Vec<u32>,
-    long_sub: Option<SemPolicy>,
+    /// Runs each long-job phase; restarted per phase, so its LP1
+    /// timetable memo lives as long as this policy value.
+    long_sub: SemPolicy,
     /// Flattened real-step rows of the in-flight superstep.
     plan: Vec<Vec<Option<JobId>>>,
     plan_pos: usize,
@@ -190,6 +196,7 @@ impl ChainPolicy {
                 * (nm_log.ceil() as u64 + 1);
 
         let num_chains = chains.len();
+        let long_sub = SemPolicy::for_jobs(inst.clone(), Some(Vec::new()))?;
         Ok(ChainPolicy {
             inst,
             chains,
@@ -208,7 +215,7 @@ impl ChainPolicy {
             offset: vec![0; num_chains],
             superstep: 0,
             seg_long_jobs: Vec::new(),
-            long_sub: None,
+            long_sub,
             plan: Vec::new(),
             plan_pos: 0,
             in_flight: false,
@@ -409,7 +416,6 @@ impl Policy for ChainPolicy {
         self.offset.iter_mut().for_each(|o| *o = 0);
         self.superstep = 0;
         self.seg_long_jobs.clear();
-        self.long_sub = None;
         self.plan.clear();
         self.plan_pos = 0;
         self.in_flight = false;
@@ -456,20 +462,11 @@ impl Policy for ChainPolicy {
                     return Decision::HOLD;
                 }
                 Mode::LongJobs => {
-                    let done = self
-                        .long_sub
-                        .as_ref()
-                        .is_none_or(|s| s.is_done(view.remaining));
-                    if done {
-                        self.long_sub = None;
+                    if self.long_sub.is_done(view.remaining) {
                         self.mode = Mode::Supersteps;
                         continue;
                     }
-                    let d = self
-                        .long_sub
-                        .as_mut()
-                        .expect("sub-policy present")
-                        .decide(view, out);
+                    let d = self.long_sub.decide(view, out);
                     return self.cap_to_budget(d);
                 }
                 Mode::Supersteps => {
@@ -496,15 +493,10 @@ impl Policy for ChainPolicy {
                         && self.superstep.is_multiple_of(self.gamma)
                         && !self.seg_long_jobs.is_empty()
                     {
-                        let batch: Vec<u32> = std::mem::take(&mut self.seg_long_jobs)
-                            .into_iter()
-                            .filter(|&j| view.remaining.contains(j))
-                            .collect();
-                        if !batch.is_empty() {
-                            let mut sub = SemPolicy::for_jobs(self.inst.clone(), Some(batch))
-                                .expect("sub-policy construction is infallible");
-                            sub.reset();
-                            self.long_sub = Some(sub);
+                        self.seg_long_jobs.retain(|&j| view.remaining.contains(j));
+                        if !self.seg_long_jobs.is_empty() {
+                            self.long_sub.restart(&self.seg_long_jobs);
+                            self.seg_long_jobs.clear();
                             self.stats.long_job_phases += 1;
                             self.mode = Mode::LongJobs;
                             continue;
@@ -520,9 +512,10 @@ impl Policy for ChainPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suu_t::ForestPolicy;
     use suu_core::{workload, Precedence};
     use suu_dag::{generators, ChainSet};
-    use suu_sim::{execute, ExecConfig};
+    use suu_sim::{execute, ExecConfig, Semantics};
 
     fn chain_instance(
         seed: u64,
@@ -592,18 +585,7 @@ mod tests {
 
     #[test]
     fn long_jobs_trigger_sem_phases() {
-        // One job far harder than the rest forces a long block.
-        let n = 8;
-        let m = 2;
-        let mut q = vec![0.5; m * n];
-        // Job 0 is nearly impossible per step: q = 0.999 on every machine
-        // (ell ≈ 0.00144, so it needs ~700 steps of mass for target 1).
-        for i in 0..m {
-            q[i * n] = 0.999;
-        }
-        let cs = ChainSet::new(n, vec![(0..n as u32).collect()]).unwrap();
-        let chains = cs.chains().to_vec();
-        let inst = Arc::new(SuuInstance::new(m, n, q, Precedence::Chains(cs)).unwrap());
+        let (inst, chains) = long_job_chain();
         let mut policy = ChainPolicy::build(inst.clone(), chains, ChainConfig::default()).unwrap();
         assert!(policy.gamma() >= 1);
         let out = execute(&inst, &mut policy, &ExecConfig::default(), 3);
@@ -613,6 +595,92 @@ mod tests {
             "expected at least one long-job phase (gamma = {})",
             policy.gamma()
         );
+    }
+
+    /// `q` of an `m × n` instance whose listed jobs are nearly impossible
+    /// per step: q = 0.999 on every machine (ell ≈ 0.00144, so each needs
+    /// ~700 steps of mass for target 1), which forces long blocks.
+    fn q_with_hard_jobs(m: usize, n: usize, hard: &[usize]) -> Vec<f64> {
+        let mut q = vec![0.5; m * n];
+        for i in 0..m {
+            for &j in hard {
+                q[i * n + j] = 0.999;
+            }
+        }
+        q
+    }
+
+    /// One chain of 8 jobs on 2 machines whose job 0 is far harder than
+    /// the rest.
+    fn long_job_chain() -> (Arc<SuuInstance>, Vec<Vec<u32>>) {
+        let (m, n) = (2, 8);
+        let cs = ChainSet::new(n, vec![(0..n as u32).collect()]).unwrap();
+        let chains = cs.chains().to_vec();
+        let q = q_with_hard_jobs(m, n, &[0]);
+        let inst = SuuInstance::new(m, n, q, Precedence::Chains(cs)).unwrap();
+        (Arc::new(inst), chains)
+    }
+
+    /// `trials` executions under both semantics, each run twice: on one
+    /// policy value reused across all trials (its LP1 memo warm), and on a
+    /// freshly built value (memo empty). The outcomes must be bitwise
+    /// equal. Returns the reused value and the long-job phases it ran.
+    fn reused_matches_fresh<P: Policy>(
+        inst: &SuuInstance,
+        build: impl Fn() -> P,
+        phases: impl Fn(&P) -> u64,
+        trials: u64,
+    ) -> (P, u64) {
+        let mut reused = build();
+        let mut long_phases = 0;
+        for semantics in [Semantics::Suu, Semantics::SuuStar] {
+            let cfg = ExecConfig {
+                semantics,
+                ..ExecConfig::default()
+            };
+            for trial in 0..trials {
+                let run = |policy: &mut P| {
+                    policy.reseed(trial);
+                    execute(inst, policy, &cfg, 1_000 + trial)
+                };
+                let warm = run(&mut reused);
+                long_phases += phases(&reused);
+                let cold = run(&mut build());
+                assert_eq!(warm, cold, "{semantics:?}, trial {trial}");
+                assert!(warm.completed, "{semantics:?}, trial {trial}");
+            }
+        }
+        (reused, long_phases)
+    }
+
+    #[test]
+    fn lp1_memo_never_changes_a_chain_outcome() {
+        let (inst, chains) = long_job_chain();
+        let build =
+            || ChainPolicy::build(inst.clone(), chains.clone(), ChainConfig::default()).unwrap();
+        let (reused, phases) =
+            reused_matches_fresh(&inst, build, |p| p.stats().long_job_phases, 32);
+        assert!(phases > 0, "no long-job phase ran");
+        // Every phase plays at least round 1, so fewer memo entries than
+        // phases means later phases replayed memoized tables.
+        let entries = reused.long_sub.memo_len();
+        assert!(
+            entries > 0 && (entries as u64) < phases,
+            "{entries} memo entries for {phases} phases"
+        );
+    }
+
+    #[test]
+    fn lp1_memo_never_changes_a_forest_outcome() {
+        let (m, n) = (3, 16);
+        let mut rng = SmallRng::seed_from_u64(12);
+        let forest = generators::random_out_forest(n, 2, &mut rng);
+        let q = q_with_hard_jobs(m, n, &[0, 5, 11]);
+        let inst = Arc::new(SuuInstance::new(m, n, q, Precedence::Forest(forest.clone())).unwrap());
+        let build = || ForestPolicy::build(inst.clone(), &forest, ChainConfig::default()).unwrap();
+        let phases = |p: &ForestPolicy| p.block_stats().iter().map(|s| s.long_job_phases).sum();
+        let (_, phases) = reused_matches_fresh(&inst, build, phases, 32);
+        assert!(phases > 0, "no long-job phase ran");
     }
 
     #[test]

@@ -25,7 +25,9 @@ use suu_core::{BitSet, JobId, MachineId, SuuInstance, Timetable};
 use suu_sim::{Assignment, Decision, Policy, StateView};
 
 /// Bound on memoized timetables (keyed by round + remaining set) kept per
-/// policy instance. Trials within a worker share the cache.
+/// policy value. Every trial a worker runs on the value shares the memo,
+/// and so does every long-job phase of a `SUU-C` or `SUU-T` policy value,
+/// which restarts one `SemPolicy` per phase (see [`SemPolicy::restart`]).
 const CACHE_CAP: usize = 4096;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +97,25 @@ impl SemPolicy {
             stats: SemStats::default(),
             cache: HashMap::new(),
         })
+    }
+
+    /// Hand the policy a new job subset for its next execution: sets `K`
+    /// for the subset, resets the per-execution state and keeps the
+    /// timetable memo. Its entries are keyed by round and remaining job
+    /// list, and each table is a pure function of the instance, that list
+    /// and the round, so a memo hit never changes an outcome.
+    pub fn restart(&mut self, jobs: &[u32]) {
+        let subset = self.subset.get_or_insert_with(Vec::new);
+        subset.clear();
+        subset.extend_from_slice(jobs);
+        self.k_max = k_rounds(self.inst.num_machines(), jobs.len());
+        self.reset();
+    }
+
+    /// Number of memoized timetables.
+    #[cfg(test)]
+    pub(crate) fn memo_len(&self) -> usize {
+        self.cache.len()
     }
 
     /// The round bound `K = ⌈log₂ log₂ min(m,n)⌉ + 3`.

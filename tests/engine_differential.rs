@@ -29,14 +29,15 @@ use suu::sim::{
 };
 
 /// Policies to race through the differential harness. Deliberately
-/// mixed: pure-HOLD stationary policies (gang, greedy), a per-step
-/// wake-up policy (round-robin), timetable policies with row-change
-/// wake-ups (suu-i-obl, suu-i-sem) and the superstep machinery with
-/// internal randomness (suu-c, suu-t).
+/// mixed: pure-HOLD stationary policies (gang, greedy, best-machine), a
+/// per-step wake-up policy (round-robin), timetable policies with
+/// row-change wake-ups (suu-i-obl, suu-i-sem) and the superstep machinery
+/// with internal randomness (suu-c, suu-t).
 const SPECS: &[&str] = &[
     "gang-sequential",
     "round-robin",
     "greedy-lr",
+    "best-machine",
     "suu-i-obl",
     "suu-i-sem",
     "suu-c(seed=9)",
