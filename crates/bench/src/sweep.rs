@@ -15,10 +15,11 @@
 //!   serving tier's cache keys hash, so sweep cells and ad-hoc race
 //!   cells are the *same* cells.
 //! * [`run_sweep`] drives the refinement loop against any
-//!   [`RaceEvaluator`] (a spawned daemon or the in-process service —
-//!   both answer the identical single-cell race request). Each round,
-//!   every unresolved point evaluates all policies at the current rung
-//!   of a shared [`BudgetLadder`]; a point retires when the winner's
+//!   [`RaceEvaluator`] (`suu-sweep`'s in-process service,
+//!   servebench's HTTP probe, or a test stub — each answers the same
+//!   single-cell race request). Each round, every unresolved point
+//!   evaluates all policies at the current rung of a shared
+//!   [`BudgetLadder`]; a point retires when the winner's
 //!   [`PairedMargin`] against **every** rival clears zero, and only the
 //!   still-straddling points are granted the next rung.
 //! * The artifact ([`suu_core::schemas::RESULTS_SWEEP_V1`]) records per
@@ -363,9 +364,9 @@ impl SweepSpec {
     }
 
     /// The single-cell race request for one (point, policy, budget)
-    /// evaluation — the exact JSON both the daemon's `POST /v1/race`
-    /// and the in-process service accept, so both modes compute (and
-    /// cache) the identical cell.
+    /// evaluation — the exact JSON `POST /v1/race` and the in-process
+    /// service both accept, so every evaluator computes (and caches)
+    /// the identical cell.
     pub fn cell_request(&self, point: &GridPoint, policy: &str, trials: usize) -> Json {
         Json::obj()
             .field("scenarios", Json::Arr(vec![point.scenario.params.clone()]))
@@ -376,9 +377,10 @@ impl SweepSpec {
 }
 
 /// One completed race evaluation: anything that can answer the
-/// single-cell race requests a sweep issues — a spawned daemon over
-/// HTTP, the in-process [`Service`](../../suu_serve) path, or a stub in
-/// tests — returning the parsed `suu-results/v2` document.
+/// single-cell race requests a sweep issues — the in-process
+/// [`Service`](../../suu_serve) that `suu-sweep` calls, servebench's
+/// probe posting `/v1/race` over HTTP, or a stub in tests — returning
+/// the parsed `suu-results/v2` document.
 pub trait RaceEvaluator {
     /// Evaluate one single-cell race request to completion.
     fn race(&mut self, request: &Json) -> Result<Json, String>;

@@ -294,19 +294,21 @@ impl CellStore {
 
     /// Load a cell if cached. A file that exists but fails validation
     /// (schema drift, truncation despite atomic writes, key collision)
-    /// is reported as an error — the daemon refuses to guess.
+    /// is reported as an error — the daemon refuses to guess. Errors
+    /// name the cell key, never the path: they reach clients in 500
+    /// bodies, and the cache root is the host's business.
     pub fn load(&self, key: &CellKey) -> Result<Option<CachedCell>, String> {
-        let path = self.path_for(&key.hex);
-        let text = match std::fs::read_to_string(&path) {
+        let hex = &key.hex;
+        let text = match std::fs::read_to_string(self.path_for(hex)) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(format!("cache read {}: {e}", path.display())),
+            Err(e) => return Err(format!("cache read cell {hex}: {e}")),
         };
-        let doc = suu_core::json::parse(&text)
-            .map_err(|e| format!("cache parse {}: {e}", path.display()))?;
+        let doc =
+            suu_core::json::parse(&text).map_err(|e| format!("cache parse cell {hex}: {e}"))?;
         match doc.get("schema").and_then(Json::as_str) {
             Some(CELL_SCHEMA) => {}
-            other => return Err(format!("cache {}: bad schema {other:?}", path.display())),
+            other => return Err(format!("cache cell {hex}: bad schema {other:?}")),
         }
         // Detect FNV collisions / foreign files: the stored canonical key
         // must be exactly ours.
@@ -314,29 +316,29 @@ impl CellStore {
             Some(canonical) if canonical == key.canonical => {}
             Some(_) => {
                 return Err(format!(
-                    "cache {}: content-address collision (stored key differs)",
-                    path.display()
+                    "cache cell {hex}: content-address collision (stored key differs)"
                 ))
             }
-            None => return Err(format!("cache {}: missing canonical key", path.display())),
+            None => return Err(format!("cache cell {hex}: missing canonical key")),
         }
         let stop_reason = doc
             .get("stop_reason")
             .and_then(Json::as_str)
-            .ok_or_else(|| format!("cache {}: missing stop_reason", path.display()))?
+            .ok_or_else(|| format!("cache cell {hex}: missing stop_reason"))?
             .to_string();
         let checkpoint = doc
             .get("checkpoint")
-            .ok_or_else(|| format!("cache {}: missing checkpoint", path.display()))?;
-        let stats = EvalStats::from_json(checkpoint)
-            .map_err(|e| format!("cache {}: {e}", path.display()))?;
+            .ok_or_else(|| format!("cache cell {hex}: missing checkpoint"))?;
+        let stats =
+            EvalStats::from_json(checkpoint).map_err(|e| format!("cache cell {hex}: {e}"))?;
         // A read is a use: hits must refresh recency or a hot cell gets
         // evicted under write pressure.
-        self.lru_touch(&key.hex);
+        self.lru_touch(hex);
         Ok(Some(CachedCell { stats, stop_reason }))
     }
 
     /// Persist a cell checkpoint (temp file + rename, atomic on POSIX).
+    /// Errors name the cell key, not the path, as in [`CellStore::load`].
     pub fn store(
         &self,
         key: &CellKey,
@@ -351,16 +353,14 @@ impl CellStore {
             .field("policy", policy)
             .field("stop_reason", stop_reason)
             .field("checkpoint", stats.to_json());
-        let path = self.path_for(&key.hex);
-        let tmp = self
-            .dir
-            .join(format!("{}.tmp.{}", key.hex, std::process::id()));
+        let hex = &key.hex;
+        let path = self.path_for(hex);
+        let tmp = self.dir.join(format!("{hex}.tmp.{}", std::process::id()));
         let bytes = doc.to_pretty();
         let size = u64::try_from(bytes.len()).unwrap_or(u64::MAX);
-        std::fs::write(&tmp, bytes).map_err(|e| format!("cache write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| format!("cache rename {}: {e}", path.display()))?;
-        self.lru_record(&key.hex, size);
+        std::fs::write(&tmp, bytes).map_err(|e| format!("cache write cell {hex}: {e}"))?;
+        std::fs::rename(&tmp, &path).map_err(|e| format!("cache rename cell {hex}: {e}"))?;
+        self.lru_record(hex, size);
         Ok(())
     }
 
@@ -577,12 +577,36 @@ mod tests {
             store.dir().join(format!("{}.json", key_b.hex)),
         )
         .unwrap();
+        // Errors reach clients in 500 bodies: they name the cell key and
+        // nothing of where the cache lives.
+        let dir = store.dir().to_path_buf();
+        let dir_name = dir.file_name().unwrap().to_str().unwrap().to_string();
+        let names_key_not_dir = |err: &str, key: &CellKey| {
+            assert!(err.contains(&format!("cell {}", key.hex)), "{err}");
+            assert!(!err.contains(std::path::MAIN_SEPARATOR), "{err}");
+            assert!(!err.contains(&dir_name), "{err}");
+        };
         let err = store.load(&key_b).unwrap_err();
         assert!(err.contains("collision"), "{err}");
+        names_key_not_dir(&err, &key_b);
         // Truncated file: error, not a panic or a silent miss.
-        std::fs::write(store.dir().join(format!("{}.json", key_a.hex)), "{\"sch").unwrap();
-        assert!(store.load(&key_a).is_err());
-        let _ = std::fs::remove_dir_all(store.dir());
+        let cell_a = dir.join(format!("{}.json", key_a.hex));
+        std::fs::write(&cell_a, "{\"sch").unwrap();
+        let err = store.load(&key_a).unwrap_err();
+        assert!(err.contains("cache parse"), "{err}");
+        names_key_not_dir(&err, &key_a);
+        std::fs::write(&cell_a, "{\"schema\":\"x\"}").unwrap();
+        let err = store.load(&key_a).unwrap_err();
+        assert!(err.contains("bad schema"), "{err}");
+        names_key_not_dir(&err, &key_a);
+        // A store that cannot write (the directory is gone) says so the
+        // same way.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let err = store
+            .store(&key_a, "gang-sequential", &stats, "fixed-budget")
+            .unwrap_err();
+        assert!(err.contains("cache write"), "{err}");
+        names_key_not_dir(&err, &key_a);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Minimal blocking HTTP/1.1 **keep-alive client** — the upstream side
-//! of the router's scatter/gather, also reused by `suu-sweep`'s daemon
-//! mode and the e2e tests.
+//! of the router's scatter/gather, also used by servebench and the e2e
+//! tests.
 //!
 //! One [`Client`] is one connection. Requests are written eagerly
 //! ([`Client::send`]) and replies read separately ([`Client::read_reply`]),
@@ -173,65 +173,5 @@ impl Client {
     pub fn request(&mut self, method: &str, path: &str, body: Option<&[u8]>) -> io::Result<Reply> {
         self.send(method, path, body)?;
         self.read_reply()
-    }
-}
-
-/// Backoff used when a 429 carries no parseable `Retry-After` header.
-pub const DEFAULT_RETRY_AFTER_MS: u64 = 1_000;
-
-/// Longest `Retry-After` hint a client honors (30 s). The header is
-/// advisory and comes from across a trust boundary; a corrupt or hostile
-/// value must never stall a client for minutes — or, before this cap
-/// existed, overflow the seconds→milliseconds conversion outright.
-pub const MAX_RETRY_AFTER_MS: u64 = 30_000;
-
-/// Parse a `Retry-After` header value (whole seconds, the only form the
-/// suud tier emits) into a bounded backoff in milliseconds.
-///
-/// Hardened against untrusted input: unparseable values fall back to
-/// [`DEFAULT_RETRY_AFTER_MS`], the seconds→ms conversion saturates
-/// instead of overflowing, and the result is capped at
-/// [`MAX_RETRY_AFTER_MS`]. `suu-sweep`'s daemon client backs off by it.
-pub fn retry_after_ms(header: Option<&str>) -> u64 {
-    header
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map_or(DEFAULT_RETRY_AFTER_MS, |secs| secs.saturating_mul(1_000))
-        .min(MAX_RETRY_AFTER_MS)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn retry_after_parses_and_bounds() {
-        assert_eq!(retry_after_ms(Some("2")), 2_000);
-        assert_eq!(retry_after_ms(Some(" 5 ")), 5_000);
-        assert_eq!(retry_after_ms(Some("0")), 0);
-        assert_eq!(retry_after_ms(None), DEFAULT_RETRY_AFTER_MS);
-        assert_eq!(retry_after_ms(Some("soon")), DEFAULT_RETRY_AFTER_MS);
-        assert_eq!(retry_after_ms(Some("-3")), DEFAULT_RETRY_AFTER_MS);
-        assert_eq!(retry_after_ms(Some("")), DEFAULT_RETRY_AFTER_MS);
-    }
-
-    #[test]
-    fn retry_after_overflow_saturates_then_caps() {
-        // u64::MAX seconds: the old `secs * 1_000` panicked in debug and
-        // wrapped in release; now it saturates and the cap takes over.
-        let max = u64::MAX.to_string();
-        assert_eq!(retry_after_ms(Some(&max)), MAX_RETRY_AFTER_MS);
-        // Values past u64 range fail the parse and take the default.
-        assert_eq!(
-            retry_after_ms(Some("99999999999999999999999")),
-            DEFAULT_RETRY_AFTER_MS
-        );
-    }
-
-    #[test]
-    fn retry_after_caps_large_hints() {
-        assert_eq!(retry_after_ms(Some("30")), MAX_RETRY_AFTER_MS);
-        assert_eq!(retry_after_ms(Some("31")), MAX_RETRY_AFTER_MS);
-        assert_eq!(retry_after_ms(Some("86400")), MAX_RETRY_AFTER_MS);
-        assert_eq!(retry_after_ms(Some("29")), 29_000);
     }
 }

@@ -284,6 +284,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn complete(buf: &[u8]) -> (Request, usize) {
         match parse_request(buf) {
@@ -401,5 +402,167 @@ mod tests {
         assert!(String::from_utf8(busy)
             .unwrap()
             .starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
+    }
+
+    /// One well-formed request: its wire form and the fields it must
+    /// parse to.
+    #[derive(Debug)]
+    struct Wire {
+        bytes: Vec<u8>,
+        method: String,
+        path: String,
+        headers: Vec<(String, String)>,
+        body: Vec<u8>,
+    }
+
+    impl Wire {
+        fn assert_parsed_as(&self, request: &Request) {
+            assert_eq!(request.method, self.method, "{self:?}");
+            assert_eq!(request.path, self.path, "{self:?}");
+            assert_eq!(request.headers, self.headers, "{self:?}");
+            assert_eq!(request.body, self.body, "{self:?}");
+        }
+    }
+
+    /// Header-name characters; the first 52 are the method alphabet.
+    const TOKEN: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_.";
+
+    fn token(alphabet: usize, len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+        collection::vec(0..alphabet, len)
+            .prop_map(|ix| ix.into_iter().map(|i| char::from(TOKEN[i])).collect())
+    }
+
+    /// Printable ASCII from `lo` (0x20 admits spaces, 0x21 does not).
+    fn printable(lo: u8, len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+        collection::vec(lo..0x7f, len).prop_map(|b| String::from_utf8(b).expect("ascii"))
+    }
+
+    /// A method token, a path without whitespace, 0–6 headers whose
+    /// values may carry spaces and colons, an optional `Content-Length`
+    /// body of arbitrary bytes (its header at any position), and CRLF
+    /// or bare-LF line endings throughout.
+    fn well_formed() -> impl Strategy<Value = Wire> {
+        (
+            token(52, 1..8),
+            printable(0x21, 0..48),
+            collection::vec((token(TOKEN.len(), 1..12), printable(0x20, 0..40)), 0..=6),
+            (any::<bool>(), collection::vec(any::<u8>(), 0..256)),
+            any::<bool>(),
+            any::<usize>(),
+        )
+            .prop_map(|(method, path, headers, (has_body, body), crlf, at)| {
+                let eol = if crlf { "\r\n" } else { "\n" };
+                let mut lines: Vec<String> =
+                    headers.iter().map(|(n, v)| format!("X-{n}:{v}")).collect();
+                let mut expected: Vec<(String, String)> = headers
+                    .iter()
+                    .map(|(n, v)| (format!("x-{}", n.to_lowercase()), v.trim().to_string()))
+                    .collect();
+                let body = if has_body {
+                    let at = at % (lines.len() + 1);
+                    lines.insert(at, format!("Content-Length: {}", body.len()));
+                    expected.insert(at, ("content-length".into(), body.len().to_string()));
+                    body
+                } else {
+                    Vec::new()
+                };
+                let path = format!("/{path}");
+                let mut bytes = format!("{method} {path} HTTP/1.1{eol}").into_bytes();
+                for line in &lines {
+                    bytes.extend_from_slice(line.as_bytes());
+                    bytes.extend_from_slice(eol.as_bytes());
+                }
+                bytes.extend_from_slice(eol.as_bytes());
+                bytes.extend_from_slice(&body);
+                Wire {
+                    bytes,
+                    method: method.to_uppercase(),
+                    path,
+                    headers: expected,
+                    body,
+                }
+            })
+    }
+
+    /// Request lines, well-formed and not, that start a soup.
+    const REQUEST_LINES: &[&[u8]] = &[
+        b"GET / HTTP/1.1\r\n",
+        b"POST /v1/race HTTP/1.0\n",
+        b"get /x HTTP/1.1 extra\r\n",
+        b"GET / HTTP/2\r\n",
+        b"GET /\r\n",
+        b"",
+    ];
+
+    /// Pieces of HTTP framing; a request line followed by random
+    /// concatenations of them often frames a (strange) request.
+    const FRAGMENTS: &[&[u8]] = &[
+        b"X-A: b\r\n",
+        b"x-b:c:d\n",
+        b"Content-Length: 3\r\n",
+        b"content-length:0\n",
+        b"Content-Length: -1\r\n",
+        b"Content-Length: 18446744073709551616\r\n",
+        b"\r\n",
+        b"\n",
+        b"\r",
+        b" ",
+        b"\t",
+        b":",
+        b"abc",
+        b"\xff",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, raw or as a soup of HTTP fragments, never
+        /// panic the parser, and a `Complete` never claims more bytes
+        /// than the buffer holds.
+        #[test]
+        fn parse_request_is_total_on_arbitrary_bytes(
+            raw in collection::vec(any::<u8>(), 0..4096),
+            line in 0..REQUEST_LINES.len(),
+            soup in collection::vec(0..FRAGMENTS.len(), 0..32),
+        ) {
+            let soup: Vec<u8> = REQUEST_LINES[line]
+                .iter()
+                .chain(soup.into_iter().flat_map(|i| FRAGMENTS[i]))
+                .copied()
+                .collect();
+            for buf in [raw, soup] {
+                if let Parsed::Complete { consumed, .. } = parse_request(&buf) {
+                    prop_assert!(consumed <= buf.len(), "consumed {} of {:?}", consumed, buf);
+                }
+            }
+        }
+
+        /// A well-formed request parses `Complete` and consumes exactly
+        /// its wire form; every strict prefix is `Incomplete`; and bytes
+        /// appended after it (a pipelined successor or garbage) change
+        /// neither the request nor `consumed`, which is what the event
+        /// loop's pipelining relies on.
+        #[test]
+        fn parse_request_frames_well_formed_requests_exactly(
+            wire in well_formed(),
+            tail in collection::vec(any::<u8>(), 0..1024),
+        ) {
+            let (request, consumed) = complete(&wire.bytes);
+            prop_assert_eq!(consumed, wire.bytes.len());
+            wire.assert_parsed_as(&request);
+            for cut in 0..wire.bytes.len() {
+                prop_assert!(
+                    matches!(parse_request(&wire.bytes[..cut]), Parsed::Incomplete),
+                    "prefix of {} bytes of {:?}",
+                    cut,
+                    wire
+                );
+            }
+            let mut piped = wire.bytes.clone();
+            piped.extend_from_slice(&tail);
+            let (request, consumed) = complete(&piped);
+            prop_assert_eq!(consumed, wire.bytes.len());
+            wire.assert_parsed_as(&request);
+        }
     }
 }

@@ -78,12 +78,10 @@ pub mod http;
 pub mod router;
 pub mod server;
 pub mod service;
-pub mod spawn;
 
 pub use cache::{cell_key_fields, CellKey, CellStore, CELL_KEY_SCHEMA, CELL_SCHEMA};
-pub use client::{retry_after_ms, Client, Reply, DEFAULT_RETRY_AFTER_MS, MAX_RETRY_AFTER_MS};
+pub use client::{Client, Reply};
 pub use http::{Handler, Request, Response};
 pub use router::{owner_of, shard_ranges, Fleet, FleetConfig, KeyRange, Router};
 pub use server::{serve, serve_with, ServerConfig, ServerHandle, ServerMetrics};
 pub use service::{CacheCounts, CacheStatus, ServeError, Service};
-pub use spawn::ServerProc;

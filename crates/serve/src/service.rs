@@ -561,6 +561,20 @@ mod tests {
 
         assert_eq!(service.handle(&req("GET", "/nope", "")).status, 404);
         assert_eq!(service.handle(&req("DELETE", "/v1/race", "")).status, 405);
-        let _ = std::fs::remove_dir_all(service.store().dir());
+
+        // A torn cell answers 500, and the body names the cell, not
+        // where the cache lives.
+        let dir = service.store().dir().to_path_buf();
+        let cell_path = dir.join(format!("{key}.json"));
+        let bytes = std::fs::read(&cell_path).unwrap();
+        std::fs::write(&cell_path, &bytes[..100]).unwrap();
+        let torn = service.handle(&req("POST", "/v1/race", body));
+        assert_eq!(torn.status, 500);
+        let text = String::from_utf8(torn.body).unwrap();
+        assert!(text.contains(&format!("cell {key}")), "{text}");
+        assert!(!text.contains(std::path::MAIN_SEPARATOR), "{text}");
+        let dir_name = dir.file_name().unwrap().to_str().unwrap();
+        assert!(!text.contains(dir_name), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -60,7 +60,6 @@ pub mod policy;
 pub mod registry;
 pub mod stats;
 pub mod sweep;
-pub mod trace;
 
 pub use engine::batch::{execute_batch, BatchMetrics, BatchRunner, BatchTrial};
 pub use engine::{execute, EngineKind, ExecConfig, ExecOutcome, Semantics};
@@ -77,7 +76,6 @@ pub use stats::{
     Precision, StopReason, Streaming, Summary,
 };
 pub use sweep::{BudgetLadder, PairedMargin};
-pub use trace::{Trace, TraceStep, Tracing};
 
 #[cfg(test)]
 mod tests;
