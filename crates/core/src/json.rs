@@ -334,6 +334,7 @@ pub const MAX_PARSE_DEPTH: usize = 128;
 /// Parse a strict-JSON document (one value, trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -348,6 +349,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -471,13 +473,23 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` as one slice. Both
+            // delimiters are ASCII, so the run is whole scalars and each
+            // input byte is visited once.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped on `\`: one escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -524,16 +536,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar. The cursor only ever stops
-                    // on ASCII or scalar boundaries, so this cannot fail.
-                    let c = std::str::from_utf8(&self.bytes[self.pos..])
-                        .ok()
-                        .and_then(|s| s.chars().next())
-                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -720,6 +722,72 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad}");
         }
+    }
+
+    #[test]
+    fn string_values_and_error_offsets_are_pinned() {
+        // Multi-byte scalars, every escape, surrogate pairs and raw
+        // control characters (accepted verbatim), alone and mixed.
+        for (text, value) in [
+            ("\"é\"", "é"),
+            ("\"→\"", "→"),
+            ("\"😀\"", "😀"),
+            ("\"aé→😀z\"", "aé→😀z"),
+            (r#""\"\\\/\b\f\n\r\t""#, "\"\\/\u{8}\u{c}\n\r\t"),
+            (r#""\u0041\u00e9\u20AC\uffff""#, "Aé€\u{ffff}"),
+            (r#""\ud83d\ude00x\uD834\uDD1E""#, "😀x\u{1D11E}"),
+            ("\"\u{1}\t\n\u{1f}\u{7f}\"", "\u{1}\t\n\u{1f}\u{7f}"),
+            ("\"é\\n→\\\"😀\"", "é\n→\"😀"),
+            ("\"\"", ""),
+        ] {
+            assert_eq!(parse(text).unwrap(), Json::Str(value.to_string()), "{text}");
+        }
+        // The same documents as object keys.
+        let doc = parse("{\"é→😀\\t\":1}").unwrap();
+        assert_eq!(doc.get("é→😀\t").and_then(Json::as_u64), Some(1));
+        // Errors keep their message and byte offset.
+        for (text, message, offset) in [
+            ("\"abc", "unterminated string", 4),
+            ("\"é", "unterminated string", 3),
+            ("\"😀→", "unterminated string", 8),
+            ("[\"a\",\"é", "unterminated string", 8),
+            ("\"😀\\", "bad escape", 6),
+            ("\"é\\q\"", "bad escape", 4),
+            (r#""\u12""#, "bad \\u escape", 2),
+            (r#""\uzzzz""#, "bad \\u escape", 2),
+            (r#""→\ud83d""#, "unpaired high surrogate", 9),
+            (r#""\ud83dx""#, "unpaired high surrogate", 6),
+            (r#""\ud83d\ud83d""#, "invalid low surrogate", 12),
+            (r#""\ude00""#, "unpaired low surrogate", 6),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                (message, offset),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_the_input() {
+        // 200,000 short strings, about 4 MB: a parser that rescans the
+        // rest of the input per character takes hours here.
+        let text = format!(
+            "[{}]",
+            (0..200_000)
+                .map(|i| format!("\"k{i:07}-é→😀\""))
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        assert!(text.len() > 4_000_000, "{}", text.len());
+        let started = std::time::Instant::now();
+        let doc = parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        let items = doc.as_array().unwrap();
+        assert_eq!(items.len(), 200_000);
+        assert_eq!(items[199_999].as_str(), Some("k0199999-é→😀"));
+        assert!(elapsed.as_secs() < 10, "took {elapsed:?}");
     }
 
     #[test]

@@ -29,14 +29,19 @@
 //! A store opened with [`CellStore::open_with_budget`] keeps total cell
 //! bytes under the budget: every `store` that would exceed it evicts
 //! least-recently-*used* cells first (loads count as use, not just
-//! writes). Recency survives restarts through `index.json` — an
-//! [`INDEX_SCHEMA`] document rewritten atomically on every access, so a
-//! crash leaves at worst slightly-stale recency, never a torn index.
-//! Cells whose key is currently in flight are never evicted (a resume
-//! in progress must find its checkpoint), and the cell just written is
-//! always kept even when it alone exceeds the budget — a budget too
-//! small for one cell degrades to "cache of one", not a failure.
+//! writes). Recency is a stamp per cell in memory, so a hit costs one
+//! file read and writes nothing. It survives restarts through
+//! `index.json`, an [`INDEX_SCHEMA`] document rewritten atomically (temp
+//! file + rename) when a store or an eviction changes the cells and
+//! when the store is dropped. A crash therefore loses at most the
+//! recency of the hits since the last store, never a cell and never the
+//! index itself. Cells whose key is currently in flight are never
+//! evicted (a resume in progress must find its checkpoint), and the
+//! cell just written is always kept even when it alone exceeds the
+//! budget — a budget too small for one cell degrades to "cache of one",
+//! not a failure.
 
+use crate::router::key_from_hex;
 use crate::unpoisoned;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -129,23 +134,62 @@ pub struct CellStore {
     lru: Mutex<LruState>,
 }
 
-/// In-memory mirror of cell recency and sizes, persisted to
-/// `index.json`. `order` runs least- to most-recently-used.
+/// In-memory mirror of cell sizes and recency, keyed by each cell's
+/// 64-bit content address. Every use takes the next stamp, so `order`
+/// runs least- to most-recently used; `index.json` persists that order.
 #[derive(Debug, Default)]
 struct LruState {
-    order: Vec<String>,
-    sizes: BTreeMap<String, u64>,
+    /// Address → (file size in bytes, stamp of the last use).
+    cells: BTreeMap<u64, (u64, u64)>,
+    /// Stamp → address.
+    order: BTreeMap<u64, u64>,
+    /// Sum of the sizes in `cells`.
+    total_bytes: u64,
+    next_stamp: u64,
+    /// Hits moved recency since `index.json` was last written.
+    dirty: bool,
 }
 
 impl LruState {
-    fn total_bytes(&self) -> u64 {
-        self.sizes.values().sum()
+    /// Move (or insert) `addr`, now `size` bytes on disk, to the
+    /// most-recently-used end.
+    fn touch(&mut self, addr: u64, size: u64) {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        if let Some((old_size, old_stamp)) = self.cells.insert(addr, (size, stamp)) {
+            self.order.remove(&old_stamp);
+            self.total_bytes -= old_size;
+        }
+        self.order.insert(stamp, addr);
+        self.total_bytes += size;
     }
 
-    /// Move (or insert) `hex` at the most-recently-used end.
-    fn touch(&mut self, hex: &str) {
-        self.order.retain(|k| k != hex);
-        self.order.push(hex.to_string());
+    fn forget(&mut self, addr: u64) {
+        if let Some((size, stamp)) = self.cells.remove(&addr) {
+            self.order.remove(&stamp);
+            self.total_bytes -= size;
+        }
+    }
+
+    /// Rewrite `dir/index.json` (temp + rename) from the current order.
+    /// Best-effort: recency is an optimization, losing it must never
+    /// fail a request.
+    fn persist(&mut self, dir: &Path) {
+        let doc = Json::obj().field("schema", INDEX_SCHEMA).field(
+            "order",
+            Json::Arr(
+                self.order
+                    .values()
+                    .map(|addr| Json::Str(format!("{addr:016x}")))
+                    .collect(),
+            ),
+        );
+        let tmp = dir.join(format!("index.tmp.{}", std::process::id()));
+        if std::fs::write(&tmp, doc.to_pretty()).is_ok()
+            && std::fs::rename(&tmp, dir.join("index.json")).is_ok()
+        {
+            self.dirty = false;
+        }
     }
 }
 
@@ -190,7 +234,7 @@ impl CellStore {
 
     /// Total bytes of cached cells (from the in-memory size mirror).
     pub fn cache_bytes(&self) -> u64 {
-        self.lru_lock().total_bytes()
+        self.lru_lock().total_bytes
     }
 
     /// Cells currently on disk (counted fresh; the store is the
@@ -214,20 +258,6 @@ impl CellStore {
             .unwrap_or(0)
     }
 
-    /// Rewrite `index.json` (temp + rename) from the current LRU state.
-    /// Best-effort: recency is an optimization, losing it must never
-    /// fail a request.
-    fn persist_index(&self, lru: &LruState) {
-        let doc = Json::obj().field("schema", INDEX_SCHEMA).field(
-            "order",
-            Json::Arr(lru.order.iter().map(|k| Json::Str(k.clone())).collect()),
-        );
-        let tmp = self.dir.join(format!("index.tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, doc.to_pretty()).is_ok() {
-            let _ = std::fs::rename(&tmp, self.dir.join("index.json"));
-        }
-    }
-
     /// The LRU mirror, recovered from poison: a panic elsewhere while
     /// holding the lock leaves at worst stale recency, which the next
     /// touch repairs — recency is an optimization, never worth wedging
@@ -236,11 +266,16 @@ impl CellStore {
         unpoisoned(self.lru.lock())
     }
 
-    /// Record a use of `hex` (cache hit / extend base).
-    fn lru_touch(&self, hex: &str) {
-        let mut lru = self.lru_lock();
-        lru.touch(hex);
-        self.persist_index(&lru);
+    /// Record a use of `hex`, just read at `size` bytes (cache hit /
+    /// extend base). Writes nothing: `index.json` catches up at the next
+    /// store or when the store is dropped. The size is taken from the
+    /// read, so a cell another process wrote after open is counted too.
+    fn lru_touch(&self, hex: &str, size: u64) {
+        if let Some(addr) = key_from_hex(hex) {
+            let mut lru = self.lru_lock();
+            lru.touch(addr, size);
+            lru.dirty = true;
+        }
     }
 
     /// Record a write of `hex` at `size` bytes, then evict LRU-first
@@ -248,35 +283,37 @@ impl CellStore {
     /// are exempt.
     fn lru_record(&self, hex: &str, size: u64) {
         let mut lru = self.lru_lock();
-        lru.sizes.insert(hex.to_string(), size);
-        lru.touch(hex);
+        let written = key_from_hex(hex);
+        if let Some(addr) = written {
+            lru.touch(addr, size);
+        }
         if let Some(budget) = self.budget {
-            let mut idx = 0;
-            while lru.total_bytes() > budget && idx < lru.order.len() {
-                let victim = lru.order[idx].clone();
-                if victim == hex || self.inflight.contains(&victim) {
-                    idx += 1; // exempt; try the next-least-recent
-                    continue;
+            // Stamps below `next` have been considered and kept.
+            let mut next = 0;
+            while lru.total_bytes > budget {
+                let Some((&stamp, &victim)) = lru.order.range(next..).next() else {
+                    break;
+                };
+                next = stamp + 1;
+                let victim_hex = format!("{victim:016x}");
+                if written == Some(victim) || self.inflight.contains(&victim_hex) {
+                    continue; // exempt; try the next-least-recent
                 }
                 // Remove the file first: an eviction that fails to
                 // delete must not be forgotten by the index.
-                match std::fs::remove_file(self.path_for(&victim)) {
+                match std::fs::remove_file(self.path_for(&victim_hex)) {
                     Ok(()) => {
                         self.evictions.fetch_add(1, Ordering::Relaxed);
                     }
                     // Already gone (external cleanup): reconcile the
                     // index, but it wasn't our eviction.
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(_) => {
-                        idx += 1;
-                        continue;
-                    }
+                    Err(_) => continue,
                 }
-                lru.order.remove(idx);
-                lru.sizes.remove(&victim);
+                lru.forget(victim);
             }
         }
-        self.persist_index(&lru);
+        lru.persist(&self.dir);
     }
 
     fn path_for(&self, hex: &str) -> PathBuf {
@@ -333,7 +370,7 @@ impl CellStore {
             EvalStats::from_json(checkpoint).map_err(|e| format!("cache cell {hex}: {e}"))?;
         // A read is a use: hits must refresh recency or a hot cell gets
         // evicted under write pressure.
-        self.lru_touch(hex);
+        self.lru_touch(hex, u64::try_from(text.len()).unwrap_or(u64::MAX));
         Ok(Some(CachedCell { stats, stop_reason }))
     }
 
@@ -397,6 +434,17 @@ impl CellStore {
     }
 }
 
+impl Drop for CellStore {
+    /// Persist the recency hits moved since the last store, so a clean
+    /// exit (a one-shot run, an in-process sweep) keeps it.
+    fn drop(&mut self) {
+        let lru = unpoisoned(self.lru.get_mut());
+        if lru.dirty {
+            lru.persist(&self.dir);
+        }
+    }
+}
+
 /// Per-key mutual exclusion with a single mutex + condvar (the key set
 /// is small: one entry per concurrently-computing cell).
 struct InflightTable {
@@ -443,7 +491,8 @@ impl InflightTable {
 
 /// Seed the LRU mirror: sizes from a directory scan (the disk is the
 /// authority), recency from `index.json` where it has an opinion.
-/// Unindexed cells sort first (least recent) by key for determinism.
+/// Unindexed cells sort first (least recent) by key for determinism;
+/// indexed keys not on disk, malformed keys and repeats are ignored.
 fn load_lru(dir: &Path) -> LruState {
     let mut sizes = BTreeMap::new();
     if let Ok(entries) = std::fs::read_dir(dir) {
@@ -452,35 +501,39 @@ fn load_lru(dir: &Path) -> LruState {
             let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
                 continue;
             };
-            if path.extension().is_some_and(|x| x == "json") && is_valid_key_hex(stem) {
-                if let Ok(meta) = entry.metadata() {
-                    sizes.insert(stem.to_string(), meta.len());
+            if path.extension().is_some_and(|x| x == "json") {
+                if let (Some(addr), Ok(meta)) = (key_from_hex(stem), entry.metadata()) {
+                    sizes.insert(addr, meta.len());
                 }
             }
         }
     }
-    let indexed: Vec<String> = std::fs::read_to_string(dir.join("index.json"))
+    let index = std::fs::read_to_string(dir.join("index.json"))
         .ok()
         .and_then(|text| suu_core::json::parse(&text).ok())
-        .filter(|doc| doc.get("schema").and_then(Json::as_str) == Some(INDEX_SCHEMA))
-        .and_then(|doc| {
-            doc.get("order").and_then(Json::as_array).map(|keys| {
-                keys.iter()
-                    .filter_map(Json::as_str)
-                    .map(str::to_string)
-                    .collect()
-            })
-        })
-        .unwrap_or_default();
+        .filter(|doc| doc.get("schema").and_then(Json::as_str) == Some(INDEX_SCHEMA));
+    let mut seen = BTreeSet::new();
+    let indexed: Vec<(u64, u64)> = index
+        .as_ref()
+        .and_then(|doc| doc.get("order").and_then(Json::as_array))
+        .into_iter()
+        .flatten()
+        .filter_map(|k| key_from_hex(k.as_str()?))
+        .filter_map(|addr| Some((addr, *sizes.get(&addr)?)))
+        .filter(|(addr, _)| seen.insert(*addr))
+        .collect();
+    let mut lru = LruState::default();
     // BTreeMap keys iterate sorted, so the unindexed prefix is already
     // in deterministic (key) order.
-    let mut order: Vec<String> = sizes
-        .keys()
-        .filter(|k| !indexed.contains(k))
-        .cloned()
-        .collect();
-    order.extend(indexed.into_iter().filter(|k| sizes.contains_key(k)));
-    LruState { order, sizes }
+    for (&addr, &size) in &sizes {
+        if !seen.contains(&addr) {
+            lru.touch(addr, size);
+        }
+    }
+    for (addr, size) in indexed {
+        lru.touch(addr, size);
+    }
+    lru
 }
 
 #[cfg(test)]
@@ -711,6 +764,125 @@ mod tests {
         );
         assert!(store.load(&key3).unwrap().is_some());
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// The `order` of `dir/index.json`, as written.
+    fn index_order(dir: &Path) -> Vec<String> {
+        let text = std::fs::read_to_string(dir.join("index.json")).unwrap();
+        let doc = suu_core::json::parse(&text).unwrap();
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(INDEX_SCHEMA));
+        doc.get("order")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|k| k.as_str().unwrap().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn a_hit_writes_nothing_and_drop_persists_its_recency() {
+        let dir = tempdir("hit-writes-nothing");
+        let listing = || {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        let index = || {
+            let path = dir.join("index.json");
+            let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+            (std::fs::read(&path).unwrap(), modified)
+        };
+        let store = CellStore::open(&dir).unwrap();
+        let keys = fill(&store, 0..2);
+        let (files, before) = (listing(), index());
+        assert_eq!(index_order(&dir), [keys[0].hex.as_str(), &keys[1].hex]);
+        for _ in 0..50 {
+            assert!(store.load(&keys[0]).unwrap().is_some());
+        }
+        assert_eq!(listing(), files, "a hit creates or removes no file");
+        assert!(
+            !files.iter().any(|name| name.contains(".tmp.")),
+            "{files:?}"
+        );
+        assert!(
+            index() == before,
+            "a hit leaves index.json's bytes and mtime alone"
+        );
+        // Dropping the store persists the recency the hits moved.
+        drop(store);
+        assert_eq!(index_order(&dir), [keys[1].hex.as_str(), &keys[0].hex]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_restart_reads_a_hand_written_index() {
+        let dir = tempdir("lru-hand-index");
+        let keys = fill(&CellStore::open(&dir).unwrap(), 0..4);
+        let mut unindexed = [keys[1].hex.clone(), keys[3].hex.clone()];
+        unindexed.sort();
+        let absent = (0..)
+            .map(|i: u64| format!("{i:016x}"))
+            .find(|hex| keys.iter().all(|k| &k.hex != hex))
+            .unwrap();
+        let index = Json::obj().field("schema", INDEX_SCHEMA).field(
+            "order",
+            vec![
+                Json::Str(keys[2].hex.clone()),
+                Json::Str("not-a-key".into()),
+                Json::Str(absent),
+                Json::Str(keys[0].hex.to_uppercase()),
+                Json::UInt(7),
+                Json::Str(keys[0].hex.clone()),
+                Json::Str(keys[2].hex.clone()),
+            ],
+        );
+        std::fs::write(dir.join("index.json"), index.to_pretty()).unwrap();
+        // The next store writes the restored order back, then its own
+        // cell: cells the index misses come first in key order, then the
+        // index's order with every unusable or repeated entry dropped.
+        let store = CellStore::open(&dir).unwrap();
+        let key4 = fill(&store, 4..5).remove(0);
+        assert_eq!(
+            index_order(&dir),
+            [
+                unindexed[0].as_str(),
+                &unindexed[1],
+                &keys[2].hex,
+                &keys[0].hex,
+                &key4.hex
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cell_another_process_wrote_counts_against_the_budget() {
+        let probe = CellStore::open(tempdir("lru-foreign-probe")).unwrap();
+        fill(&probe, 0..1);
+        let cell_bytes = probe.cache_bytes();
+        let _ = std::fs::remove_dir_all(probe.dir());
+
+        // `ours` has room for three cells; `theirs` writes one of them
+        // into the same directory after `ours` opened it.
+        let dir = tempdir("lru-foreign");
+        let ours = CellStore::open_with_budget(&dir, Some(3 * cell_bytes + 16)).unwrap();
+        let theirs = CellStore::open(&dir).unwrap();
+        let keys = fill(&ours, 0..2);
+        let foreign = fill(&theirs, 2..3).remove(0);
+        assert!(ours.load(&foreign).unwrap().is_some());
+        let key3 = fill(&ours, 3..4).remove(0);
+        assert_eq!(ours.evictions.load(Ordering::SeqCst), 1);
+        assert!(ours.load(&keys[0]).unwrap().is_none(), "LRU evicted");
+        assert_eq!(ours.cells_on_disk(), 3);
+        let on_disk: u64 = [&keys[1], &foreign, &key3]
+            .iter()
+            .map(|k| std::fs::metadata(ours.path_for(&k.hex)).unwrap().len())
+            .sum();
+        assert_eq!(ours.cache_bytes(), on_disk);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

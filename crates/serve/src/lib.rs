@@ -14,7 +14,8 @@
 //! strictly in order, compute handed to a worker pool through a
 //! **bounded queue** (overflow → immediate `429` + `Retry-After`), idle
 //! connections reaped on a deadline, and an optional LRU **cache size
-//! budget** with recency persisted in `index.json`.
+//! budget**. Recency lives in memory, so a hit writes nothing; it is
+//! persisted in `index.json` on every store and when the store drops.
 //!
 //! * `POST /v1/race` — a [`suu_bench::request::RaceRequest`] (scenarios
 //!   by family + normalized parameters, policy specs, a stopping rule).

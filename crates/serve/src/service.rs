@@ -20,6 +20,7 @@
 use crate::cache::{cell_key_fields, CellKey, CellStore};
 use crate::http::{Request, Response};
 use crate::server::ServerMetrics;
+use std::cell::OnceCell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -224,10 +225,13 @@ impl Service {
 
         for rs in &race.scenarios {
             builder.add_scenario(&rs.scenario);
-            let inst = rs.scenario.instantiate();
+            // Built on first need: a hit reads only the cache, so a
+            // request of hits without an LP bound never instantiates.
+            let built = OnceCell::new();
+            let inst = || built.get_or_init(|| rs.scenario.instantiate());
             let lb_result = race
                 .ratios_to_lower_bound
-                .then(|| lower_bound(&inst).map_err(|e| e.to_string()));
+                .then(|| lower_bound(inst()).map_err(|e| e.to_string()));
             let lb = lb_result.as_ref().and_then(|r| r.as_ref().ok()).copied();
             let lb_error = lb_result.as_ref().and_then(|r| r.as_ref().err()).cloned();
 
@@ -250,7 +254,7 @@ impl Service {
                     race.exec.semantics.as_str(),
                     race.exec.max_steps,
                 ));
-                match self.evaluate_cell(&key, &evaluator, &inst, spec, race.precision) {
+                match self.evaluate_cell(&key, &evaluator, inst, spec, race.precision) {
                     Ok((stats, stop_reason, status)) => {
                         counts.record(status);
                         let mean = stats.mean_makespan();
@@ -281,12 +285,13 @@ impl Service {
         Ok((builder.finish(), counts))
     }
 
-    /// One cell through the cache, under the in-flight guard.
-    fn evaluate_cell(
+    /// One cell through the cache, under the in-flight guard. `inst`
+    /// builds the scenario, called only on a miss or an extend.
+    fn evaluate_cell<'i>(
         &self,
         key: &CellKey,
         evaluator: &Evaluator,
-        inst: &std::sync::Arc<suu_core::SuuInstance>,
+        inst: impl Fn() -> &'i Arc<suu_core::SuuInstance>,
         spec: &PolicySpec,
         precision: Precision,
     ) -> Result<(EvalStats, StopReason, CacheStatus), CellError> {
@@ -295,9 +300,12 @@ impl Service {
                 Some(cached) => {
                     let trials = cached.stats.trials() as usize;
                     let satisfied = {
-                        let (mean, ci95) = match cached.stats.summary() {
-                            Some(s) => (s.mean, s.ci95),
-                            None => (0.0, f64::INFINITY),
+                        // The streaming moments: the same mean and CI as
+                        // `summary()`, without its quantile sort.
+                        let makespan = cached.stats.acc.makespan();
+                        let (mean, ci95) = match (makespan.mean(), makespan.ci95()) {
+                            (Some(mean), Some(ci95)) => (mean, ci95),
+                            _ => (0.0, f64::INFINITY),
                         };
                         precision.check(trials, mean, ci95)
                     };
@@ -308,7 +316,7 @@ impl Service {
                     // Resume with the cell's own config (seed, semantics,
                     // step cap asserted to match inside).
                     let adaptive = evaluator
-                        .resume_adaptive_spec(&self.registry, inst, spec, cached.stats, precision)
+                        .resume_adaptive_spec(&self.registry, inst(), spec, cached.stats, precision)
                         .map_err(CellError::Registry)?;
                     self.store
                         .store(
@@ -323,7 +331,7 @@ impl Service {
                 }
                 None => {
                     let adaptive = evaluator
-                        .run_adaptive_spec(&self.registry, inst, spec, precision)
+                        .run_adaptive_spec(&self.registry, inst(), spec, precision)
                         .map_err(CellError::Registry)?;
                     self.store
                         .store(

@@ -14,7 +14,8 @@
 //! And the event-loop front end's behavior:
 //!
 //! * keep-alive connections serve many requests with bodies
-//!   byte-identical to fresh-connection responses;
+//!   byte-identical to fresh-connection responses, and hits write
+//!   nothing to the cache directory;
 //! * pipelined requests are answered strictly in request order;
 //! * a saturated compute queue answers `429` + `Retry-After` and
 //!   recovers;
@@ -418,6 +419,47 @@ fn keep_alive_bodies_are_byte_identical_to_fresh_connection_bodies() {
     let stats = conn.request("GET", "/v1/stats", None);
     assert_eq!(stats.status, 200);
     assert_eq!(stats.json().get("hits").unwrap().as_u64(), Some(4));
+}
+
+#[test]
+fn keep_alive_hits_leave_the_cache_dir_untouched() {
+    let daemon = Daemon::spawn("hits-write-nothing");
+    let addr = daemon.addr.as_str();
+    let primed = http(addr, "POST", "/v1/race", Some(&race_body(6)));
+    assert_eq!(primed.header("X-Suu-Cache"), Some("miss"));
+
+    // Every file's name, bytes and mtime.
+    let snapshot = || {
+        let mut files: Vec<(String, Vec<u8>, std::time::SystemTime)> =
+            std::fs::read_dir(&daemon.cache_dir)
+                .expect("cache dir")
+                .map(|entry| {
+                    let entry = entry.expect("dir entry");
+                    let modified = entry.metadata().unwrap().modified().unwrap();
+                    let name = entry.file_name().into_string().unwrap();
+                    (name, std::fs::read(entry.path()).unwrap(), modified)
+                })
+                .collect();
+        files.sort();
+        files
+    };
+    let before = snapshot();
+    let names: Vec<&str> = before.iter().map(|f| f.0.as_str()).collect();
+    assert!(names.contains(&"index.json"), "{names:?}");
+
+    let mut conn = KeepAlive::connect(addr);
+    for i in 0..50 {
+        let reply = conn.request("POST", "/v1/race", Some(&race_body(6)));
+        assert_eq!(reply.header("X-Suu-Cache"), Some("hit"), "request {i}");
+        assert_eq!(reply.body, primed.body, "request {i}");
+    }
+    let after = snapshot();
+    let after_names: Vec<&str> = after.iter().map(|f| f.0.as_str()).collect();
+    assert_eq!(after_names, names);
+    assert!(
+        after == before,
+        "50 hits must leave every cache file's bytes and mtime unchanged"
+    );
 }
 
 #[test]

@@ -363,14 +363,12 @@ impl PairedDelta {
 
     /// Standard error of the mean difference.
     pub fn std_err(&self) -> Option<f64> {
-        let n = self.delta.count();
-        self.delta.std_dev().map(|sd| sd / (n as f64).sqrt())
+        self.delta.std_err()
     }
 
     /// 95% CI half-width of the mean difference (Student-t).
     pub fn ci95(&self) -> Option<f64> {
-        self.std_err()
-            .map(|se| t_ci95_scale(self.delta.count() as usize) * se)
+        self.delta.ci95()
     }
 
     /// `true` when zero lies outside the 95% CI of the mean difference —
@@ -462,6 +460,17 @@ impl Streaming {
     /// Unbiased sample standard deviation.
     pub fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
+    }
+
+    /// Standard error of the mean.
+    pub fn std_err(&self) -> Option<f64> {
+        self.std_dev().map(|sd| sd / (self.count as f64).sqrt())
+    }
+
+    /// 95% CI half-width of the mean (Student-t; see [`t_ci95_scale`]).
+    pub fn ci95(&self) -> Option<f64> {
+        self.std_err()
+            .map(|se| t_ci95_scale(self.count as usize) * se)
     }
 
     /// Minimum observation.
@@ -911,7 +920,7 @@ impl OutcomeAccumulator {
             return None;
         }
         let std_dev = self.makespan.std_dev().expect("nonempty");
-        let std_err = std_dev / (count as f64).sqrt();
+        let std_err = self.makespan.std_err().expect("nonempty");
         let (median, p95, exact_quantiles) = match &self.exact {
             Some(values) => {
                 let mut sorted = values.clone();
@@ -933,7 +942,7 @@ impl OutcomeAccumulator {
             mean: self.makespan.mean().expect("nonempty"),
             std_dev,
             std_err,
-            ci95: t_ci95_scale(count) * std_err,
+            ci95: self.makespan.ci95().expect("nonempty"),
             min: self.makespan.min().expect("nonempty"),
             median,
             p95,
