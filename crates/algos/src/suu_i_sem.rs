@@ -408,7 +408,6 @@ mod tests {
                 &ExecConfig {
                     semantics,
                     max_steps: 1_000_000,
-                    ..ExecConfig::default()
                 },
                 3,
             );

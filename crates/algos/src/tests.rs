@@ -24,7 +24,6 @@ fn mc(trials: usize, seed: u64) -> Evaluator {
         exec: ExecConfig {
             semantics: Semantics::SuuStar,
             max_steps: 5_000_000,
-            ..ExecConfig::default()
         },
         ..EvalConfig::default()
     })

@@ -179,7 +179,7 @@ fn batch_cell(
             execute(inst, &mut *policy, &exec, t.engine_seed)
         })
         .collect();
-    let mut runner = BatchRunner::new(inst, &exec).with_profile(ProfileMode::Off);
+    let mut runner = BatchRunner::new(inst, &exec);
     let mut batched: Vec<ExecOutcome> = Vec::with_capacity(trials);
     for chunk in seeds.chunks(batch.max(1)) {
         batched.extend(runner.run(&mut *policy, chunk));

@@ -61,8 +61,6 @@ fn main() {
                     exec: ExecConfig {
                         semantics,
                         max_steps: 5_000_000,
-
-                        ..ExecConfig::default()
                     },
                     ..EvalConfig::default()
                 })

@@ -23,7 +23,8 @@
 //! `"trials": n` requests a fixed budget; an adaptive request instead
 //! carries `"precision": {"half_width": 0.05, "relative": true,
 //! "min_trials": 8, "max_trials": 512}`. Exactly one of the two must be
-//! present.
+//! present. An `"engine"` field from older clients must be `"events"` or
+//! `"dense"` and is otherwise ignored: there is one engine.
 //!
 //! Parsing **normalizes**: every scenario's parameters are re-emitted as
 //! a fixed field set with fixed spellings ([`RequestScenario::params`]),
@@ -38,7 +39,7 @@
 
 use crate::scenario::Scenario;
 use suu_core::json::Json;
-use suu_sim::{EngineKind, ExecConfig, Precision, Semantics};
+use suu_sim::{ExecConfig, Precision, Semantics};
 
 /// Largest accepted `m`.
 pub const MAX_MACHINES: u64 = 256;
@@ -353,10 +354,12 @@ impl RaceRequest {
                 .and_then(Semantics::parse)
                 .ok_or("'semantics' must be \"suu\" or \"suu-star\"")?;
         }
+        // Older clients may still send "engine": accept its two old
+        // values so they keep working, and ignore it (there is one
+        // engine).
         if let Some(e) = v.get("engine") {
-            exec.engine = e
-                .as_str()
-                .and_then(EngineKind::parse)
+            e.as_str()
+                .filter(|e| matches!(*e, "events" | "dense"))
                 .ok_or("'engine' must be \"events\" or \"dense\"")?;
         }
         if let Some(ms) = v.get("max_steps") {
@@ -441,7 +444,6 @@ impl RaceRequest {
         };
         doc.field("master_seed", self.master_seed)
             .field("semantics", self.exec.semantics.as_str())
-            .field("engine", self.exec.engine.as_str())
             .field("max_steps", self.exec.max_steps)
             .field("ratios_to_lower_bound", self.ratios_to_lower_bound)
     }
@@ -620,6 +622,10 @@ mod tests {
                 r#"{"scenarios":[{"family":"uniform","m":3,"n":8,"lo":0.2,"hi":0.9,"seed":1}],"policies":["x"],"trials":4,"semantics":"wat"}"#,
                 "semantics",
             ),
+            (
+                r#"{"scenarios":[{"family":"uniform","m":3,"n":8,"lo":0.2,"hi":0.9,"seed":1}],"policies":["x"],"trials":4,"engine":"wat"}"#,
+                "'engine'",
+            ),
         ] {
             let err = req(text).expect_err(text);
             assert!(
@@ -627,6 +633,22 @@ mod tests {
                 "{text}: error {err:?} lacks {needle:?}"
             );
         }
+    }
+
+    #[test]
+    fn the_retired_engine_field_is_validated_then_ignored() {
+        let wire = |extra: &str| {
+            req(&format!(
+                r#"{{"scenarios":[{{"family":"uniform","m":3,"n":8,"lo":0.2,"hi":0.9,"seed":1}}],"policies":["greedy-lr"],"trials":4{extra}}}"#
+            ))
+            .unwrap()
+            .to_json()
+            .to_canonical()
+        };
+        let plain = wire("");
+        assert!(!plain.contains("engine"), "{plain}");
+        assert_eq!(wire(r#","engine":"dense""#), plain);
+        assert_eq!(wire(r#","engine":"events""#), plain);
     }
 
     #[test]

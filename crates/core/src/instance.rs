@@ -139,12 +139,6 @@ impl SuuInstance {
         &self.precedence
     }
 
-    /// Replace the precedence structure (used when algorithms re-cast the
-    /// same `q` matrix over a sub-structure). Validates consistency.
-    pub fn with_precedence(&self, precedence: Precedence) -> Result<Self, InstanceError> {
-        SuuInstance::new(self.m, self.n, self.q.clone(), precedence)
-    }
-
     /// Restrict to a subset of jobs (given by old job ids, in the new
     /// order), producing an instance over `old_ids.len()` jobs with the
     /// provided precedence.

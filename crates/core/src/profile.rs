@@ -22,19 +22,15 @@
 //!   hot loop permanently (measured at <1% on the differential-test
 //!   suite).
 //!
-//! Enable via the `SUU_PROFILE` environment variable (read by
-//! [`ProfileMode::from_env`]): `1`/`on` samples every
-//! [`DEFAULT_SAMPLE_EVERY`] transitions, `exact` times every transition,
-//! an integer `k ≥ 2` samples every k-th, and `0`/`off`/unset disables.
+//! The mode is chosen in code when the profiler is built, never read
+//! from the environment: the batch engine runs [`ProfileMode::Off`]
+//! unless its caller picks another mode with `BatchRunner::with_profile`.
 
 use crate::json::Json;
 use std::time::Instant;
 
 /// Hard cap on distinct phases (fixed arrays keep the hot path flat).
 pub const MAX_PHASES: usize = 8;
-
-/// Sampling stride used by `SUU_PROFILE=1`.
-pub const DEFAULT_SAMPLE_EVERY: u32 = 8;
 
 /// How (and whether) a [`PhaseProfiler`] attributes wall time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,31 +44,6 @@ pub enum ProfileMode {
 }
 
 impl ProfileMode {
-    /// Mode requested by the `SUU_PROFILE` environment variable (see the
-    /// module docs for the accepted values). Unset means [`Off`].
-    ///
-    /// [`Off`]: ProfileMode::Off
-    pub fn from_env() -> ProfileMode {
-        match std::env::var("SUU_PROFILE") {
-            Ok(v) => ProfileMode::parse(&v),
-            Err(_) => ProfileMode::Off,
-        }
-    }
-
-    /// Parse a `SUU_PROFILE` value; unrecognized strings disable.
-    pub fn parse(value: &str) -> ProfileMode {
-        match value.trim() {
-            "" | "0" | "off" => ProfileMode::Off,
-            "1" | "on" => ProfileMode::Sampled(DEFAULT_SAMPLE_EVERY),
-            "exact" => ProfileMode::Exact,
-            other => match other.parse::<u32>() {
-                Ok(k) if k >= 2 => ProfileMode::Sampled(k),
-                Ok(_) => ProfileMode::Exact,
-                Err(_) => ProfileMode::Off,
-            },
-        }
-    }
-
     fn label(&self) -> &'static str {
         match self {
             ProfileMode::Off => "off",
@@ -246,22 +217,6 @@ impl ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_parsing() {
-        assert_eq!(ProfileMode::parse(""), ProfileMode::Off);
-        assert_eq!(ProfileMode::parse("0"), ProfileMode::Off);
-        assert_eq!(ProfileMode::parse("off"), ProfileMode::Off);
-        assert_eq!(
-            ProfileMode::parse("1"),
-            ProfileMode::Sampled(DEFAULT_SAMPLE_EVERY)
-        );
-        assert_eq!(ProfileMode::parse("on"), ProfileMode::Sampled(8));
-        assert_eq!(ProfileMode::parse("exact"), ProfileMode::Exact);
-        assert_eq!(ProfileMode::parse("16"), ProfileMode::Sampled(16));
-        assert_eq!(ProfileMode::parse(" 4 "), ProfileMode::Sampled(4));
-        assert_eq!(ProfileMode::parse("garbage"), ProfileMode::Off);
-    }
 
     #[test]
     fn disabled_profiler_counts_nothing() {

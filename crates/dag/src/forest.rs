@@ -18,7 +18,7 @@
 //! in-forests) respects every precedence edge. Ranks live in
 //! `0..=⌊log₂ n⌋`, giving at most `⌊log₂ n⌋ + 1` blocks.
 
-use crate::{ChainSet, Dag};
+use crate::Dag;
 
 /// Orientation of a forest's precedence edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,33 +248,5 @@ impl Forest {
             }
         }
         blocks
-    }
-
-    /// Convenience: decomposition blocks as [`ChainSet`]s over the *full*
-    /// job-id space, with jobs outside the block omitted (each block is a
-    /// partial chain set; use [`ChainSet::new`] semantics per sub-instance
-    /// instead when re-indexing).
-    pub fn decomposition_chain_sets(&self) -> Vec<Vec<Vec<u32>>> {
-        self.rank_decomposition()
-    }
-}
-
-impl ChainSet {
-    /// Flatten a forest block (vertex-disjoint chains over a subset of
-    /// jobs) plus the remaining jobs as completed/absent into a `ChainSet`
-    /// over a compact renumbering. Returns `(chain set, old-id per new-id)`.
-    pub fn from_block(block: &[Vec<u32>]) -> (ChainSet, Vec<u32>) {
-        let mut old_ids = Vec::new();
-        let mut renumbered: Vec<Vec<u32>> = Vec::with_capacity(block.len());
-        for chain in block {
-            let mut new_chain = Vec::with_capacity(chain.len());
-            for &j in chain {
-                new_chain.push(old_ids.len() as u32);
-                old_ids.push(j);
-            }
-            renumbered.push(new_chain);
-        }
-        let cs = ChainSet::new(old_ids.len(), renumbered).expect("block chains are disjoint");
-        (cs, old_ids)
     }
 }

@@ -147,11 +147,6 @@ impl LpBuilder {
         VarId(self.obj.len() - 1)
     }
 
-    /// Add `count` non-negative variables sharing one objective coefficient.
-    pub fn add_vars(&mut self, count: usize, obj_coeff: f64) -> Vec<VarId> {
-        (0..count).map(|_| self.add_var(obj_coeff)).collect()
-    }
-
     /// Overwrite the objective coefficient of an existing variable.
     pub fn set_obj_coeff(&mut self, v: VarId, c: f64) {
         self.obj[v.0] = c;
@@ -160,11 +155,6 @@ impl LpBuilder {
     /// Number of variables added so far.
     pub fn num_vars(&self) -> usize {
         self.obj.len()
-    }
-
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.rows.len()
     }
 
     /// Add the constraint `sum(terms) cmp rhs`.

@@ -111,7 +111,6 @@ fn main() {
             workers: args.workers,
             queue_depth: args.queue_depth,
             idle_timeout: Duration::from_millis(args.idle_timeout_ms),
-            ..ServerConfig::default()
         },
         Arc::new(move |req: &http::Request| handler.handle(req)),
         Arc::clone(&metrics),

@@ -2,12 +2,12 @@
 //!
 //! A **cell** is one `(scenario, policy, master seed, semantics, step
 //! cap)` evaluation. Its identity is the canonical JSON of those fields
-//! ([`cell_key_fields`]) — note what is *excluded*: engine kind, thread
-//! count, batch size and the stopping rule, none of which affect
-//! results (the engine by the differential guarantee, threads/batch by
-//! the evaluator's determinism contract, the stopping rule because it
-//! only decides *how far* to grow the cell, never what any trial
-//! contains). The FNV-1a hash of the canonical bytes
+//! ([`cell_key_fields`]) — note what is *excluded*: thread count, batch
+//! size, the stopping rule and a request's retired `engine` field, none
+//! of which affect results (threads/batch by the evaluator's determinism
+//! contract, the stopping rule because it only decides *how far* to grow
+//! the cell, never what any trial contains, and `engine` because it
+//! selects nothing). The FNV-1a hash of the canonical bytes
 //! ([`CellKey::hex`]) is the cell's file name and its `GET
 //! /v1/cell/{key}` address.
 //!
@@ -35,11 +35,13 @@
 //! file + rename) when a store or an eviction changes the cells and
 //! when the store is dropped. A crash therefore loses at most the
 //! recency of the hits since the last store, never a cell and never the
-//! index itself. Cells whose key is currently in flight are never
-//! evicted (a resume in progress must find its checkpoint), and the
-//! cell just written is always kept even when it alone exceeds the
-//! budget — a budget too small for one cell degrades to "cache of one",
-//! not a failure.
+//! index itself. The same mirror holds each cell's size, so
+//! [`CellStore::cache_bytes`] and [`CellStore::cells_on_disk`] (what
+//! `GET /v1/stats` reports) never read the directory after open. Cells
+//! whose key is currently in flight are never evicted (a resume in
+//! progress must find its checkpoint), and the cell just written is
+//! always kept even when it alone exceeds the budget — a budget too
+//! small for one cell degrades to "cache of one", not a failure.
 
 use crate::router::key_from_hex;
 use crate::unpoisoned;
@@ -237,25 +239,14 @@ impl CellStore {
         self.lru_lock().total_bytes
     }
 
-    /// Cells currently on disk (counted fresh; the store is the
-    /// authority, not an in-memory mirror). `index.json` and temp files
-    /// don't count — only valid content addresses.
+    /// Cells on disk, from the in-memory size mirror that
+    /// [`CellStore::cache_bytes`] also reads: the cells found at open,
+    /// kept current by this store's stores, loads and evictions.
+    /// `index.json` and temp files don't count — only valid content
+    /// addresses. A cell another process writes after open counts once
+    /// this store loads it.
     pub fn cells_on_disk(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|entries| {
-                entries
-                    .filter_map(|e| e.ok())
-                    .filter(|e| {
-                        let path = e.path();
-                        path.extension().is_some_and(|x| x == "json")
-                            && path
-                                .file_stem()
-                                .and_then(|s| s.to_str())
-                                .is_some_and(is_valid_key_hex)
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
+        self.lru_lock().cells.len()
     }
 
     /// The LRU mirror, recovered from poison: a panic elsewhere while
@@ -872,6 +863,7 @@ mod tests {
         let theirs = CellStore::open(&dir).unwrap();
         let keys = fill(&ours, 0..2);
         let foreign = fill(&theirs, 2..3).remove(0);
+        assert_eq!(ours.cells_on_disk(), 2, "not loaded yet");
         assert!(ours.load(&foreign).unwrap().is_some());
         let key3 = fill(&ours, 3..4).remove(0);
         assert_eq!(ours.evictions.load(Ordering::SeqCst), 1);

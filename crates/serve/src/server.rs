@@ -25,9 +25,9 @@
 //! * **Admission**: when the job queue is full, the request is answered
 //!   `429 Too Many Requests` + `Retry-After` *in its pipeline slot* —
 //!   overflow costs a queue probe, never unbounded memory.
-//! * **Pipelining cap**: a connection with [`ServerConfig::max_pipeline`]
-//!   requests in flight stops being parsed (and, past a buffer soft cap,
-//!   read — its readiness interest is dropped) until responses drain.
+//! * **Pipelining cap**: a connection with `MAX_PIPELINE` (32) requests in
+//!   flight stops being parsed (and, past a buffer soft cap, read — its
+//!   readiness interest is dropped) until responses drain.
 //! * **Idle deadline**: connections with no in-flight work and no
 //!   activity for [`ServerConfig::idle_timeout`] are reaped by the
 //!   event loop — the old blocking per-socket `set_read_timeout` has no
@@ -59,6 +59,9 @@ const READ_CHUNK: usize = 16 * 1024;
 const INBUF_SOFT_CAP: usize = crate::http::MAX_HEAD_BYTES + crate::http::MAX_BODY_BYTES + 64 * 1024;
 /// `Retry-After` seconds suggested with a 429.
 const RETRY_AFTER_SECS: &str = "1";
+/// Most requests one connection may have in flight before the loop
+/// stops parsing (then reading) it.
+const MAX_PIPELINE: usize = 32;
 
 /// Tunables for [`serve_with`].
 #[derive(Clone, Debug)]
@@ -71,9 +74,6 @@ pub struct ServerConfig {
     /// Reap a connection with no in-flight work after this much
     /// inactivity.
     pub idle_timeout: Duration,
-    /// Most requests one connection may have in flight before the loop
-    /// stops parsing (then reading) it.
-    pub max_pipeline: usize,
 }
 
 impl Default for ServerConfig {
@@ -82,7 +82,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_depth: 64,
             idle_timeout: Duration::from_secs(10),
-            max_pipeline: 32,
         }
     }
 }
@@ -548,11 +547,10 @@ impl EventLoop {
     fn parse_conn(&mut self, slot: usize) {
         let queue = Arc::clone(&self.queue);
         let metrics = Arc::clone(&self.metrics);
-        let max_pipeline = self.cfg.max_pipeline.max(1);
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        while conn.close_after.is_none() && conn.inflight < max_pipeline && !conn.inbuf.is_empty() {
+        while conn.close_after.is_none() && conn.inflight < MAX_PIPELINE && !conn.inbuf.is_empty() {
             match parse_request(&conn.inbuf) {
                 Parsed::Incomplete => break,
                 Parsed::Bad(bad) => {
@@ -642,12 +640,11 @@ impl EventLoop {
     }
 
     fn update_interest(&mut self, slot: usize) {
-        let max_pipeline = self.cfg.max_pipeline.max(1);
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
         let want_read =
-            !conn.read_closed && conn.inflight < max_pipeline && conn.inbuf.len() < INBUF_SOFT_CAP;
+            !conn.read_closed && conn.inflight < MAX_PIPELINE && conn.inbuf.len() < INBUF_SOFT_CAP;
         let want_write = !conn.outbuf.is_empty();
         let want = match (want_read, want_write) {
             (true, true) => Some(Interest::READABLE | Interest::WRITABLE),

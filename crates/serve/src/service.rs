@@ -15,7 +15,10 @@
 //!   ([`suu_sim::Evaluator::resume_adaptive`]) instead of recomputing —
 //!   bitwise what a cold run at the final trial count would produce;
 //! * concurrent identical requests coalesce: one computes, the rest
-//!   wait on the in-flight guard and replay its checkpoint.
+//!   wait on the in-flight guard and replay its checkpoint;
+//! * a request's retired `"engine"` field (`"events"` or `"dense"`)
+//!   changes no byte of the response: every cell runs on the one event
+//!   engine, and its checkpoint records `"engine": "events"`.
 
 use crate::cache::{cell_key_fields, CellKey, CellStore};
 use crate::http::{Request, Response};
@@ -177,10 +180,11 @@ impl Service {
         }
     }
 
-    /// The `/v1/stats` document (live counters; `cells_on_disk` is
-    /// counted from the store each call). The original v1 fields keep
-    /// their exact names and order — the budget/backpressure fields are
-    /// strictly appended, so pre-existing consumers parse unchanged.
+    /// The `/v1/stats` document (live counters; `cells_on_disk` and
+    /// `cache_bytes` come from the store's in-memory mirror, so a call
+    /// reads no file). The original v1 fields keep their exact names and
+    /// order — the budget/backpressure fields are strictly appended, so
+    /// pre-existing consumers parse unchanged.
     pub fn stats_json(&self) -> Json {
         let (queue_depth, rejected_429) = self
             .server_metrics
@@ -298,18 +302,7 @@ impl Service {
         self.store.with_inflight(key, || {
             match self.store.load(key).map_err(CellError::Cache)? {
                 Some(cached) => {
-                    let trials = cached.stats.trials() as usize;
-                    let satisfied = {
-                        // The streaming moments: the same mean and CI as
-                        // `summary()`, without its quantile sort.
-                        let makespan = cached.stats.acc.makespan();
-                        let (mean, ci95) = match (makespan.mean(), makespan.ci95()) {
-                            (Some(mean), Some(ci95)) => (mean, ci95),
-                            _ => (0.0, f64::INFINITY),
-                        };
-                        precision.check(trials, mean, ci95)
-                    };
-                    if let Some(reason) = satisfied {
+                    if let Some(reason) = precision.check_sample(cached.stats.acc.makespan()) {
                         self.store.hits.fetch_add(1, Ordering::Relaxed);
                         return Ok((cached.stats, reason, CacheStatus::Hit));
                     }
@@ -495,6 +488,39 @@ mod tests {
             "error cells never touch the cache"
         );
         let _ = std::fs::remove_dir_all(service.store().dir());
+    }
+
+    #[test]
+    fn a_dense_race_answers_with_the_plain_race_bytes() {
+        // Cold on both sides; suu-c is not stationary, so both the
+        // batched path and the per-trial path run.
+        let body = |extra: &str| Request {
+            method: "POST".to_string(),
+            path: "/v1/race".to_string(),
+            headers: Vec::new(),
+            body: format!(
+                r#"{{"scenarios":[{{"family":"chains","m":3,"n":8,"chains":3,"seed":8}}],
+                    "policies":["greedy-lr","suu-c"],"trials":8,"master_seed":11{extra}}}"#
+            )
+            .into_bytes(),
+        };
+        let plain = Service::new(tempdir("engine-plain")).unwrap();
+        let dense = Service::new(tempdir("engine-dense")).unwrap();
+        let a = plain.handle(&body(""));
+        let b = dense.handle(&body(r#","engine":"dense""#));
+        assert_eq!((a.status, b.status), (200, 200));
+        assert_eq!(a.body, b.body, "the engine field must change no byte");
+        // The dense request's cells record the one engine.
+        let doc = suu_core::json::parse(std::str::from_utf8(&b.body).unwrap()).unwrap();
+        for cell in doc.get("cells").unwrap().as_array().unwrap() {
+            let key = cell.get("cell_key").unwrap().as_str().unwrap();
+            let raw = suu_core::json::parse(&dense.store().raw(key).unwrap()).unwrap();
+            let engine = raw.get("checkpoint").and_then(|c| c.get("exec"));
+            let engine = engine.and_then(|e| e.get("engine")).and_then(Json::as_str);
+            assert_eq!(engine, Some("events"));
+        }
+        let _ = std::fs::remove_dir_all(plain.store().dir());
+        let _ = std::fs::remove_dir_all(dense.store().dir());
     }
 
     #[test]

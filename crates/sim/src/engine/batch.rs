@@ -40,8 +40,8 @@
 //!
 //! The runner carries a [`suu_core::profile::PhaseProfiler`] bucketing
 //! sweep wall time into decide / cache-lookup / sampling / state-update
-//! phases (enabled via `SUU_PROFILE` or [`BatchRunner::with_profile`];
-//! one branch per phase transition when off).
+//! phases. It is off unless [`BatchRunner::with_profile`] picks a mode,
+//! and off costs one branch per phase transition.
 //!
 //! # Bitwise equality
 //!
@@ -58,16 +58,15 @@
 //! scenario family × registry policy × both semantics.
 //!
 //! Non-stationary policies cannot share decisions (their state evolves
-//! within a trial), so for them — and for [`EngineKind::Dense`] — the
-//! batch entry point degrades to per-trial execution (reusing one
-//! [`EventsScratch`] across all trials on the event engine), preserving
-//! the equality guarantee trivially while keeping one uniform call site
-//! for the evaluator.
+//! within a trial), so for them the batch entry point degrades to
+//! per-trial event-engine execution (reusing one [`EventsScratch`]
+//! across all trials), preserving the equality guarantee trivially while
+//! keeping one uniform call site for the evaluator.
 
 use super::events::{execute_events_in, EventsScratch};
 use super::sampling::{star_steps, star_steps_wide, GeomSegment, LANES};
-use super::{EngineKind, Semantics, NEVER};
 use super::{ExecConfig, ExecOutcome, JobRandomness};
+use super::{Semantics, NEVER};
 use crate::policy::{Assignment, Policy, StateView};
 use suu_core::profile::{PhaseProfiler, ProfileMode, ProfileReport};
 use suu_core::{EligibilityState, EligibilityTopology, MachineId, SuuInstance, WordMap};
@@ -285,8 +284,8 @@ pub struct BatchRunner<'i> {
 }
 
 impl<'i> BatchRunner<'i> {
-    /// Runner for `inst` under `cfg`. Profiling defaults to the
-    /// `SUU_PROFILE` environment variable ([`ProfileMode::from_env`]).
+    /// Runner for `inst` under `cfg`, unprofiled
+    /// ([`BatchRunner::with_profile`] picks a mode).
     pub fn new(inst: &'i SuuInstance, cfg: &ExecConfig) -> Self {
         let n = inst.num_jobs();
         let topo = EligibilityTopology::new(&inst.precedence().to_dag(n));
@@ -295,7 +294,7 @@ impl<'i> BatchRunner<'i> {
             cfg: *cfg,
             topo,
             cache: PlanCache::new(n.div_ceil(64)),
-            profiler: PhaseProfiler::new(PHASE_NAMES, ProfileMode::from_env()),
+            profiler: PhaseProfiler::new(PHASE_NAMES, ProfileMode::Off),
             scratch: Scratch::default(),
             events: None,
             policy_name: None,
@@ -304,7 +303,7 @@ impl<'i> BatchRunner<'i> {
         }
     }
 
-    /// Builder-style profiler override (wins over `SUU_PROFILE`).
+    /// Builder-style profiler mode (the default is [`ProfileMode::Off`]).
     pub fn with_profile(mut self, mode: ProfileMode) -> Self {
         self.profiler = PhaseProfiler::new(PHASE_NAMES, mode);
         self
@@ -347,9 +346,9 @@ impl<'i> BatchRunner<'i> {
     /// Execute one trial per entry of `trials`, returning outcomes in
     /// trial order.
     ///
-    /// Dispatch: stationary policy + [`EngineKind::Events`] takes the SoA
-    /// lockstep fast path; anything else falls back to per-trial
-    /// execution (bitwise identical by construction). Memory is
+    /// Dispatch: a stationary policy takes the SoA lockstep fast path; a
+    /// non-stationary one falls back to per-trial execution on the event
+    /// engine (bitwise identical by construction). Memory is
     /// `O(B · n)` for a batch of `B` trials — callers stream chunks of a
     /// larger run through repeated `run` calls to keep evaluation memory
     /// independent of the total trial count.
@@ -357,7 +356,7 @@ impl<'i> BatchRunner<'i> {
         if trials.is_empty() {
             return Vec::new();
         }
-        if policy.is_stationary() && self.cfg.engine == EngineKind::Events {
+        if policy.is_stationary() {
             match &self.policy_name {
                 Some(name) => assert_eq!(
                     name,
@@ -375,34 +374,20 @@ impl<'i> BatchRunner<'i> {
         }
     }
 
-    /// Per-trial fallback: the event engine against one reused scratch,
-    /// or the dense oracle.
+    /// Per-trial fallback: the event engine against one reused scratch.
     fn run_fallback(&mut self, policy: &mut dyn Policy, trials: &[BatchTrial]) -> Vec<ExecOutcome> {
         let inst = self.inst;
         let cfg = self.cfg;
-        match cfg.engine {
-            EngineKind::Events => {
-                let scratch = self.events.get_or_insert_with(|| EventsScratch::new(inst));
-                trials
-                    .iter()
-                    .map(|trial| {
-                        if let Some(seed) = trial.policy_seed {
-                            policy.reseed(seed);
-                        }
-                        execute_events_in(inst, policy, &cfg, trial.engine_seed, scratch)
-                    })
-                    .collect()
-            }
-            EngineKind::Dense => trials
-                .iter()
-                .map(|trial| {
-                    if let Some(seed) = trial.policy_seed {
-                        policy.reseed(seed);
-                    }
-                    super::execute(inst, policy, &cfg, trial.engine_seed)
-                })
-                .collect(),
-        }
+        let scratch = self.events.get_or_insert_with(|| EventsScratch::new(inst));
+        trials
+            .iter()
+            .map(|trial| {
+                if let Some(seed) = trial.policy_seed {
+                    policy.reseed(seed);
+                }
+                execute_events_in(inst, policy, &cfg, trial.engine_seed, scratch)
+            })
+            .collect()
     }
 
     /// The SoA lockstep fast path. Each sweep advances every live trial

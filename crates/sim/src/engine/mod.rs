@@ -1,5 +1,6 @@
-//! The execution core: decision epochs, two interchangeable engines, and
-//! the shared randomness substrate that keeps them bitwise-identical.
+//! The execution core: decision epochs, the event engine, its dense
+//! test oracle, and the shared randomness substrate that keeps the two
+//! bitwise-identical.
 //!
 //! # Decision epochs
 //!
@@ -7,19 +8,21 @@
 //! [`crate::StateView`]) changes only when a job completes, so the engine
 //! consults the policy only at *decision epochs* — time 0, every
 //! completion, and any wake-up time the policy declared — and holds the
-//! returned assignment fixed in between. Two engines implement these
+//! returned assignment fixed in between. Two loops implement these
 //! semantics:
 //!
-//! * [`events`] (the default) jumps straight from epoch to epoch: for each
-//!   running job it computes the exact step at which accrued mass crosses
-//!   the hidden threshold (SUU*) or samples a geometric completion time
-//!   (SUU), then advances `t` by the minimum. Cost: `O(#events · m)`
-//!   rather than `O(makespan · m)`.
+//! * [`events`] is the one production engine ([`execute`] and the batch
+//!   engine's per-trial path run it). It jumps straight from epoch to
+//!   epoch: for each running job it computes the exact step at which
+//!   accrued mass crosses the hidden threshold (SUU*) or samples a
+//!   geometric completion time (SUU), then advances `t` by the minimum.
+//!   Cost: `O(#events · m)` rather than `O(makespan · m)`.
 //! * [`dense`] steps every unit timestep, consulting the policy each step
-//!   — the differential-testing oracle. It exists to *prove* the event
-//!   engine right: with the same seed both engines must produce identical
-//!   [`ExecOutcome`]s, which `tests/engine_differential.rs` asserts across
-//!   every scenario family and both semantics.
+//!   — the test oracle, called directly as [`dense::execute_dense`]. It
+//!   exists to *prove* the event engine right: with the same seed both
+//!   must produce identical [`ExecOutcome`]s, which
+//!   `tests/engine_differential.rs` asserts across every scenario family
+//!   and both semantics.
 //!
 //! # Why fast-forwarding is distribution-exact
 //!
@@ -88,41 +91,11 @@ impl Semantics {
     }
 }
 
-/// Which execution core to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Step-by-step oracle: consults the policy every unit step.
-    Dense,
-    /// Event-driven fast path: jumps from decision epoch to decision
-    /// epoch (the default).
-    Events,
-}
-
-impl EngineKind {
-    /// Wire spelling (requests, checkpoints): `"dense"` or `"events"`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EngineKind::Dense => "dense",
-            EngineKind::Events => "events",
-        }
-    }
-
-    /// Inverse of [`EngineKind::as_str`].
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        [EngineKind::Dense, EngineKind::Events]
-            .into_iter()
-            .find(|v| v.as_str() == s)
-    }
-}
-
 /// Execution parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     /// Randomness model.
     pub semantics: Semantics,
-    /// Execution core ([`EngineKind::Events`] by default; the dense
-    /// stepper is retained as the differential-testing oracle).
-    pub engine: EngineKind,
     /// Hard step cap: executions that exceed it return
     /// `completed = false`. Guards against non-terminating policies.
     pub max_steps: u64,
@@ -132,7 +105,6 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             semantics: Semantics::SuuStar,
-            engine: EngineKind::Events,
             max_steps: 10_000_000,
         }
     }
@@ -171,19 +143,15 @@ impl ExecOutcome {
 
 /// Execute `policy` on `inst`, all randomness derived from `seed`.
 ///
-/// One call = one sample of the schedule's makespan distribution.
-/// Dispatches on [`ExecConfig::engine`]; both engines are bitwise
-/// equivalent for the same seed.
+/// One call = one sample of the schedule's makespan distribution, run
+/// on the event engine ([`events::execute_events`]).
 pub fn execute(
     inst: &suu_core::SuuInstance,
     policy: &mut dyn Policy,
     cfg: &ExecConfig,
     seed: u64,
 ) -> ExecOutcome {
-    match cfg.engine {
-        EngineKind::Dense => dense::execute_dense(inst, policy, cfg, seed),
-        EngineKind::Events => events::execute_events(inst, policy, cfg, seed),
-    }
+    events::execute_events(inst, policy, cfg, seed)
 }
 
 /// Domain tag separating threshold draws from everything else.

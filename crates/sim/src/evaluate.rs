@@ -73,7 +73,7 @@
 //! Registry-built policies enter any of these through [`spec_factory`].
 
 use crate::engine::batch::{BatchRunner, BatchTrial};
-use crate::engine::{execute, EngineKind, ExecConfig, ExecOutcome, Semantics};
+use crate::engine::{execute, ExecConfig, ExecOutcome, Semantics};
 use crate::policy::Policy;
 use crate::registry::{PolicyRegistry, PolicySpec, RegistryError};
 use crate::stats::{OutcomeAccumulator, PairedDelta, Precision, StopReason, Summary};
@@ -258,7 +258,10 @@ impl EvalStats {
 
     /// Serialize a resumable checkpoint: the accumulator snapshot plus
     /// everything [`Evaluator::resume_adaptive`] needs to continue the
-    /// cell (master seed, trial count, engine configuration).
+    /// cell (master seed, trial count, engine configuration). The
+    /// `exec.engine` field is always `"events"`: it predates the single
+    /// engine and is kept so the `suu-sim/evalstats/v1` form is
+    /// unchanged.
     pub fn to_json(&self) -> Json {
         Json::obj()
             .field("schema", Self::CHECKPOINT_SCHEMA)
@@ -270,7 +273,7 @@ impl EvalStats {
                 "exec",
                 Json::obj()
                     .field("semantics", self.config.exec.semantics.as_str())
-                    .field("engine", self.config.exec.engine.as_str())
+                    .field("engine", "events")
                     .field("max_steps", self.config.exec.max_steps),
             )
             .field("wall_clock_s", self.wall_clock.as_secs_f64())
@@ -280,7 +283,9 @@ impl EvalStats {
     /// Restore a checkpoint produced by [`EvalStats::to_json`]. The
     /// restored accumulator is bitwise the saved one; `threads` is not
     /// part of the checkpoint (it never affects results) and comes back
-    /// as `0` (all cores).
+    /// as `0` (all cores). `exec.engine` must be one of its two old
+    /// spellings, `"events"` or `"dense"`, and is otherwise ignored: the
+    /// two engines gave bitwise-identical trials.
     pub fn from_json(json: &Json) -> Result<EvalStats, String> {
         match json.get("schema").and_then(Json::as_str) {
             Some(s) if s == Self::CHECKPOINT_SCHEMA => {}
@@ -298,15 +303,13 @@ impl EvalStats {
             .ok_or("checkpoint missing 'exec.semantics'")?;
         let semantics = Semantics::parse(semantics)
             .ok_or_else(|| format!("unknown semantics {semantics:?}"))?;
-        let engine = exec_json
-            .get("engine")
-            .and_then(Json::as_str)
-            .ok_or("checkpoint missing 'exec.engine'")?;
-        let engine =
-            EngineKind::parse(engine).ok_or_else(|| format!("unknown engine {engine:?}"))?;
+        match exec_json.get("engine").and_then(Json::as_str) {
+            Some("events" | "dense") => {}
+            Some(engine) => return Err(format!("unknown engine {engine:?}")),
+            None => return Err("checkpoint missing 'exec.engine'".into()),
+        }
         let exec = ExecConfig {
             semantics,
-            engine,
             max_steps: exec_json
                 .get("max_steps")
                 .and_then(Json::as_u64)
@@ -434,12 +437,6 @@ impl Evaluator {
         self
     }
 
-    /// Builder-style engine-config override.
-    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
-        self.config.exec = exec;
-        self
-    }
-
     /// Builder-style batch-size override.
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.config.batch = batch;
@@ -564,9 +561,8 @@ impl Evaluator {
     ///
     /// The caller must resume with the instance, policy, master seed and
     /// semantics the cell was started with (master seed, semantics and
-    /// step-cap mismatches are asserted here; the engine kind is
-    /// result-neutral by the differential guarantee; the instance and
-    /// policy are the caller's contract, exactly as for a fresh run).
+    /// step-cap mismatches are asserted here; the instance and policy
+    /// are the caller's contract, exactly as for a fresh run).
     pub fn resume_adaptive<F, P>(
         &self,
         inst: &SuuInstance,
@@ -647,11 +643,7 @@ impl Evaluator {
         let mut done = stats.trials() as usize;
         let (stop_reason, name) = self.with_pool(inst, make_policy, |pool| {
             let reason = loop {
-                let (mean, ci95) = match stats.acc.summary() {
-                    Some(s) => (s.mean, s.ci95),
-                    None => (0.0, f64::INFINITY),
-                };
-                if let Some(reason) = precision.check(done, mean, ci95) {
+                if let Some(reason) = precision.check_sample(stats.acc.makespan()) {
                     break reason;
                 }
                 let target = ladder.next(done).expect("every rule stops at its cap");
@@ -726,9 +718,7 @@ impl Evaluator {
         let ladder = BudgetLadder::new(precision.min_trials(), precision.max_trials());
         let mut done = 0usize;
         let stop_reason = loop {
-            let mean = delta.mean().unwrap_or(0.0);
-            let ci95 = delta.ci95().unwrap_or(f64::INFINITY);
-            if let Some(reason) = precision.check(done, mean, ci95) {
+            if let Some(reason) = precision.check_sample(delta.deltas()) {
                 break reason;
             }
             let target = ladder.next(done).expect("every rule stops at its cap");
@@ -1401,5 +1391,39 @@ mod tests {
             assert!(err.contains("wall_clock_s"), "{err}");
         }
         assert!(EvalStats::from_json(&good).is_ok());
+    }
+
+    /// `exec.engine` names a retired selector: a checkpoint carrying
+    /// either old spelling loads as the same cell, a missing or unknown
+    /// one is still an error, and a save always writes `"events"`.
+    #[test]
+    fn checkpoint_engine_field_accepts_both_old_spellings() {
+        let inst = workload::deterministic(2, 4, Precedence::Independent);
+        let good = Evaluator::seeded(4, 3)
+            .run_stats(&inst, JitteryGang::new)
+            .to_json();
+        let exec = good.get("exec").expect("exec").clone();
+        assert_eq!(exec.get("engine").and_then(Json::as_str), Some("events"));
+        let with_engine = |engine: Option<&str>| {
+            let mut e = Json::obj()
+                .field("semantics", exec.get("semantics").unwrap().clone())
+                .field("max_steps", exec.get("max_steps").unwrap().clone());
+            if let Some(engine) = engine {
+                e = e.field("engine", engine);
+            }
+            good.clone().field("exec", e)
+        };
+        let saved = EvalStats::from_json(&good)
+            .unwrap()
+            .to_json()
+            .to_canonical();
+        for engine in ["events", "dense"] {
+            let loaded = EvalStats::from_json(&with_engine(Some(engine))).expect(engine);
+            assert_eq!(loaded.to_json().to_canonical(), saved, "{engine}");
+        }
+        let err = EvalStats::from_json(&with_engine(Some("wat"))).unwrap_err();
+        assert!(err.contains("unknown engine"), "{err}");
+        let err = EvalStats::from_json(&with_engine(None)).unwrap_err();
+        assert!(err.contains("exec.engine"), "{err}");
     }
 }

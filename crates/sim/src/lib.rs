@@ -22,11 +22,11 @@
 //! Since the paper's schedules may only observe *completions*, execution
 //! is organized around **decision epochs**: policies are consulted via
 //! [`Policy::decide`] only when the eligible set changes or at a wake-up
-//! they declared, and the default [`EngineKind::Events`] engine jumps
-//! straight from event to event — `O(#completions · m)` instead of
-//! `O(makespan · m)`. The dense per-step loop survives as
-//! [`EngineKind::Dense`], the differential-testing oracle that must (and
-//! does, bitwise) agree with the fast path. See [`engine`] for the
+//! they declared, and the event engine ([`execute`], the one production
+//! engine) jumps straight from event to event — `O(#completions · m)`
+//! instead of `O(makespan · m)`. The dense per-step loop survives as the
+//! test oracle [`engine::dense::execute_dense`], which must (and does,
+//! bitwise) agree with the fast path. See [`engine`] for the
 //! fast-forwarding math.
 //!
 //! Around the engine sit the two pieces every experiment is built from:
@@ -62,7 +62,7 @@ pub mod stats;
 pub mod sweep;
 
 pub use engine::batch::{execute_batch, BatchMetrics, BatchRunner, BatchTrial};
-pub use engine::{execute, EngineKind, ExecConfig, ExecOutcome, Semantics};
+pub use engine::{execute, ExecConfig, ExecOutcome, Semantics};
 pub use evaluate::{
     derive_seed, spec_factory, AdaptiveStats, EvalConfig, EvalReport, EvalStats, Evaluator,
     PairedStats,

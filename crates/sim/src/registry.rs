@@ -138,11 +138,6 @@ impl PolicySpec {
         self.typed_param(key, default, "u64", |v| v.parse().ok())
     }
 
-    /// Typed access: `f64` parameter with a default.
-    pub fn f64_param(&self, key: &str, default: f64) -> Result<f64, RegistryError> {
-        self.typed_param(key, default, "f64", |v| v.parse().ok())
-    }
-
     /// Typed access: `bool` parameter with a default.
     pub fn bool_param(&self, key: &str, default: bool) -> Result<bool, RegistryError> {
         self.typed_param(key, default, "bool", |v| v.parse().ok())

@@ -324,6 +324,16 @@ impl Precision {
             }
         }
     }
+
+    /// [`Precision::check`] on a sample's streaming count, mean and CI;
+    /// an empty sample checks as mean 0 with an infinite CI.
+    pub fn check_sample(&self, sample: &Streaming) -> Option<StopReason> {
+        let (mean, ci95) = match (sample.mean(), sample.ci95()) {
+            (Some(mean), Some(ci95)) => (mean, ci95),
+            _ => (0.0, f64::INFINITY),
+        };
+        self.check(sample.count() as usize, mean, ci95)
+    }
 }
 
 /// Welford accumulator over **per-trial differences** `a − b` of two
@@ -1435,6 +1445,21 @@ mod tests {
         };
         assert_eq!(relative.check(50, 20.0, 1.9), Some(StopReason::CiReached));
         assert_eq!(relative.check(50, 20.0, 2.1), None);
+
+        // On a sample: its own count, mean and CI (empty: mean 0, CI ∞).
+        let mut sample = Streaming::new();
+        assert_eq!(target.check_sample(&sample), None);
+        assert_eq!(
+            Precision::FixedTrials(0).check_sample(&sample),
+            Some(StopReason::FixedBudget)
+        );
+        for _ in 0..8 {
+            sample.push(5.0);
+        }
+        assert_eq!(target.check_sample(&sample), Some(StopReason::CiReached));
+        sample.push(9.0);
+        let (mean, ci95) = (sample.mean().unwrap(), sample.ci95().unwrap());
+        assert_eq!(target.check_sample(&sample), target.check(9, mean, ci95));
 
         assert_eq!(StopReason::CiReached.as_str(), "ci-reached");
         assert_eq!(StopReason::FixedBudget.as_str(), "fixed-budget");

@@ -1,7 +1,9 @@
 //! Engine and harness tests, including the statistical SUU ≡ SUU* check
 //! and the machine-step accounting invariant.
 
-use crate::engine::{execute, EngineKind, ExecConfig, ExecOutcome, Semantics};
+use crate::engine::dense::execute_dense;
+use crate::engine::events::execute_events;
+use crate::engine::{execute, ExecConfig, ExecOutcome, Semantics};
 use crate::evaluate::{EvalConfig, Evaluator};
 use crate::policy::{Assignment, Decision, Policy, StateView};
 use crate::stats::{chi_square_critical_001, chi_square_two_sample, histogram_pair, summarize};
@@ -80,11 +82,13 @@ impl Policy for CheatingPolicy {
     }
 }
 
+/// A per-trial engine entry point: the dense oracle or the event engine.
+type Engine = fn(&suu_core::SuuInstance, &mut dyn Policy, &ExecConfig, u64) -> ExecOutcome;
+
 fn cfg(semantics: Semantics) -> ExecConfig {
     ExecConfig {
         semantics,
         max_steps: 1_000_000,
-        ..ExecConfig::default()
     }
 }
 
@@ -102,16 +106,8 @@ fn eval(trials: usize, seed: u64, semantics: Semantics) -> Evaluator {
 fn deterministic_independent_one_step() {
     // q = 0 everywhere, n = m: spread policy finishes everything in 1 step.
     let inst = workload::deterministic(4, 4, Precedence::Independent);
-    for engine in [EngineKind::Dense, EngineKind::Events] {
-        let out = execute(
-            &inst,
-            &mut SpreadPolicy,
-            &ExecConfig {
-                engine,
-                ..cfg(Semantics::SuuStar)
-            },
-            1,
-        );
+    for engine in [execute_dense as Engine, execute_events] {
+        let out = engine(&inst, &mut SpreadPolicy, &cfg(Semantics::SuuStar), 1);
         assert!(out.completed);
         assert_eq!(out.makespan, 1);
         assert_eq!(out.busy_steps, 4);
@@ -190,21 +186,19 @@ fn suu_and_suustar_distributions_match() {
 #[test]
 fn step_cap_reports_incomplete() {
     let inst = workload::homogeneous(1, 1, 0.5, Precedence::Independent);
-    for engine in [EngineKind::Dense, EngineKind::Events] {
-        let out = execute(
-            &inst,
-            &mut IdlePolicy,
-            &ExecConfig {
-                semantics: Semantics::SuuStar,
-                engine,
-                max_steps: 50,
-            },
-            3,
-        );
+    let exec = ExecConfig {
+        semantics: Semantics::SuuStar,
+        max_steps: 50,
+    };
+    for (name, engine) in [
+        ("dense", execute_dense as Engine),
+        ("events", execute_events),
+    ] {
+        let out = engine(&inst, &mut IdlePolicy, &exec, 3);
         assert!(!out.completed);
         assert_eq!(out.makespan, 50);
         assert_eq!(out.completion_time[0], u64::MAX);
-        assert_eq!(out.idle_steps, 50, "{engine:?}");
+        assert_eq!(out.idle_steps, 50, "{name}");
     }
 }
 
@@ -212,20 +206,18 @@ fn step_cap_reports_incomplete() {
 fn ineligible_assignments_are_counted_and_harmless() {
     let cs = ChainSet::new(3, vec![vec![0, 1, 2]]).unwrap();
     let inst = workload::deterministic(2, 3, Precedence::Chains(cs));
-    for engine in [EngineKind::Dense, EngineKind::Events] {
-        let out = execute(
-            &inst,
-            &mut CheatingPolicy,
-            &ExecConfig {
-                semantics: Semantics::SuuStar,
-                engine,
-                max_steps: 10,
-            },
-            4,
-        );
+    let exec = ExecConfig {
+        semantics: Semantics::SuuStar,
+        max_steps: 10,
+    };
+    for (name, engine) in [
+        ("dense", execute_dense as Engine),
+        ("events", execute_events),
+    ] {
+        let out = engine(&inst, &mut CheatingPolicy, &exec, 4);
         // Job 2 never becomes eligible because 0 and 1 never run.
         assert!(!out.completed);
-        assert_eq!(out.ineligible_assignments, 20, "{engine:?}");
+        assert_eq!(out.ineligible_assignments, 20, "{name}");
         assert_eq!(out.busy_steps, 0);
     }
 }
@@ -237,23 +229,25 @@ fn machine_step_accounting_partitions_exactly() {
     let cs = ChainSet::new(6, vec![vec![0, 1, 2], vec![3, 4, 5]]).unwrap();
     let mut grng = StdRng::seed_from_u64(8);
     let inst = workload::uniform_unrelated(3, 6, 0.3, 0.9, Precedence::Chains(cs), &mut grng);
-    for engine in [EngineKind::Dense, EngineKind::Events] {
+    for (name, engine) in [
+        ("dense", execute_dense as Engine),
+        ("events", execute_events),
+    ] {
         for semantics in [Semantics::Suu, Semantics::SuuStar] {
             for (policy, max_steps) in [(0, 1_000_000u64), (1, 25)] {
                 let exec = ExecConfig {
                     semantics,
-                    engine,
                     max_steps,
                 };
                 let out = if policy == 0 {
-                    execute(&inst, &mut SpreadPolicy, &exec, 11)
+                    engine(&inst, &mut SpreadPolicy, &exec, 11)
                 } else {
-                    execute(&inst, &mut CheatingPolicy, &exec, 11)
+                    engine(&inst, &mut CheatingPolicy, &exec, 11)
                 };
                 assert_eq!(
                     out.busy_steps + out.idle_steps + out.ineligible_assignments,
                     3 * out.makespan,
-                    "{engine:?}/{semantics:?}/policy{policy}: accounting leak"
+                    "{name}/{semantics:?}/policy{policy}: accounting leak"
                 );
             }
         }
@@ -268,21 +262,12 @@ fn dense_and_event_engines_agree_bitwise() {
     let inst = workload::uniform_unrelated(3, 5, 0.2, 0.95, Precedence::Chains(cs), &mut grng);
     for semantics in [Semantics::Suu, Semantics::SuuStar] {
         for seed in 0..40u64 {
-            let run = |engine| -> ExecOutcome {
-                execute(
-                    &inst,
-                    &mut SpreadPolicy,
-                    &ExecConfig {
-                        semantics,
-                        engine,
-                        max_steps: 1_000_000,
-                    },
-                    seed,
-                )
+            let run = |engine: Engine| -> ExecOutcome {
+                engine(&inst, &mut SpreadPolicy, &cfg(semantics), seed)
             };
             assert_eq!(
-                run(EngineKind::Dense),
-                run(EngineKind::Events),
+                run(execute_dense),
+                run(execute_events),
                 "{semantics:?} seed {seed}"
             );
         }

@@ -1,28 +1,25 @@
 //! Integration tests for the adaptive-precision subsystem: resumable
 //! cells (extending `n → n+k` is bitwise identical to a fresh `n+k` run
-//! — moments *and* P² sketch state — across thread counts and both
-//! engines), deterministic sequential stopping, checkpoint round-trips,
-//! and paired CRN comparisons.
+//! — moments *and* P² sketch state — across thread counts, on both the
+//! batched fast path and the per-trial fallback), deterministic
+//! sequential stopping, checkpoint round-trips, and paired CRN
+//! comparisons.
 
 use std::sync::Arc;
 use suu::algos::standard_registry;
 use suu::bench::scenario::Scenario;
 use suu::core::SuuInstance;
 use suu::sim::{
-    spec_factory, EngineKind, EvalConfig, EvalStats, Evaluator, ExecConfig, PolicyRegistry,
-    PolicySpec, Precision,
+    spec_factory, EvalConfig, EvalStats, Evaluator, PolicyRegistry, PolicySpec, Precision,
 };
 
-fn evaluator(trials: usize, threads: usize, engine: EngineKind) -> Evaluator {
+fn evaluator(trials: usize, threads: usize) -> Evaluator {
     Evaluator::new(EvalConfig {
         trials,
         master_seed: 0xAB5E,
         threads,
         batch: 32, // several chunks even at small trial counts
-        exec: ExecConfig {
-            engine,
-            ..ExecConfig::default()
-        },
+        ..EvalConfig::default()
     })
 }
 
@@ -57,36 +54,33 @@ fn assert_resume_bitwise(spec: &str, sc: &Scenario, base: usize, total: usize) {
     let registry = standard_registry();
     let inst = sc.instantiate();
     let spec = PolicySpec::parse(spec).unwrap();
-    for engine in [EngineKind::Events, EngineKind::Dense] {
-        for threads in [1usize, 2, 3] {
-            let fresh = run_stats(&evaluator(total, threads, engine), &registry, &inst, &spec);
-            let resumed = run_stats(&evaluator(base, threads, engine), &registry, &inst, &spec);
-            let resumed = extend(
-                &evaluator(total, threads, engine),
-                &registry,
-                &inst,
-                &spec,
-                resumed,
-                total,
-            );
-            assert_eq!(resumed.trials(), total as u64);
-            assert_eq!(
-                resumed.acc.to_json().to_compact(),
-                fresh.acc.to_json().to_compact(),
-                "{spec}: resume {base}→{total} diverged from fresh run \
-                 (engine {engine:?}, {threads} threads)"
-            );
-        }
+    for threads in [1usize, 2, 3] {
+        let fresh = run_stats(&evaluator(total, threads), &registry, &inst, &spec);
+        let resumed = run_stats(&evaluator(base, threads), &registry, &inst, &spec);
+        let resumed = extend(
+            &evaluator(total, threads),
+            &registry,
+            &inst,
+            &spec,
+            resumed,
+            total,
+        );
+        assert_eq!(resumed.trials(), total as u64);
+        assert_eq!(
+            resumed.acc.to_json().to_compact(),
+            fresh.acc.to_json().to_compact(),
+            "{spec}: resume {base}→{total} diverged from fresh run ({threads} threads)"
+        );
     }
 }
 
 #[test]
 fn extend_is_bitwise_identical_to_fresh_run() {
-    // greedy-lr: stationary, takes the batched SoA fast path under
-    // Events and the per-trial fallback under Dense.
+    // greedy-lr: stationary, takes the batched SoA fast path.
     assert_resume_bitwise("greedy-lr", &Scenario::uniform(3, 8, 0.3, 0.9, 5), 25, 60);
-    // suu-c: internal policy randomness (Theorem-7 delays) pinned per
-    // trial index via reseed; chains structure.
+    // suu-c: not stationary, so it takes the per-trial fallback, with
+    // internal policy randomness (Theorem-7 delays) pinned per trial
+    // index via reseed; chains structure.
     assert_resume_bitwise("suu-c", &Scenario::chains(3, 9, 3, 77), 10, 31);
 }
 
@@ -99,20 +93,10 @@ fn extend_is_bitwise_identical_past_the_sketch_cap() {
     let sc = Scenario::uniform(2, 5, 0.4, 0.9, 11);
     let inst = sc.instantiate();
     let spec = PolicySpec::new("best-machine");
-    let fresh = run_stats(
-        &evaluator(600, 2, EngineKind::Events),
-        &registry,
-        &inst,
-        &spec,
-    );
+    let fresh = run_stats(&evaluator(600, 2), &registry, &inst, &spec);
     assert!(!fresh.acc.exact_quantiles(), "cap must be crossed");
-    let resumed = run_stats(
-        &evaluator(300, 3, EngineKind::Events),
-        &registry,
-        &inst,
-        &spec,
-    );
-    let eval = evaluator(600, 1, EngineKind::Events);
+    let resumed = run_stats(&evaluator(300, 3), &registry, &inst, &spec);
+    let eval = evaluator(600, 1);
     let resumed = extend(&eval, &registry, &inst, &spec, resumed, 600);
     assert_eq!(
         resumed.acc.to_json().to_compact(),
@@ -133,24 +117,14 @@ fn checkpoint_roundtrip_then_extend_matches_fresh() {
     let sc = Scenario::uniform(3, 7, 0.2, 0.9, 13);
     let inst = sc.instantiate();
     let spec = PolicySpec::new("greedy-lr");
-    let partial = run_stats(
-        &evaluator(20, 1, EngineKind::Events),
-        &registry,
-        &inst,
-        &spec,
-    );
+    let partial = run_stats(&evaluator(20, 1), &registry, &inst, &spec);
     let wire = partial.to_json().to_pretty();
     let restored = EvalStats::from_json(&suu::core::json::parse(&wire).unwrap()).unwrap();
     assert_eq!(restored.trials(), 20);
     assert_eq!(restored.policy, partial.policy);
-    let eval = evaluator(50, 2, EngineKind::Events);
+    let eval = evaluator(50, 2);
     let restored = extend(&eval, &registry, &inst, &spec, restored, 50);
-    let fresh = run_stats(
-        &evaluator(50, 1, EngineKind::Events),
-        &registry,
-        &inst,
-        &spec,
-    );
+    let fresh = run_stats(&evaluator(50, 1), &registry, &inst, &spec);
     assert_eq!(
         restored.acc.to_json().to_compact(),
         fresh.acc.to_json().to_compact()
@@ -169,7 +143,7 @@ fn adaptive_stopping_is_deterministic_across_thread_counts() {
         min_trials: 8,
         max_trials: 200,
     };
-    let reference = evaluator(0, 1, EngineKind::Events)
+    let reference = evaluator(0, 1)
         .run_adaptive_spec(&registry, &inst, &spec, rule)
         .unwrap();
     assert!(reference.trials_used() >= 8);
@@ -178,7 +152,7 @@ fn adaptive_stopping_is_deterministic_across_thread_counts() {
         reference.stats.config.trials as u64
     );
     for threads in [2usize, 3, 4, 8] {
-        let other = evaluator(0, threads, EngineKind::Events)
+        let other = evaluator(0, threads)
             .run_adaptive_spec(&registry, &inst, &spec, rule)
             .unwrap();
         assert_eq!(other.trials_used(), reference.trials_used());
@@ -209,10 +183,10 @@ fn resume_adaptive_matches_cold_run_at_tighter_precision() {
         min_trials: 8,
         max_trials: 400,
     };
-    let loose = evaluator(0, 1, EngineKind::Events)
+    let loose = evaluator(0, 1)
         .run_adaptive_spec(&registry, &inst, &spec, rule(0.10))
         .unwrap();
-    let cold = evaluator(0, 2, EngineKind::Events)
+    let cold = evaluator(0, 2)
         .run_adaptive_spec(&registry, &inst, &spec, rule(0.03))
         .unwrap();
     assert!(
@@ -225,7 +199,7 @@ fn resume_adaptive_matches_cold_run_at_tighter_precision() {
     // the daemon's on-disk cache does.
     let wire = loose.stats.to_json().to_compact();
     let restored = EvalStats::from_json(&suu::core::json::parse(&wire).unwrap()).unwrap();
-    let resumed = evaluator(0, 3, EngineKind::Events)
+    let resumed = evaluator(0, 3)
         .resume_adaptive_spec(&registry, &inst, &spec, restored, rule(0.03))
         .unwrap();
     assert_eq!(resumed.trials_used(), cold.trials_used());
@@ -238,7 +212,7 @@ fn resume_adaptive_matches_cold_run_at_tighter_precision() {
     // A target the cell already satisfies adds no trials and returns the
     // accumulator untouched.
     let before = resumed.stats.acc.to_json().to_compact();
-    let rerun = evaluator(0, 1, EngineKind::Events)
+    let rerun = evaluator(0, 1)
         .resume_adaptive_spec(&registry, &inst, &spec, resumed.stats, rule(0.10))
         .unwrap();
     assert_eq!(rerun.trials_used(), cold.trials_used());
@@ -254,21 +228,11 @@ fn resume_adaptive_under_fixed_budget_matches_plain_extension() {
     let sc = Scenario::uniform(3, 8, 0.3, 0.9, 17);
     let inst = sc.instantiate();
     let spec = PolicySpec::new("gang-sequential");
-    let base = run_stats(
-        &evaluator(12, 1, EngineKind::Events),
-        &registry,
-        &inst,
-        &spec,
-    );
-    let resumed = evaluator(12, 1, EngineKind::Events)
+    let base = run_stats(&evaluator(12, 1), &registry, &inst, &spec);
+    let resumed = evaluator(12, 1)
         .resume_adaptive_spec(&registry, &inst, &spec, base, Precision::FixedTrials(40))
         .unwrap();
-    let fresh = run_stats(
-        &evaluator(40, 2, EngineKind::Events),
-        &registry,
-        &inst,
-        &spec,
-    );
+    let fresh = run_stats(&evaluator(40, 2), &registry, &inst, &spec);
     assert_eq!(resumed.trials_used(), 40);
     assert_eq!(resumed.stop_reason, suu::sim::StopReason::FixedBudget);
     assert_eq!(
@@ -285,15 +249,10 @@ fn fixed_precision_matches_run_stats() {
     let sc = Scenario::uniform(3, 8, 0.3, 0.9, 17);
     let inst = sc.instantiate();
     let spec = PolicySpec::new("gang-sequential");
-    let adaptive = evaluator(0, 2, EngineKind::Events)
+    let adaptive = evaluator(0, 2)
         .run_adaptive_spec(&registry, &inst, &spec, Precision::FixedTrials(40))
         .unwrap();
-    let plain = run_stats(
-        &evaluator(40, 2, EngineKind::Events),
-        &registry,
-        &inst,
-        &spec,
-    );
+    let plain = run_stats(&evaluator(40, 2), &registry, &inst, &spec);
     assert_eq!(adaptive.stop_reason, suu::sim::StopReason::FixedBudget);
     assert_eq!(
         adaptive.stats.acc.to_json().to_compact(),
@@ -308,12 +267,7 @@ fn paired_crn_self_comparison_is_exactly_zero() {
     let inst = sc.instantiate();
     let spec = PolicySpec::new("greedy-lr");
     let make = || spec_factory(&registry, &inst, &spec).unwrap();
-    let paired = evaluator(0, 1, EngineKind::Events).run_paired(
-        &inst,
-        make(),
-        make(),
-        Precision::FixedTrials(40),
-    );
+    let paired = evaluator(0, 1).run_paired(&inst, make(), make(), Precision::FixedTrials(40));
     assert_eq!(paired.trials_used(), 40);
     assert_eq!(paired.delta_mean(), Some(0.0));
     assert_eq!(paired.delta_ci95(), Some(0.0));
@@ -332,7 +286,7 @@ fn paired_delta_mean_matches_marginal_means() {
         PolicySpec::new("greedy-lr"),
         PolicySpec::new("gang-sequential"),
     );
-    let eval = evaluator(60, 1, EngineKind::Events);
+    let eval = evaluator(60, 1);
     let paired = eval.run_paired(
         &inst,
         spec_factory(&registry, &inst, &a).unwrap(),
@@ -364,7 +318,7 @@ fn paired_crn_variance_is_smaller_than_marginal_variance() {
         PolicySpec::new("greedy-lr"),
         PolicySpec::new("best-machine"),
     );
-    let eval = evaluator(120, 1, EngineKind::Events);
+    let eval = evaluator(120, 1);
     let paired = eval.run_paired(
         &inst,
         spec_factory(&registry, &inst, &a).unwrap(),
@@ -445,45 +399,16 @@ fn accumulator_merge_matches_contiguous_run() {
     let sc = Scenario::uniform(3, 8, 0.3, 0.9, 41);
     let inst = sc.instantiate();
     let spec = PolicySpec::new("greedy-lr");
-    let whole = run_stats(
-        &evaluator(48, 1, EngineKind::Events),
-        &registry,
-        &inst,
-        &spec,
-    );
-    let first = run_stats(
-        &evaluator(16, 1, EngineKind::Events),
-        &registry,
-        &inst,
-        &spec,
-    );
-    let second = run_stats(
-        &evaluator(16, 2, EngineKind::Events),
-        &registry,
-        &inst,
-        &spec,
-    );
-    let second = extend(
-        &evaluator(48, 2, EngineKind::Events),
-        &registry,
-        &inst,
-        &spec,
-        second,
-        48,
-    );
+    let whole = run_stats(&evaluator(48, 1), &registry, &inst, &spec);
+    let first = run_stats(&evaluator(16, 1), &registry, &inst, &spec);
+    let second = run_stats(&evaluator(16, 2), &registry, &inst, &spec);
+    let second = extend(&evaluator(48, 2), &registry, &inst, &spec, second, 48);
     assert_eq!(
         second.acc.to_json().to_compact(),
         whole.acc.to_json().to_compact(),
         "extension across a different thread count diverged"
     );
-    let first = extend(
-        &evaluator(48, 3, EngineKind::Events),
-        &registry,
-        &inst,
-        &spec,
-        first,
-        48,
-    );
+    let first = extend(&evaluator(48, 3), &registry, &inst, &spec, first, 48);
     assert_eq!(
         first.acc.to_json().to_compact(),
         whole.acc.to_json().to_compact()

@@ -23,7 +23,6 @@ fn evaluator(trials: usize, semantics: Semantics) -> Evaluator {
         exec: ExecConfig {
             semantics,
             max_steps: 2_000_000,
-            ..ExecConfig::default()
         },
         ..EvalConfig::default()
     })

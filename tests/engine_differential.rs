@@ -2,8 +2,11 @@
 //! family of the standard suite, every capable registry policy, and both
 //! randomness semantics,
 //!
-//! * the dense per-step oracle and the event-driven fast path (plus a
-//!   hard-jobs family, where fast-forwarding skips the most steps), and
+//! * the dense per-step oracle (`engine::dense::execute_dense`, kept
+//!   only as the tests' reference) and the event engine
+//!   (`engine::events::execute_events`), both called directly on the
+//!   evaluator's trial seeds (plus a hard-jobs family, where
+//!   fast-forwarding skips the most steps), and
 //! * the per-trial event engine (`Evaluator::run_serial`) and the
 //!   **batched SoA pipeline** (`Evaluator::run`, including the
 //!   stationary shared-decision fast path),
@@ -23,10 +26,15 @@ use std::sync::Arc;
 use suu::algos::standard_registry;
 use suu::bench::scenario::{Scenario, ScenarioSuite};
 use suu::core::{workload, Precedence};
+use suu::sim::engine::dense::execute_dense;
+use suu::sim::engine::events::execute_events;
 use suu::sim::{
-    execute, spec_factory, Assignment, Decision, EngineKind, EvalConfig, Evaluator, ExecConfig,
-    ExecOutcome, Policy, PolicySpec, RegistryError, Semantics, StateView,
+    spec_factory, Assignment, Decision, EvalConfig, Evaluator, ExecConfig, ExecOutcome, Policy,
+    PolicySpec, RegistryError, Semantics, StateView,
 };
+
+/// A per-trial engine entry point: the dense oracle or the event engine.
+type Engine = fn(&suu::core::SuuInstance, &mut dyn Policy, &ExecConfig, u64) -> ExecOutcome;
 
 /// Policies to race through the differential harness. Deliberately
 /// mixed: pure-HOLD stationary policies (gang, greedy, best-machine), a
@@ -44,27 +52,38 @@ const SPECS: &[&str] = &[
     "suu-t",
 ];
 
+/// `trials` trials of `spec` on `engine`, one policy value reseeded per
+/// trial from the evaluator's seeds — the loop `Evaluator::run_serial`
+/// runs, with the engine chosen by the caller.
 fn outcomes(
     inst: &Arc<suu::core::SuuInstance>,
     spec: &PolicySpec,
     semantics: Semantics,
-    engine: EngineKind,
+    engine: Engine,
     trials: usize,
 ) -> Result<Vec<ExecOutcome>, RegistryError> {
     let registry = standard_registry();
+    let exec = ExecConfig {
+        semantics,
+        max_steps: 2_000_000,
+    };
     let evaluator = Evaluator::new(EvalConfig {
         trials,
         master_seed: 0xD1FF,
-        threads: 0,
-        exec: ExecConfig {
-            semantics,
-            engine,
-            max_steps: 2_000_000,
-        },
+        exec,
         ..EvalConfig::default()
     });
-    let make_policy = spec_factory(&registry, inst, spec)?;
-    Ok(evaluator.run_serial(inst, make_policy).outcomes)
+    let mut policy = spec_factory(&registry, inst, spec)?();
+    Ok(evaluator
+        .trial_batch(0, trials)
+        .iter()
+        .map(|trial| {
+            if let Some(seed) = trial.policy_seed {
+                policy.reseed(seed);
+            }
+            engine(inst, &mut *policy, &exec, trial.engine_seed)
+        })
+        .collect())
 }
 
 #[test]
@@ -78,14 +97,14 @@ fn dense_and_event_engines_agree_on_every_scenario_family() {
         for spec_text in SPECS {
             let spec = PolicySpec::parse(spec_text).unwrap();
             for semantics in [Semantics::Suu, Semantics::SuuStar] {
-                let dense = match outcomes(&inst, &spec, semantics, EngineKind::Dense, 6) {
+                let dense = match outcomes(&inst, &spec, semantics, execute_dense, 6) {
                     Ok(o) => o,
                     // Capability mismatch (e.g. suu-i-sem on chains):
                     // skipping is the registry's job, not this test's.
                     Err(RegistryError::UnsupportedStructure { .. }) => continue,
                     Err(e) => panic!("{}/{spec_text}: {e}", sc.id),
                 };
-                let events = outcomes(&inst, &spec, semantics, EngineKind::Events, 6).unwrap();
+                let events = outcomes(&inst, &spec, semantics, execute_events, 6).unwrap();
                 assert_eq!(
                     dense, events,
                     "engines diverge on {}/{spec_text}/{semantics:?}",
@@ -127,7 +146,6 @@ fn batched_engine_matches_per_trial_engine_on_every_scenario_family() {
                     batch: 4, // force multiple chunks per run
                     exec: ExecConfig {
                         semantics,
-                        engine: EngineKind::Events,
                         max_steps: 2_000_000,
                     },
                 });
@@ -200,7 +218,6 @@ fn batched_engine_matches_per_trial_engine_for_exact_opt() {
                 batch: 5,
                 exec: ExecConfig {
                     semantics,
-                    engine: EngineKind::Events,
                     max_steps: 2_000_000,
                 },
             });
@@ -368,16 +385,16 @@ proptest! {
         );
         for semantics in [Semantics::Suu, Semantics::SuuStar] {
             for which in 0..2 {
-                let run = |engine| {
-                    let cfg = ExecConfig { semantics, engine, max_steps: 500_000 };
+                let run = |engine: Engine| {
+                    let cfg = ExecConfig { semantics, max_steps: 500_000 };
                     if which == 0 {
-                        execute(&inst, &mut Spread, &cfg, trial_seed)
+                        engine(&inst, &mut Spread, &cfg, trial_seed)
                     } else {
-                        execute(&inst, &mut Rotate, &cfg, trial_seed)
+                        engine(&inst, &mut Rotate, &cfg, trial_seed)
                     }
                 };
-                let dense = run(EngineKind::Dense);
-                let events = run(EngineKind::Events);
+                let dense = run(execute_dense);
+                let events = run(execute_events);
                 prop_assert_eq!(&dense, &events);
                 prop_assert_eq!(
                     events.busy_steps + events.idle_steps + events.ineligible_assignments,

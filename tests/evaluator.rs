@@ -118,7 +118,6 @@ proptest! {
                 exec: ExecConfig {
                     semantics,
                     max_steps: 1_000_000,
-                    ..ExecConfig::default()
                 },
                 ..EvalConfig::default()
             })

@@ -21,7 +21,6 @@ fn evaluator(trials: usize, semantics: Semantics, seed: u64) -> Evaluator {
         exec: ExecConfig {
             semantics,
             max_steps: 1_000_000,
-            ..ExecConfig::default()
         },
         ..EvalConfig::default()
     })
