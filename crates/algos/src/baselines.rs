@@ -222,7 +222,7 @@ fn lr_score(planned: f64, e: f64) -> f64 {
 /// Per-step greedy marginal-mass maximization (Lin–Rajaraman-style).
 ///
 /// Each machine in turn takes the eligible job with the highest
-/// [`lr_score`], the lowest job id among equal scores. A job nothing is
+/// `lr_score`, the lowest job id among equal scores. A job nothing is
 /// planned for yet scores `lr_score(0, ℓ_ij)`, a constant of the instance,
 /// so each machine ranks those jobs once, up front: its best unplanned
 /// job is the first eligible, unplanned one in its ranking. Only the at

@@ -19,6 +19,7 @@ use suu_bench::runner::{run_race, Race};
 use suu_bench::scenario::Scenario;
 use suu_bench::{print_header, Stopwatch};
 use suu_core::{workload, Precedence};
+use suu_sim::Precision;
 
 fn main() {
     let watch = Stopwatch::start();
@@ -59,7 +60,7 @@ fn main() {
         policies: ["suu-c", "suu-c(delay=false)", "suu-c(coarsen=true)"]
             .map(String::from)
             .to_vec(),
-        trials: 60,
+        precision: Precision::FixedTrials(60),
         master_seed: 4,
         ratios_to_lower_bound: false,
         json_path: Some("target/results/ablation_rounding.json".into()),

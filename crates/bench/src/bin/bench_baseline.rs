@@ -290,7 +290,6 @@ fn main() {
 
     let watch = Stopwatch::start();
     let registry = suu_algos::standard_registry();
-    let race_trials = if smoke { 8 } else { 200 };
     let suite = if smoke {
         ScenarioSuite::smoke(42)
     } else {
@@ -302,12 +301,16 @@ fn main() {
     //    path end to end and the schema gate validates its fields); the
     //    full run keeps the fixed 200-trial budget so the perf/quality
     //    trajectory stays comparable across PRs.
-    let race_precision = smoke.then_some(Precision::TargetCi {
-        half_width: 0.10,
-        relative: true,
-        min_trials: 4,
-        max_trials: 16,
-    });
+    let race_precision = if smoke {
+        Precision::TargetCi {
+            half_width: 0.10,
+            relative: true,
+            min_trials: 4,
+            max_trials: 16,
+        }
+    } else {
+        Precision::FixedTrials(200)
+    };
     let mut doc = run_race_with(
         Race {
             title: format!("BENCH baseline: {} suite × registry policies", suite.name),
@@ -325,7 +328,6 @@ fn main() {
             ]
             .map(String::from)
             .to_vec(),
-            trials: race_trials,
             precision: race_precision,
             master_seed: 0xBA5E,
             ratios_to_lower_bound: true,

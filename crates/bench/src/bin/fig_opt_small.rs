@@ -14,6 +14,7 @@
 
 use suu_bench::runner::{run_race, Race};
 use suu_bench::scenario::Scenario;
+use suu_sim::Precision;
 
 fn main() {
     run_race(Race {
@@ -26,7 +27,7 @@ fn main() {
         policies: ["exact-opt", "suu-i-sem", "greedy-lr", "gang-sequential"]
             .map(String::from)
             .to_vec(),
-        trials: 400,
+        precision: Precision::FixedTrials(400),
         master_seed: 0x74,
         ratios_to_lower_bound: false,
         json_path: Some("target/results/fig_opt_small.json".into()),

@@ -24,12 +24,12 @@ fn main() {
             .map(String::from)
             .to_vec(),
         // Adaptive stopping at 2% relative CI (old fixed budget: 30).
-        precision: Some(Precision::TargetCi {
+        precision: Precision::TargetCi {
             half_width: 0.02,
             relative: true,
             min_trials: 16,
             max_trials: 120,
-        }),
+        },
         paired: vec![("suu-t".to_string(), "greedy-lr".to_string())],
         master_seed: 0x73,
         ratios_to_lower_bound: true,

@@ -30,12 +30,12 @@ fn main() {
         // Adaptive: stop each cell at a 2% relative CI half-width on the
         // mean — low-variance cells finish in a fraction of the old
         // fixed 60-trial budget, high-variance cells get more.
-        precision: Some(Precision::TargetCi {
+        precision: Precision::TargetCi {
             half_width: 0.02,
             relative: true,
             min_trials: 24,
             max_trials: 240,
-        }),
+        },
         // The paper's headline comparison, on common random numbers: the
         // O(log n)-style oblivious timetable vs this paper's
         // semioblivious rounds.

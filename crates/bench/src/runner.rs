@@ -1,8 +1,8 @@
 //! The scenario × policy race runner — the one evaluation path every
 //! experiment binary goes through.
 //!
-//! A [`Race`] declares *what* to compare (scenarios, policy specs, trial
-//! budget or [`Precision`] target, paired CRN comparisons); this module
+//! A [`Race`] declares *what* to compare (scenarios, policy specs, one
+//! [`Precision`] stopping rule, paired CRN comparisons); this module
 //! handles *how*: registry construction through
 //! [`suu_algos::standard_registry`], capability-aware skipping,
 //! **adaptive-precision** evaluation via [`suu_sim::Evaluator`]'s
@@ -37,14 +37,11 @@ pub struct Race {
     pub scenarios: Vec<Scenario>,
     /// Policy specs to race (columns), in textual form.
     pub policies: Vec<String>,
-    /// Trials per cell when no [`Race::precision`] override is given
-    /// (i.e. the default is `Precision::FixedTrials(trials)`).
-    pub trials: usize,
-    /// How much sampling each cell gets; `None` means a fixed budget of
-    /// [`Race::trials`]. With `Precision::TargetCi` cells stop as soon as
-    /// their 95% CI half-width reaches the target (deterministically:
-    /// same master seed ⇒ same stopping points).
-    pub precision: Option<Precision>,
+    /// How much sampling each cell gets (default: a fixed budget of 60
+    /// trials). With `Precision::TargetCi` cells stop as soon as their
+    /// 95% CI half-width reaches the target (deterministically: same
+    /// master seed ⇒ same stopping points).
+    pub precision: Precision,
     /// Paired CRN comparisons `(policy A, policy B)` to run per scenario
     /// after the marginal cells, on the same per-scenario trial streams
     /// the cells used. Specs must also appear in [`Race::policies`] to be
@@ -72,8 +69,7 @@ impl Default for Race {
             generated_by: "race".to_string(),
             scenarios: Vec::new(),
             policies: Vec::new(),
-            trials: 60,
-            precision: None,
+            precision: Precision::FixedTrials(60),
             paired: Vec::new(),
             master_seed: 0x5EED,
             exec: ExecConfig::default(),
@@ -81,15 +77,6 @@ impl Default for Race {
             record_wall_clocks: true,
             json_path: None,
         }
-    }
-}
-
-impl Race {
-    /// The effective stopping rule: the explicit [`Race::precision`], or
-    /// a fixed budget of [`Race::trials`].
-    pub fn effective_precision(&self) -> Precision {
-        self.precision
-            .unwrap_or(Precision::FixedTrials(self.trials))
     }
 }
 
@@ -149,7 +136,7 @@ pub fn run_race_with(race: Race, registry: &PolicyRegistry) -> Json {
 
     if !race.title.is_empty() {
         println!("== {} ==", race.title);
-        match race.effective_precision() {
+        match race.precision {
             Precision::FixedTrials(n) => {
                 println!(
                     "   {} trials/cell, master seed {:#x}\n",
@@ -195,7 +182,7 @@ pub fn run_race_with(race: Race, registry: &PolicyRegistry) -> Json {
 
     let mut builder =
         ResultsBuilder::new(race.generated_by.clone()).record_wall_clocks(race.record_wall_clocks);
-    let precision = race.effective_precision();
+    let precision = race.precision;
 
     for sc in &race.scenarios {
         builder.add_scenario(sc);
@@ -407,7 +394,7 @@ mod tests {
                 "suu-i-sem".to_string(),
                 "suu-c".to_string(),
             ],
-            trials: 4,
+            precision: Precision::FixedTrials(4),
             master_seed: 11,
             ..Race::default()
         });
@@ -475,17 +462,16 @@ mod tests {
 
     #[test]
     fn adaptive_race_records_trials_and_stop_reasons() {
-        use suu_sim::Precision;
         let doc = run_race(Race {
             generated_by: "runner-adaptive-test".to_string(),
             scenarios: vec![Scenario::uniform(3, 6, 0.3, 0.9, 21)],
             policies: vec!["gang-sequential".to_string(), "greedy-lr".to_string()],
-            precision: Some(Precision::TargetCi {
+            precision: Precision::TargetCi {
                 half_width: 0.25,
                 relative: true, // 25% of the mean: reached almost at once
                 min_trials: 4,
                 max_trials: 64,
-            }),
+            },
             paired: vec![("gang-sequential".to_string(), "greedy-lr".to_string())],
             master_seed: 77,
             record_wall_clocks: false,
@@ -516,12 +502,12 @@ mod tests {
             generated_by: "runner-adaptive-test".to_string(),
             scenarios: vec![Scenario::uniform(3, 6, 0.3, 0.9, 21)],
             policies: vec!["gang-sequential".to_string(), "greedy-lr".to_string()],
-            precision: Some(Precision::TargetCi {
+            precision: Precision::TargetCi {
                 half_width: 0.25,
                 relative: true,
                 min_trials: 4,
                 max_trials: 64,
-            }),
+            },
             paired: vec![("gang-sequential".to_string(), "greedy-lr".to_string())],
             master_seed: 77,
             record_wall_clocks: false,
@@ -576,7 +562,7 @@ mod tests {
             generated_by: "runner-lb-test".to_string(),
             scenarios: vec![crate::scenario::Scenario::uniform(3, 6, 0.2, 0.9, 5)],
             policies: vec!["greedy-lr".to_string()],
-            trials: 6,
+            precision: Precision::FixedTrials(6),
             master_seed: 2,
             ratios_to_lower_bound: true,
             ..Race::default()

@@ -14,12 +14,11 @@
 //!   [`RequestScenario::from_json`] — the same canonicalization the
 //!   serving tier's cache keys hash, so sweep cells and ad-hoc race
 //!   cells are the *same* cells.
-//! * [`run_sweep`] drives the refinement loop against any
-//!   [`RaceEvaluator`] (`suu-sweep`'s in-process service,
-//!   servebench's HTTP probe, or a test stub — each answers the same
-//!   single-cell race request). Each round, every unresolved point
-//!   evaluates all policies at the current rung of a shared
-//!   [`BudgetLadder`]; a point retires when the winner's
+//! * [`run_sweep`] drives the refinement loop against any closure that
+//!   answers a single-cell race request (`suu-sweep`'s in-process
+//!   service, servebench's HTTP probe, or a test stub). Each round,
+//!   every unresolved point evaluates all policies at the current rung
+//!   of a shared [`BudgetLadder`]; a point retires when the winner's
 //!   [`PairedMargin`] against **every** rival clears zero, and only the
 //!   still-straddling points are granted the next rung.
 //! * The artifact ([`suu_core::schemas::RESULTS_SWEEP_V1`]) records per
@@ -376,25 +375,6 @@ impl SweepSpec {
     }
 }
 
-/// One completed race evaluation: anything that can answer the
-/// single-cell race requests a sweep issues — the in-process
-/// [`Service`](../../suu_serve) that `suu-sweep` calls, servebench's
-/// probe posting `/v1/race` over HTTP, or a stub in tests — returning
-/// the parsed `suu-results/v2` document.
-pub trait RaceEvaluator {
-    /// Evaluate one single-cell race request to completion.
-    fn race(&mut self, request: &Json) -> Result<Json, String>;
-}
-
-impl<F> RaceEvaluator for F
-where
-    F: FnMut(&Json) -> Result<Json, String>,
-{
-    fn race(&mut self, request: &Json) -> Result<Json, String> {
-        self(request)
-    }
-}
-
 /// The per-policy terminal statistics the sweep extracts from each
 /// results document.
 #[derive(Clone)]
@@ -516,9 +496,13 @@ fn judge(cells: &[PolicyCell]) -> (usize, PairedMargin, bool) {
 
 /// Run the sweep to completion against `eval`, reporting round progress
 /// through `progress`, and return the `suu-results/sweep/v1` artifact.
+///
+/// `eval` answers one single-cell race request with the parsed
+/// `suu-results/v2` document: `suu-sweep`'s in-process `Service`,
+/// servebench's probe posting `/v1/race` over HTTP, or a stub in tests.
 pub fn run_sweep(
     spec: &SweepSpec,
-    eval: &mut dyn RaceEvaluator,
+    eval: &mut dyn FnMut(&Json) -> Result<Json, String>,
     progress: &mut dyn FnMut(String),
 ) -> Result<Json, String> {
     let n_points = spec.points.len();
@@ -541,7 +525,7 @@ pub fn run_sweep(
             let mut cells = Vec::with_capacity(spec.policies.len());
             for policy in &spec.policies {
                 let request = spec.cell_request(point, policy, budget);
-                let doc = eval.race(&request)?;
+                let doc = eval(&request)?;
                 cells.push(extract_cell(&doc, &point.id, policy)?);
             }
             let (winner, margin, resolved) = judge(&cells);
@@ -735,9 +719,7 @@ mod tests {
                 _ => 0.0,      // exact tie: open at the cap
             }
         }
-    }
 
-    impl RaceEvaluator for FakeEval {
         fn race(&mut self, req: &Json) -> Result<Json, String> {
             let sc = &req.get("scenarios").and_then(Json::as_array).unwrap()[0];
             let m = sc.get("m").and_then(Json::as_u64).unwrap();
@@ -811,7 +793,7 @@ mod tests {
         let spec = test_spec();
         assert_eq!(spec.points.len(), 4);
         let mut eval = FakeEval::new();
-        let doc = run_sweep(&spec, &mut eval, &mut |_| {}).expect("sweep runs");
+        let doc = run_sweep(&spec, &mut |req| eval.race(req), &mut |_| {}).expect("sweep runs");
 
         // The easy point retires on the first rung; the hard ones climb
         // to the cap — so the adaptive total is strictly below giving
@@ -865,10 +847,10 @@ mod tests {
     fn rerun_over_warm_or_partial_cache_is_byte_identical() {
         let spec = test_spec();
         let mut eval = FakeEval::new();
-        let cold = run_sweep(&spec, &mut eval, &mut |_| {}).expect("cold sweep");
+        let cold = run_sweep(&spec, &mut |req| eval.race(req), &mut |_| {}).expect("cold sweep");
 
         // Fully warm cache (a completed run replayed).
-        let warm = run_sweep(&spec, &mut eval, &mut |_| {}).expect("warm sweep");
+        let warm = run_sweep(&spec, &mut |req| eval.race(req), &mut |_| {}).expect("warm sweep");
         assert_eq!(cold.to_pretty(), warm.to_pretty(), "warm replay diverged");
 
         // A cache that is a mid-round prefix of the cold trajectory —
@@ -879,7 +861,8 @@ mod tests {
             let cap = if i % 2 == 0 { 8 } else { 12 };
             partial.cache.insert(k.clone(), (*v).min(cap));
         }
-        let resumed = run_sweep(&spec, &mut partial, &mut |_| {}).expect("resumed sweep");
+        let resumed =
+            run_sweep(&spec, &mut |req| partial.race(req), &mut |_| {}).expect("resumed sweep");
         assert_eq!(cold.to_pretty(), resumed.to_pretty(), "resume diverged");
     }
 

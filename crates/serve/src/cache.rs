@@ -20,7 +20,7 @@
 //!
 //! Writes go through a temp file + atomic rename, so a crashed daemon
 //! leaves either the old or the new checkpoint, never a torn one.
-//! In-process, [`InflightTable`] serializes work per key: concurrent
+//! In-process, `InflightTable` serializes work per key: concurrent
 //! identical requests coalesce onto one computation and the latecomer
 //! reads the winner's checkpoint from disk.
 //!

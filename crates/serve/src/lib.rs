@@ -84,5 +84,5 @@ pub use cache::{cell_key_fields, CellKey, CellStore, CELL_KEY_SCHEMA, CELL_SCHEM
 pub use client::{Client, Reply};
 pub use http::{Handler, Request, Response};
 pub use router::{owner_of, shard_ranges, Fleet, FleetConfig, KeyRange, Router};
-pub use server::{serve, serve_with, ServerConfig, ServerHandle, ServerMetrics};
+pub use server::{serve_with, ServerConfig, ServerHandle, ServerMetrics};
 pub use service::{CacheCounts, CacheStatus, ServeError, Service};

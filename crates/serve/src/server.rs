@@ -268,24 +268,6 @@ impl ServerHandle {
     }
 }
 
-/// Bind `addr` and serve it with the default configuration at the given
-/// compute-pool size.
-pub fn serve(
-    addr: impl ToSocketAddrs,
-    workers: usize,
-    handler: Arc<dyn Handler>,
-) -> std::io::Result<ServerHandle> {
-    serve_with(
-        addr,
-        ServerConfig {
-            workers,
-            ..ServerConfig::default()
-        },
-        handler,
-        Arc::new(ServerMetrics::default()),
-    )
-}
-
 /// Bind `addr` and serve it until [`ServerHandle::shutdown`]. `metrics`
 /// is caller-supplied so the application can report the counters (pass
 /// a fresh `Default` if unwanted).
@@ -844,7 +826,16 @@ mod tests {
     }
 
     fn echo_server(workers: usize) -> ServerHandle {
-        serve("127.0.0.1:0", workers, echo_handler()).unwrap()
+        serve_with(
+            "127.0.0.1:0",
+            ServerConfig {
+                workers,
+                ..ServerConfig::default()
+            },
+            echo_handler(),
+            Arc::new(ServerMetrics::default()),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -1023,15 +1014,19 @@ mod tests {
 
     #[test]
     fn panicking_handler_answers_500_and_the_pool_survives() {
-        let server = serve(
+        let server = serve_with(
             "127.0.0.1:0",
-            1,
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
             Arc::new(|req: &Request| {
                 if req.path == "/boom" {
                     panic!("handler bug");
                 }
                 Response::text(200, "fine")
             }),
+            Arc::new(ServerMetrics::default()),
         )
         .unwrap();
         let mut client = Client::connect(server.addr());

@@ -29,9 +29,10 @@
 //!   surfaced through [`BatchMetrics`].
 //! * **Grouped wide sampling** — within a sweep, live trials are grouped
 //!   by epoch plan and each running job's completion time is sampled
-//!   [`sampling::LANES`] trials at a time through the wide kernels
-//!   ([`sampling::star_steps_wide`], [`sampling::GeomSegment`]), which
-//!   are structurally bitwise-identical to the scalar path.
+//!   [`super::sampling::LANES`] trials at a time through the wide
+//!   kernels ([`super::sampling::star_steps_wide`],
+//!   [`super::sampling::GeomSegment`]), which are structurally
+//!   bitwise-identical to the scalar path.
 //! * **Arena reuse** — epoch plans live in a flat arena inside the
 //!   cache; all per-batch scratch (columns, eligibility states, grouping
 //!   and plan-build buffers) persists inside the runner across `run`
@@ -50,7 +51,7 @@
 //! per-epoch computation (classification order, `star_steps` /
 //! `geometric_steps` expressions, counter updates) evaluates the same
 //! expressions in the same order *within* a trial, and the counter-based
-//! [`JobRandomness`] streams make the interleaving *across* trials
+//! `JobRandomness` streams make the interleaving *across* trials
 //! irrelevant. Grouping trials by plan only reorders work across
 //! independent trials; the wide sampling kernels evaluate the scalar
 //! expressions lane-for-lane (see [`super::sampling`]).
@@ -59,7 +60,7 @@
 //!
 //! Non-stationary policies cannot share decisions (their state evolves
 //! within a trial), so for them the batch entry point degrades to
-//! per-trial event-engine execution (reusing one [`EventsScratch`]
+//! per-trial event-engine execution (reusing one `EventsScratch`
 //! across all trials), preserving the equality guarantee trivially while
 //! keeping one uniform call site for the evaluator.
 
@@ -266,8 +267,7 @@ pub struct BatchMetrics {
 ///
 /// The decision cache is keyed only by remaining set, so a runner must
 /// not be reused across *different* stationary policies (asserted by
-/// policy name on every stationary run). One-shot callers can use the
-/// [`execute_batch`] wrapper.
+/// policy name on every stationary run).
 ///
 /// [`run`]: BatchRunner::run
 pub struct BatchRunner<'i> {
@@ -748,19 +748,6 @@ impl<'i> BatchRunner<'i> {
     }
 }
 
-/// Execute one trial per entry of `trials` with a one-shot
-/// [`BatchRunner`], returning outcomes in trial order. Streaming callers
-/// that execute many chunks of one cell should hold a runner instead —
-/// it keeps the decision cache and all scratch warm across chunks.
-pub fn execute_batch(
-    inst: &SuuInstance,
-    policy: &mut dyn Policy,
-    cfg: &ExecConfig,
-    trials: &[BatchTrial],
-) -> Vec<ExecOutcome> {
-    BatchRunner::new(inst, cfg).run(policy, trials)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -829,7 +816,7 @@ mod tests {
                 ..ExecConfig::default()
             };
             let trials = seeds(32, 0xBA7C);
-            let batched = execute_batch(&inst, &mut Spread, &cfg, &trials);
+            let batched = BatchRunner::new(&inst, &cfg).run(&mut Spread, &trials);
             let reference: Vec<ExecOutcome> = trials
                 .iter()
                 .map(|t| execute(&inst, &mut Spread, &cfg, t.engine_seed))
@@ -843,7 +830,7 @@ mod tests {
         let inst = workload::homogeneous(2, 5, 0.5, Precedence::Independent);
         let cfg = ExecConfig::default();
         let trials = seeds(16, 0xF0);
-        let batched = execute_batch(&inst, &mut Rotate, &cfg, &trials);
+        let batched = BatchRunner::new(&inst, &cfg).run(&mut Rotate, &trials);
         let reference: Vec<ExecOutcome> = trials
             .iter()
             .map(|t| execute(&inst, &mut Rotate, &cfg, t.engine_seed))
@@ -862,7 +849,7 @@ mod tests {
             ..ExecConfig::default()
         };
         let trials = seeds(4, 7);
-        let batched = execute_batch(&inst, &mut Spread, &cfg, &trials);
+        let batched = BatchRunner::new(&inst, &cfg).run(&mut Spread, &trials);
         let reference: Vec<ExecOutcome> = trials
             .iter()
             .map(|t| execute(&inst, &mut Spread, &cfg, t.engine_seed))
@@ -877,7 +864,7 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let inst = workload::homogeneous(2, 2, 0.5, Precedence::Independent);
-        let out = execute_batch(&inst, &mut Spread, &ExecConfig::default(), &[]);
+        let out = BatchRunner::new(&inst, &ExecConfig::default()).run(&mut Spread, &[]);
         assert!(out.is_empty());
     }
 
@@ -896,7 +883,7 @@ mod tests {
         for chunk in trials.chunks(8) {
             warm.extend(runner.run(&mut Spread, chunk));
         }
-        let one_shot = execute_batch(&inst, &mut Spread, &cfg, &trials);
+        let one_shot = BatchRunner::new(&inst, &cfg).run(&mut Spread, &trials);
         assert_eq!(warm, one_shot);
         let metrics = runner.metrics();
         assert_eq!(metrics.stationary_trials, 24);
@@ -927,7 +914,7 @@ mod tests {
         let trials = seeds(16, 0xE71C);
         let mut runner = BatchRunner::new(&inst, &cfg).with_plan_cap(3);
         let capped = runner.run(&mut Spread, &trials);
-        let reference = execute_batch(&inst, &mut Spread, &cfg, &trials);
+        let reference = BatchRunner::new(&inst, &cfg).run(&mut Spread, &trials);
         assert_eq!(capped, reference);
         let metrics = runner.metrics();
         assert!(
@@ -944,7 +931,7 @@ mod tests {
         let trials = seeds(12, 0xFACE);
         let mut runner = BatchRunner::new(&inst, &cfg).with_profile(ProfileMode::Exact);
         let profiled = runner.run(&mut Spread, &trials);
-        let plain = execute_batch(&inst, &mut Spread, &cfg, &trials);
+        let plain = BatchRunner::new(&inst, &cfg).run(&mut Spread, &trials);
         assert_eq!(profiled, plain, "profiling must not perturb outcomes");
         let report = runner.metrics().profile.expect("profiler enabled");
         assert!(report.total_nanos() > 0);

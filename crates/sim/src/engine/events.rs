@@ -18,10 +18,10 @@
 //! from the same seed, at `O(#events · m)` instead of
 //! `O(makespan · m)` cost.
 //!
-//! All per-trial working memory lives in an [`EventsScratch`]: the
+//! All per-trial working memory lives in an `EventsScratch`: the
 //! one-shot [`execute_events`] builds a fresh one, while the batch
 //! engine's non-stationary fallback keeps a single scratch across every
-//! trial of a cell ([`execute_events_in`]), so the precedence DAG,
+//! trial of a cell (`execute_events_in`), so the precedence DAG,
 //! eligibility topology and per-job columns are built once instead of
 //! once per trial.
 

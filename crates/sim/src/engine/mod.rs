@@ -39,7 +39,7 @@
 //! # Shared randomness
 //!
 //! Both engines draw from counter-based per-job streams derived from the
-//! trial seed (see [`JobRandomness`]): SUU* consumes one threshold draw
+//! trial seed (see `JobRandomness`): SUU* consumes one threshold draw
 //! per job, SUU one coin per job per *segment*. Segments are delimited by
 //! decision epochs in both engines, so the streams advance in lockstep —
 //! the foundation of the bitwise-equality guarantee and of

@@ -162,7 +162,7 @@ fn star_fixup(guess: f64, base: f64, threshold: f64, mass: f64) -> u64 {
 }
 
 /// SUU*: smallest `k ≥ 1` with `base + k·mass ≥ threshold` (see
-/// [`star_fixup`]). Requires `mass > 0`.
+/// `star_fixup`). Requires `mass > 0`.
 pub fn star_steps(base: f64, threshold: f64, mass: f64) -> u64 {
     debug_assert!(mass > 0.0);
     if !mass.is_finite() {

@@ -20,10 +20,10 @@
 //! (rather than `base_seed + k`) keeps nearby master seeds from sharing
 //! trial streams.
 //!
-//! Every method but the [`Evaluator::run_serial`] reference and the
-//! serial [`Evaluator::run_paired`] runs its trials through one worker
-//! pool that lives for the whole call: the batched engine, with chunks
-//! folded on the calling thread strictly in trial order.
+//! Every method but the [`Evaluator::run_serial`] reference runs its
+//! trials through a worker pool that lives for the whole call (one per
+//! policy for [`Evaluator::run_paired`]): the batched engine, with
+//! chunks folded on the calling thread strictly in trial order.
 //! [`Evaluator::run`] keeps every [`ExecOutcome`] in an [`EvalReport`]
 //! (for differential tests and histogram experiments that need the raw
 //! sample); every other path folds them into an [`OutcomeAccumulator`]
@@ -69,7 +69,9 @@
 //!
 //! [`Evaluator::run_paired`] compares two policies on **common random
 //! numbers** (the same per-trial engine seeds), so the variance of the
-//! per-trial *difference* — not of each mean — drives the budget.
+//! per-trial *difference* — not of each mean — drives the budget. It
+//! runs every rung on both policies' pools and folds the differences in
+//! trial order, so it is thread-count invariant like the rest.
 //! Registry-built policies enter any of these through [`spec_factory`].
 
 use crate::engine::batch::{BatchRunner, BatchTrial};
@@ -686,11 +688,14 @@ impl Evaluator {
     /// rule is applied to the **difference**, not to either mean. Rounds
     /// follow the same [`BudgetLadder`] schedule as the marginal cells.
     ///
-    /// Runs on the calling thread, chunk by chunk (both policies per
-    /// chunk, deltas folded in trial order) — paired cells are usually an
-    /// order of magnitude cheaper than the marginal cells that precede
-    /// them, and serial execution keeps the difference stream trivially
-    /// deterministic.
+    /// Each policy gets a worker pool of its own for the whole call, and
+    /// each rung runs on both, A's first: A's makespans are kept, then
+    /// B's chunks are paired with them and folded strictly in trial
+    /// order, so the comparison is bitwise the same at any thread count
+    /// and uses every core. Peak memory is A's makespans for the largest
+    /// rung, 8 bytes a trial, plus each pool's chunks in flight. The
+    /// largest rung is the first (`min_trials`, which is the whole budget
+    /// under `FixedTrials(n)`) or at most a third of `max_trials`.
     pub fn run_paired<FA, PA, FB, PB>(
         &self,
         inst: &SuuInstance,
@@ -699,44 +704,44 @@ impl Evaluator {
         precision: Precision,
     ) -> PairedStats
     where
-        FA: FnOnce() -> PA,
+        FA: Fn() -> PA + Sync,
         PA: Policy,
-        FB: FnOnce() -> PB,
+        FB: Fn() -> PB + Sync,
         PB: Policy,
     {
-        let cfg = self.config;
-        let batch = self.batch_size();
         let started = Instant::now();
-        let mut a = make_a();
-        let mut b = make_b();
-        let (name_a, name_b) = (a.name().to_string(), b.name().to_string());
-        // One warm runner per policy for the whole comparison: decision
-        // caches are per-policy, scratch is reused across rounds.
-        let mut runner_a = BatchRunner::new(inst, &cfg.exec);
-        let mut runner_b = BatchRunner::new(inst, &cfg.exec);
-        let mut delta = PairedDelta::new();
         let ladder = BudgetLadder::new(precision.min_trials(), precision.max_trials());
+        let mut delta = PairedDelta::new();
+        let mut makespans_a = Vec::new();
         let mut done = 0usize;
-        let stop_reason = loop {
-            if let Some(reason) = precision.check_sample(delta.deltas()) {
-                break reason;
-            }
-            let target = ladder.next(done).expect("every rule stops at its cap");
-            for chunk in 0..(target - done).div_ceil(batch) {
-                let trials = self.chunk_trials(done, target, chunk, batch);
-                let out_a = runner_a.run(&mut a, &trials);
-                let out_b = runner_b.run(&mut b, &trials);
-                for (oa, ob) in out_a.iter().zip(&out_b) {
-                    delta.push(oa.makespan as f64, ob.makespan as f64);
-                }
-            }
-            done = target;
-        };
-        let mut config = cfg;
+        let (stop_reason, name_a, name_b) = self.with_pool(inst, &make_a, |pool_a| {
+            self.with_pool(inst, &make_b, |pool_b| {
+                let reason = loop {
+                    if let Some(reason) = precision.check_sample(delta.deltas()) {
+                        break reason;
+                    }
+                    let target = ladder.next(done).expect("every rule stops at its cap");
+                    makespans_a.clear();
+                    pool_a.run_rung(done, target, |chunk| {
+                        makespans_a.extend(chunk.iter().map(|o| o.makespan))
+                    });
+                    let mut a = makespans_a.iter();
+                    pool_b.run_rung(done, target, |chunk| {
+                        for ob in &chunk {
+                            let oa = a.next().expect("both pools ran the same rung");
+                            delta.push(*oa as f64, ob.makespan as f64);
+                        }
+                    });
+                    done = target;
+                };
+                (reason, pool_a.policy_name(), pool_b.policy_name())
+            })
+        });
+        let mut config = self.config;
         config.trials = done;
         PairedStats {
-            policy_a: name_a,
-            policy_b: name_b,
+            policy_a: name_a.unwrap_or_else(|| make_a().name().to_string()),
+            policy_b: name_b.unwrap_or_else(|| make_b().name().to_string()),
             config,
             delta,
             stop_reason,
@@ -744,8 +749,8 @@ impl Evaluator {
         }
     }
 
-    /// Run `body` with this call's worker pool and return what it
-    /// returns. The pool closes when `body` ends (normally or by
+    /// Run `body` with a worker pool for `make_policy`'s policy and
+    /// return what it returns. The pool closes when `body` ends (normally or by
     /// unwinding) and every worker has returned before this does; the
     /// first worker panic is re-raised here, on the calling thread.
     fn with_pool<F, P, R>(
@@ -800,7 +805,7 @@ impl Evaluator {
 }
 
 /// One rung handed to a [`TrialPool`]: trials `lo..hi`, cut into chunks
-/// of `size` consecutive trials. `id` numbers the call's rungs from 1.
+/// of `size` consecutive trials. `id` numbers the pool's rungs from 1.
 #[derive(Debug, Clone, Copy, Default)]
 struct Rung {
     id: u64,
@@ -965,7 +970,7 @@ impl Shared {
     }
 }
 
-/// The worker pool of one evaluator call (see the module docs), handed
+/// A worker pool of one evaluator call (see the module docs), handed
 /// one rung at a time through [`TrialPool::run_rung`].
 ///
 /// The calling thread is a worker itself. The other workers are threads

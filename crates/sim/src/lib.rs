@@ -61,7 +61,7 @@ pub mod registry;
 pub mod stats;
 pub mod sweep;
 
-pub use engine::batch::{execute_batch, BatchMetrics, BatchRunner, BatchTrial};
+pub use engine::batch::{BatchMetrics, BatchRunner, BatchTrial};
 pub use engine::{execute, ExecConfig, ExecOutcome, Semantics};
 pub use evaluate::{
     derive_seed, spec_factory, AdaptiveStats, EvalConfig, EvalReport, EvalStats, Evaluator,

@@ -17,7 +17,9 @@ use suu::algos::SemPolicy;
 use suu::bench::runner::{run_race_with, Race};
 use suu::bench::scenario::Scenario;
 use suu::core::SuuInstance;
-use suu::sim::{factory, Assignment, Decision, Policy, RegistryError, StateView, StructureClass};
+use suu::sim::{
+    factory, Assignment, Decision, Policy, Precision, RegistryError, StateView, StructureClass,
+};
 
 /// Phase-aware schedule: `SUU-I-SEM` on the maps, then on the reduces.
 struct TwoPhaseSem {
@@ -85,7 +87,7 @@ fn main() {
             policies: ["round-robin", "best-machine", "two-phase-sem"]
                 .map(String::from)
                 .to_vec(),
-            trials: 150,
+            precision: Precision::FixedTrials(150),
             master_seed: 5,
             ratios_to_lower_bound: false,
             ..Race::default()

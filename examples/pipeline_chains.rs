@@ -12,6 +12,7 @@
 
 use suu::bench::runner::{run_race, Race};
 use suu::bench::scenario::Scenario;
+use suu::sim::Precision;
 
 fn main() {
     let doc = run_race(Race {
@@ -21,7 +22,7 @@ fn main() {
         policies: ["gang-sequential", "suu-c", "suu-c(delay=false)"]
             .map(String::from)
             .to_vec(),
-        trials: 60,
+        precision: Precision::FixedTrials(60),
         master_seed: 31,
         ratios_to_lower_bound: true,
         ..Race::default()

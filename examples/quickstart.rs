@@ -10,6 +10,7 @@
 
 use suu::bench::runner::{run_race, Race};
 use suu::bench::scenario::Scenario;
+use suu::sim::Precision;
 
 fn main() {
     let doc = run_race(Race {
@@ -19,7 +20,7 @@ fn main() {
         policies: ["gang-sequential", "suu-i-obl", "suu-i-sem"]
             .map(String::from)
             .to_vec(),
-        trials: 200,
+        precision: Precision::FixedTrials(200),
         master_seed: 1,
         ratios_to_lower_bound: true,
         ..Race::default()

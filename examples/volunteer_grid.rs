@@ -13,7 +13,7 @@
 use suu::bench::runner::{run_race, Race};
 use suu::bench::scenario::Scenario;
 use suu::core::{workload, Precedence};
-use suu::sim::StructureClass;
+use suu::sim::{Precision, StructureClass};
 
 fn grid(id: &str, m: usize, n: usize, seed: u64) -> Scenario {
     Scenario::custom(
@@ -50,7 +50,7 @@ fn main() {
         ]
         .map(String::from)
         .to_vec(),
-        trials: 120,
+        precision: Precision::FixedTrials(120),
         master_seed: 1234,
         ratios_to_lower_bound: true,
         ..Race::default()

@@ -231,7 +231,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Length distributions accepted by [`vec`].
+    /// Length distributions accepted by [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -271,7 +271,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         elem: S,
         size: SizeRange,

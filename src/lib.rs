@@ -58,7 +58,7 @@
 //! | [`sim`] | `suu-sim` | execution engine (SUU & SUU* semantics), the policy registry ([`sim::PolicyRegistry`]), the parallel seed-deterministic [`sim::Evaluator`] |
 //! | [`algos`] | `suu-algos` | `SUU-I-OBL`, `SUU-I-SEM`, `SUU-C`, `SUU-T`, baselines, exact OPT, bounds, and [`algos::standard_registry`] |
 //! | [`stoch`] | `suu-stoch` | Appendix C: Lawler–Labetoulle, `STC-I` |
-//! | [`bench`] | `suu-bench` | scenario suite, `suu-results/v2` JSON schema, race runner, request wire form, experiment binaries |
+//! | [`bench`](mod@bench) | `suu-bench` | scenario suite, `suu-results/v2` JSON schema, race runner, request wire form, experiment binaries |
 //! | [`serve`] | `suu-serve` | the `suud` evaluation daemon: HTTP/1.1 JSON API over a content-addressed, resumable result cache |
 //!
 //! The evaluation pipeline is layered: a

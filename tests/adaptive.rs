@@ -10,7 +10,8 @@ use suu::algos::standard_registry;
 use suu::bench::scenario::Scenario;
 use suu::core::SuuInstance;
 use suu::sim::{
-    spec_factory, EvalConfig, EvalStats, Evaluator, PolicyRegistry, PolicySpec, Precision,
+    spec_factory, EvalConfig, EvalStats, Evaluator, PairedDelta, PolicyRegistry, PolicySpec,
+    Precision, StopReason,
 };
 
 fn evaluator(trials: usize, threads: usize) -> Evaluator {
@@ -341,6 +342,59 @@ fn paired_crn_variance_is_smaller_than_marginal_variance() {
         "CRN gained nothing: Var(Δ) = {var_delta}, Var(A)+Var(B) = {}",
         var_a + var_b
     );
+}
+
+#[test]
+fn paired_cells_match_the_serial_reference_at_any_thread_count() {
+    // greedy-lr takes the batched fast path and suu-c (not stationary)
+    // the per-trial fallback. An unreachable CI target climbs all 8
+    // rungs of the 8..100 ladder, each cut into chunks of at most 8
+    // trials and split across every worker of both policies' pools.
+    let registry = standard_registry();
+    let inst = Scenario::chains(3, 9, 3, 77).instantiate();
+    let (a, b) = (PolicySpec::new("greedy-lr"), PolicySpec::new("suu-c"));
+    let factory = |spec| spec_factory(&registry, &inst, spec).unwrap();
+    let rule = Precision::TargetCi {
+        half_width: 1e-9,
+        relative: false,
+        min_trials: 8,
+        max_trials: 100,
+    };
+    let runs: Vec<_> = [1, 2, 3]
+        .into_iter()
+        .map(|threads| {
+            let eval = evaluator(0, threads).with_batch(8);
+            let paired = eval.run_paired(&inst, factory(&a), factory(&b), rule);
+            (
+                paired.delta.to_json().to_canonical(),
+                paired.trials_used(),
+                paired.stop_reason,
+                paired.policy_a,
+                paired.policy_b,
+            )
+        })
+        .collect();
+    assert!(runs.iter().all(|run| *run == runs[0]), "{runs:?}");
+
+    // The per-trial reference: each policy through `run_serial`, the
+    // differences folded in trial order.
+    let serial = evaluator(100, 1);
+    let (ref_a, ref_b) = (
+        serial.run_serial(&inst, factory(&a)),
+        serial.run_serial(&inst, factory(&b)),
+    );
+    let mut reference = PairedDelta::new();
+    for (oa, ob) in ref_a.outcomes.iter().zip(&ref_b.outcomes) {
+        reference.push(oa.makespan as f64, ob.makespan as f64);
+    }
+    let expected = (
+        reference.to_json().to_canonical(),
+        100,
+        StopReason::MaxTrials,
+        ref_a.policy,
+        ref_b.policy,
+    );
+    assert_eq!(runs[0], expected);
 }
 
 #[test]
