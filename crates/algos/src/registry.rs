@@ -31,7 +31,7 @@ use crate::suu_t::ForestPolicy;
 use crate::AlgoError;
 use suu_core::{Precedence, SuuInstance};
 use suu_dag::{ChainSet, Forest};
-use suu_sim::{factory, Policy, PolicyRegistry, PolicySpec, RegistryError, StructureClass};
+use suu_sim::{Policy, PolicyRegistry, PolicySpec, RegistryError, StructureClass};
 
 fn build_failed(spec: &PolicySpec, err: AlgoError) -> RegistryError {
     RegistryError::BuildFailed {
@@ -96,118 +96,72 @@ fn forest_of(inst: &SuuInstance) -> Result<Forest, AlgoError> {
 
 /// Register every family of this crate into `registry`.
 pub fn register_standard(registry: &mut PolicyRegistry) {
-    registry.register(factory(
-        "gang-sequential",
-        "all machines gang on one eligible job at a time (naive O(n) fallback)",
-        StructureClass::Dag,
-        |_inst, spec| {
-            reject_unknown(spec, &[])?;
-            Ok(Box::new(GangSequentialPolicy::new()) as Box<dyn Policy>)
-        },
-    ));
+    registry.register("gang-sequential", StructureClass::Dag, |_inst, spec| {
+        reject_unknown(spec, &[])?;
+        Ok(Box::new(GangSequentialPolicy::new()) as Box<dyn Policy>)
+    });
 
-    registry.register(factory(
-        "round-robin",
-        "rotating uniform spread of machines over eligible jobs",
-        StructureClass::Dag,
-        |_inst, spec| {
-            reject_unknown(spec, &[])?;
-            Ok(Box::new(RoundRobinPolicy::new()) as Box<dyn Policy>)
-        },
-    ));
+    registry.register("round-robin", StructureClass::Dag, |_inst, spec| {
+        reject_unknown(spec, &[])?;
+        Ok(Box::new(RoundRobinPolicy::new()) as Box<dyn Policy>)
+    });
 
-    registry.register(factory(
-        "best-machine",
-        "greedy matching: scarcest jobs claim their best machines",
-        StructureClass::Dag,
-        |inst, spec| {
-            reject_unknown(spec, &[])?;
-            Ok(Box::new(BestMachinePolicy::new(inst.clone())) as Box<dyn Policy>)
-        },
-    ));
+    registry.register("best-machine", StructureClass::Dag, |inst, spec| {
+        reject_unknown(spec, &[])?;
+        Ok(Box::new(BestMachinePolicy::new(inst.clone())) as Box<dyn Policy>)
+    });
 
-    registry.register(factory(
-        "greedy-lr",
-        "per-step clamped marginal-mass greedy (Lin–Rajaraman-style [11])",
-        StructureClass::Dag,
-        |inst, spec| {
-            reject_unknown(spec, &[])?;
-            Ok(Box::new(LrGreedyPolicy::new(inst.clone())) as Box<dyn Policy>)
-        },
-    ));
+    registry.register("greedy-lr", StructureClass::Dag, |inst, spec| {
+        reject_unknown(spec, &[])?;
+        Ok(Box::new(LrGreedyPolicy::new(inst.clone())) as Box<dyn Policy>)
+    });
 
-    registry.register(factory(
-        "suu-i-obl",
-        "SUU-I-OBL: oblivious O(log n) repeated timetable (Theorem 3)",
-        StructureClass::Independent,
-        |inst, spec| {
-            reject_unknown(spec, &[])?;
-            let policy = OblPolicy::build(inst).map_err(|e| build_failed(spec, e))?;
-            Ok(Box::new(policy) as Box<dyn Policy>)
-        },
-    ));
+    registry.register("suu-i-obl", StructureClass::Independent, |inst, spec| {
+        reject_unknown(spec, &[])?;
+        let policy = OblPolicy::build(inst).map_err(|e| build_failed(spec, e))?;
+        Ok(Box::new(policy) as Box<dyn Policy>)
+    });
 
-    registry.register(factory(
-        "suu-i-sem",
-        "SUU-I-SEM: semioblivious O(log log min(m,n)) rounds (Theorem 4)",
-        StructureClass::Independent,
-        |inst, spec| {
-            reject_unknown(spec, &[])?;
-            let policy = SemPolicy::build(inst.clone()).map_err(|e| build_failed(spec, e))?;
-            Ok(Box::new(policy) as Box<dyn Policy>)
-        },
-    ));
+    registry.register("suu-i-sem", StructureClass::Independent, |inst, spec| {
+        reject_unknown(spec, &[])?;
+        let policy = SemPolicy::build(inst.clone()).map_err(|e| build_failed(spec, e))?;
+        Ok(Box::new(policy) as Box<dyn Policy>)
+    });
 
-    registry.register(factory(
-        "suu-c",
-        "SUU-C: chain schedule with random delays and flattening (Theorems 7 & 9)",
-        StructureClass::Chains,
-        |inst, spec| {
-            reject_unknown(spec, &["delay", "coarsen", "seed", "fallback"])?;
-            let cfg = chain_config(spec)?;
-            let policy = ChainPolicy::build(inst.clone(), chains_of(inst), cfg)
-                .map_err(|e| build_failed(spec, e))?;
-            Ok(Box::new(policy) as Box<dyn Policy>)
-        },
-    ));
+    registry.register("suu-c", StructureClass::Chains, |inst, spec| {
+        reject_unknown(spec, &["delay", "coarsen", "seed", "fallback"])?;
+        let cfg = chain_config(spec)?;
+        let policy = ChainPolicy::build(inst.clone(), chains_of(inst), cfg)
+            .map_err(|e| build_failed(spec, e))?;
+        Ok(Box::new(policy) as Box<dyn Policy>)
+    });
 
-    registry.register(factory(
-        "suu-t",
-        "SUU-T: forest schedule via rank decomposition (Theorem 12)",
-        StructureClass::Forest,
-        |inst, spec| {
-            reject_unknown(spec, &["delay", "coarsen", "seed", "fallback"])?;
-            let cfg = chain_config(spec)?;
-            let forest = forest_of(inst).map_err(|e| build_failed(spec, e))?;
-            let policy = ForestPolicy::build(inst.clone(), &forest, cfg)
-                .map_err(|e| build_failed(spec, e))?;
-            Ok(Box::new(policy) as Box<dyn Policy>)
-        },
-    ));
+    registry.register("suu-t", StructureClass::Forest, |inst, spec| {
+        reject_unknown(spec, &["delay", "coarsen", "seed", "fallback"])?;
+        let cfg = chain_config(spec)?;
+        let forest = forest_of(inst).map_err(|e| build_failed(spec, e))?;
+        let policy =
+            ForestPolicy::build(inst.clone(), &forest, cfg).map_err(|e| build_failed(spec, e))?;
+        Ok(Box::new(policy) as Box<dyn Policy>)
+    });
 
-    registry.register(factory(
-        "exact-opt",
-        "the optimal adaptive schedule from the MDP DP (tiny instances only)",
-        StructureClass::Dag,
-        |inst, spec| {
-            reject_unknown(spec, &["max_jobs", "max_ops"])?;
-            let defaults = OptLimits::default();
-            let limits = OptLimits {
-                max_jobs: spec.u64_param("max_jobs", defaults.max_jobs as u64)? as usize,
-                max_ops: spec.u64_param("max_ops", defaults.max_ops)?,
-            };
-            let policy =
-                OptPolicy::build(inst, limits).ok_or_else(|| RegistryError::BuildFailed {
-                    policy: spec.name.clone(),
-                    reason: format!(
-                        "instance exceeds exact-OPT limits (n = {}, max_jobs = {})",
-                        inst.num_jobs(),
-                        limits.max_jobs
-                    ),
-                })?;
-            Ok(Box::new(policy) as Box<dyn Policy>)
-        },
-    ));
+    registry.register("exact-opt", StructureClass::Dag, |inst, spec| {
+        reject_unknown(spec, &["max_jobs", "max_ops"])?;
+        let defaults = OptLimits::default();
+        let limits = OptLimits {
+            max_jobs: spec.u64_param("max_jobs", defaults.max_jobs as u64)? as usize,
+            max_ops: spec.u64_param("max_ops", defaults.max_ops)?,
+        };
+        let policy = OptPolicy::build(inst, limits).ok_or_else(|| RegistryError::BuildFailed {
+            policy: spec.name.clone(),
+            reason: format!(
+                "instance exceeds exact-OPT limits (n = {}, max_jobs = {})",
+                inst.num_jobs(),
+                limits.max_jobs
+            ),
+        })?;
+        Ok(Box::new(policy) as Box<dyn Policy>)
+    });
 }
 
 /// A fresh registry containing every schedule family in this crate.

@@ -1,4 +1,5 @@
-//! **Ablation — rounding scale (DESIGN.md §4.6)**: the paper's Lemma-2
+//! **Ablation — rounding scale** (the `ablation_rounding` row of the
+//! `suu-bench` experiment index; README "Experiments"): the paper's Lemma-2
 //! proof scales fractional assignments by 6 before flooring; our default
 //! rounding adaptively tries 1/2/3 first and verifies the identical
 //! guarantees. This ablation measures what that buys end-to-end.
@@ -13,16 +14,17 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::time::Instant;
 use suu_algos::lp1::solve_lp1;
 use suu_algos::rounding::{round_lp1_with, ScaleMode};
+use suu_bench::print_header;
 use suu_bench::runner::{run_race, Race};
 use suu_bench::scenario::Scenario;
-use suu_bench::{print_header, Stopwatch};
 use suu_core::{workload, Precedence};
 use suu_sim::Precision;
 
 fn main() {
-    let watch = Stopwatch::start();
+    let started = Instant::now();
     println!("== Ablation: adaptive vs paper-exact rounding scale ==\n");
     println!("--- schedule length (timetable period) for LP1(J, 1/2) ---");
     print_header(&[
@@ -71,5 +73,5 @@ fn main() {
     println!("guarantees; disabling delays helps small instances (congestion is");
     println!("cheap there) but risks the Theorem-7 blowup at scale — see");
     println!("fig_congestion; coarsening is near-neutral when t_LP2 is small.");
-    println!("[{:.1}s]", watch.secs());
+    println!("[{:.1}s]", started.elapsed().as_secs_f64());
 }

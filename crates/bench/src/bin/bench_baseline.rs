@@ -39,7 +39,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use suu_bench::runner::{run_race_with, scenario_master_seed, Race};
 use suu_bench::scenario::{Scenario, ScenarioSuite};
-use suu_bench::Stopwatch;
 use suu_core::json::Json;
 use suu_core::profile::ProfileMode;
 use suu_core::SuuInstance;
@@ -288,7 +287,7 @@ fn main() {
         .map(|s| s.to_string())
         .unwrap_or_else(|| "BENCH_engine_batch.json".to_string());
 
-    let watch = Stopwatch::start();
+    let started = Instant::now();
     let registry = suu_algos::standard_registry();
     let suite = if smoke {
         ScenarioSuite::smoke(42)
@@ -573,6 +572,6 @@ fn main() {
     println!(
         // suu-lint: allow(float-format, "human console summary line; schema'd floats go through the Json shortest-repr writer")
         "\nbaseline written to {out_path}  [{:.1}s total]",
-        watch.secs()
+        started.elapsed().as_secs_f64()
     );
 }

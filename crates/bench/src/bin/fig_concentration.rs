@@ -12,7 +12,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use suu_bench::{print_header, Stopwatch};
+use std::time::Instant;
+use suu_bench::print_header;
 
 /// Geometric(1/2) on {1, 2, 3, …}: number of block repetitions until a
 /// success with probability 1/2 per attempt.
@@ -25,7 +26,7 @@ fn geometric(rng: &mut StdRng) -> u64 {
 }
 
 fn main() {
-    let watch = Stopwatch::start();
+    let started = Instant::now();
     println!("== F-CONC: Lemma 8 tail of sum(y_j d_j), y_j ~ Geom(1/2) ==\n");
     let samples = 200_000usize;
     println!("{samples} samples per configuration\n");
@@ -75,5 +76,5 @@ fn main() {
     println!("\nexpected: E[sum] = W (each E[y]=2, W = sum 2d). exceedance");
     println!("probabilities fall off geometrically in the multiple, and faster");
     println!("for larger eta — the 1/eta^c shape of Lemma 8.");
-    println!("[{:.1}s]", watch.secs());
+    println!("[{:.1}s]", started.elapsed().as_secs_f64());
 }

@@ -12,14 +12,15 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use std::time::Instant;
 use suu_algos::{ChainConfig, ChainPolicy};
-use suu_bench::{print_header, Stopwatch};
+use suu_bench::print_header;
 use suu_core::{workload, Precedence};
 use suu_dag::generators::equal_chains;
 use suu_sim::{execute, ExecConfig};
 
 fn main() {
-    let watch = Stopwatch::start();
+    let started = Instant::now();
     println!("== F-DELAY: max congestion with vs without random delays ==\n");
     println!("z chains of length 4, m = 4 machines, q ~ U[0.25,0.7), 25 trials\n");
     print_header(&[
@@ -83,5 +84,5 @@ fn main() {
     println!("bound while undelayed congestion grows with the chain count.");
     println!("(delays trade a bounded additive makespan cost for that cap —");
     println!("the two makespan columns show the trade.)");
-    println!("[{:.1}s]", watch.secs());
+    println!("[{:.1}s]", started.elapsed().as_secs_f64());
 }

@@ -10,15 +10,16 @@
 //! cargo run --release -p suu-bench --bin fig_equivalence
 //! ```
 
+use std::time::Instant;
+use suu_bench::print_header;
 use suu_bench::report::ResultsBuilder;
 use suu_bench::scenario::Scenario;
-use suu_bench::{print_header, Stopwatch};
 use suu_core::json::Json;
 use suu_sim::stats::{chi_square_critical_001, chi_square_two_sample, histogram_pair};
 use suu_sim::{spec_factory, EvalConfig, Evaluator, ExecConfig, PolicySpec, Semantics};
 
 fn main() {
-    let watch = Stopwatch::start();
+    let started = Instant::now();
     println!("== F-EQUIV: SUU vs SUU* makespan distributions (Theorem 10) ==\n");
     let trials = 4000;
     println!("{trials} trials per semantics; chi-square @ 0.001\n");
@@ -108,5 +109,5 @@ fn main() {
         if all_pass { "OK." } else { "VIOLATION!" }
     );
     println!("results written to target/results/fig_equivalence.json");
-    println!("[{:.1}s]", watch.secs());
+    println!("[{:.1}s]", started.elapsed().as_secs_f64());
 }

@@ -12,15 +12,16 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::time::Instant;
 use suu_algos::lp1::solve_lp1;
 use suu_algos::lp2::{round_lp2, solve_lp2};
 use suu_algos::rounding::round_lp1;
-use suu_bench::{print_header, Stopwatch};
+use suu_bench::print_header;
 use suu_core::{workload, Precedence};
 use suu_dag::generators::random_chain_set;
 
 fn main() {
-    let watch = Stopwatch::start();
+    let started = Instant::now();
     println!("== F-LP: Lemma 2 / Lemma 6 rounding quality ==\n");
 
     println!("--- Lemma 2 (LP1, independent), 40 instances per row ---");
@@ -111,5 +112,5 @@ fn main() {
 
     println!("\nexpected: all guarantee columns full; rounded/fractional stays");
     println!("well under the worst-case 6x of the lemmas (adaptive scale).");
-    println!("[{:.1}s]", watch.secs());
+    println!("[{:.1}s]", started.elapsed().as_secs_f64());
 }

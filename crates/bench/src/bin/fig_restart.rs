@@ -13,7 +13,8 @@
 
 use rand::rngs::{SmallRng, StdRng};
 use rand::{Rng, SeedableRng};
-use suu_bench::{print_header, Stopwatch};
+use std::time::Instant;
+use suu_bench::print_header;
 use suu_stoch::{solve_ll, RestartI, StcI, StochInstance};
 
 fn random_instance(seed: u64, m: usize, n: usize) -> StochInstance {
@@ -24,7 +25,7 @@ fn random_instance(seed: u64, m: usize, n: usize) -> StochInstance {
 }
 
 fn main() {
-    let watch = Stopwatch::start();
+    let started = Instant::now();
     println!("== F-RESTART: RESTART-I vs STC-I vs clairvoyant LL bound ==\n");
     println!("60 trials/point; ratios vs the preemptive clairvoyant optimum\n");
     print_header(&[
@@ -72,5 +73,5 @@ fn main() {
     println!("\nexpected: RESTART-I pays a constant penalty over STC-I (lost");
     println!("progress + nonpreemptive packing) but stays flat in n — the");
     println!("paper's 'virtually identical algorithm' claim.");
-    println!("[{:.1}s]", watch.secs());
+    println!("[{:.1}s]", started.elapsed().as_secs_f64());
 }

@@ -12,13 +12,14 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use std::time::Instant;
 use suu_algos::SemPolicy;
-use suu_bench::{print_header, Stopwatch};
+use suu_bench::print_header;
 use suu_core::{workload, Precedence};
 use suu_sim::{execute, ExecConfig};
 
 fn main() {
-    let watch = Stopwatch::start();
+    let started = Instant::now();
     println!("== F-ROUNDS: SUU-I-SEM rounds used vs K = ceil(log log min(m,n)) + 3 ==\n");
     println!("square instances n = m, q ~ U[0.3,0.97), 60 trials/point\n");
     print_header(&[
@@ -62,5 +63,5 @@ fn main() {
     println!("\nexpected: mean/max rounds track K (double-log growth: K only");
     println!("increases by 1 each time log min(m,n) doubles), and the post-K");
     println!("fallback fires rarely — it guards a probability-1/n tail event.");
-    println!("[{:.1}s]", watch.secs());
+    println!("[{:.1}s]", started.elapsed().as_secs_f64());
 }

@@ -11,7 +11,8 @@
 
 use rand::rngs::{SmallRng, StdRng};
 use rand::{Rng, SeedableRng};
-use suu_bench::{print_header, Stopwatch};
+use std::time::Instant;
+use suu_bench::print_header;
 use suu_stoch::{StcI, StochInstance};
 
 fn random_instance(seed: u64, m: usize, n: usize) -> StochInstance {
@@ -22,7 +23,7 @@ fn random_instance(seed: u64, m: usize, n: usize) -> StochInstance {
 }
 
 fn main() {
-    let watch = Stopwatch::start();
+    let started = Instant::now();
     println!("== F-STOCH: STC-I vs clairvoyant LL bound (Theorem 13) ==\n");
     println!("unrelated speeds ~ U[0.3,3), rates ~ U[0.25,4), 120 trials/point\n");
     print_header(&[
@@ -64,5 +65,5 @@ fn main() {
     println!("\nexpected: mean competitive ratio a small constant, flat in n");
     println!("(Theorem 13's O(log log min(m,n)) with tiny constants); rounds");
     println!("track K; the sequential fallback almost never fires.");
-    println!("[{:.1}s]", watch.secs());
+    println!("[{:.1}s]", started.elapsed().as_secs_f64());
 }

@@ -1,8 +1,8 @@
 //! # suu-bench — experiment harness
 //!
 //! Shared plumbing for the experiment binaries that regenerate the paper's
-//! evaluation artifacts (see `DESIGN.md` §5 for the experiment index and
-//! `EXPERIMENTS.md` for recorded results):
+//! evaluation artifacts. The table below is the experiment index; the
+//! README's "Experiments" section shows how to run them:
 //!
 //! | binary | paper artifact |
 //! |---|---|
@@ -45,8 +45,6 @@ pub mod runner;
 pub mod scenario;
 pub mod sweep;
 
-use std::time::Instant;
-
 /// Print a header row followed by a separator sized to the given widths.
 pub fn print_header(cols: &[(&str, usize)]) {
     let mut line = String::new();
@@ -55,25 +53,4 @@ pub fn print_header(cols: &[(&str, usize)]) {
     }
     println!("{line}");
     println!("{:-<width$}", "", width = line.len());
-}
-
-/// Simple wall-clock scope timer for harness progress lines.
-pub struct Stopwatch(Instant);
-
-impl Stopwatch {
-    /// Start timing.
-    pub fn start() -> Self {
-        Stopwatch(Instant::now())
-    }
-
-    /// Elapsed seconds.
-    pub fn secs(&self) -> f64 {
-        self.0.elapsed().as_secs_f64()
-    }
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
 }

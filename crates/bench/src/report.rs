@@ -8,7 +8,6 @@
 //! {
 //!   "schema": "suu-results/v2",
 //!   "generated_by": "bench_baseline",
-//!   "suite": "standard",
 //!   "scenarios": [
 //!     {"id": "...", "description": "...", "structure": "chains",
 //!      "m": 4, "n": 24, "seed": 42}
@@ -57,7 +56,7 @@
 //! its limits) or `"skipped"` (capability below the scenario's structure
 //! class); such cells have no statistics.
 
-use crate::scenario::{Scenario, ScenarioSuite};
+use crate::scenario::Scenario;
 use suu_core::json::Json;
 use suu_sim::{EvalStats, PairedStats};
 
@@ -67,7 +66,6 @@ pub const SCHEMA: &str = suu_core::schemas::RESULTS_V2;
 /// Incrementally builds a `suu-results/v2` document.
 pub struct ResultsBuilder {
     generated_by: String,
-    suite: Option<String>,
     scenarios: Vec<Json>,
     scenario_ids: Vec<String>,
     policies: Vec<String>,
@@ -81,7 +79,6 @@ impl ResultsBuilder {
     pub fn new(generated_by: impl Into<String>) -> Self {
         ResultsBuilder {
             generated_by: generated_by.into(),
-            suite: None,
             scenarios: Vec::new(),
             scenario_ids: Vec::new(),
             policies: Vec::new(),
@@ -89,12 +86,6 @@ impl ResultsBuilder {
             paired: Vec::new(),
             record_wall_clocks: true,
         }
-    }
-
-    /// Record the suite name.
-    pub fn suite(mut self, suite: &ScenarioSuite) -> Self {
-        self.suite = Some(suite.name.clone());
-        self
     }
 
     /// Whether cells record `wall_clock_s` (default `true`). Disable to
@@ -248,13 +239,10 @@ impl ResultsBuilder {
 
     /// Assemble the document.
     pub fn finish(self) -> Json {
-        let mut doc = Json::obj()
+        Json::obj()
             .field("schema", SCHEMA)
-            .field("generated_by", self.generated_by);
-        if let Some(suite) = self.suite {
-            doc = doc.field("suite", suite);
-        }
-        doc.field("scenarios", Json::Arr(self.scenarios))
+            .field("generated_by", self.generated_by)
+            .field("scenarios", Json::Arr(self.scenarios))
             .field(
                 "policies",
                 Json::Arr(self.policies.into_iter().map(Json::Str).collect()),
@@ -287,8 +275,7 @@ mod tests {
         let inst = sc.instantiate();
         let stats = Evaluator::seeded(20, 9).run_stats(&inst, || Gang);
 
-        let suite = ScenarioSuite::smoke(1);
-        let mut builder = ResultsBuilder::new("report-test").suite(&suite);
+        let mut builder = ResultsBuilder::new("report-test");
         builder.add_scenario(&sc);
         builder.add_scenario(&sc); // idempotent
         builder.add_cell(&sc.id, "gang", &stats, &[("lower_bound", Json::Num(2.0))]);

@@ -7,8 +7,9 @@
 //!   probabilities `q_ij`, and a precedence structure.
 //! * [`logmass`] — the paper's log-failure transform `ℓ_ij = −log₂ q_ij`,
 //!   under which per-step failure probabilities multiply as masses add.
-//! * [`Precedence`] + [`EligibilityTracker`] — which jobs may run, updated
-//!   as jobs complete.
+//! * [`Precedence`] + [`EligibilityTopology`] / [`EligibilityState`] —
+//!   which jobs may run, updated as jobs complete (one shared topology per
+//!   instance, one state per trial).
 //! * [`Assignment`] — integral machine-step assignments `{x_ij}` (the
 //!   output shape of the paper's LP roundings) with their *load*, *length*
 //!   (`d_j`) and per-job *log mass*.
@@ -57,6 +58,6 @@ pub use bitset::BitSet;
 pub use hash::{fnv1a, fnv1a_hex, fnv1a_u64s, is_fnv1a_hex};
 pub use ids::{JobId, MachineId};
 pub use instance::{InstanceError, SuuInstance};
-pub use precedence::{EligibilityState, EligibilityTopology, EligibilityTracker, Precedence};
+pub use precedence::{EligibilityState, EligibilityTopology, Precedence};
 pub use schedule::Timetable;
 pub use wordmap::WordMap;

@@ -59,8 +59,8 @@ impl Precedence {
 /// Batched trial execution runs many simultaneous executions of one
 /// instance; each needs its own remaining/eligible sets but they all share
 /// this topology, which is computed (and allocated) once per batch rather
-/// than once per trial. [`EligibilityTracker`] is the single-trial
-/// convenience wrapper bundling a topology with one [`EligibilityState`].
+/// than once per trial. A single execution holds one topology and one
+/// [`EligibilityState`].
 #[derive(Debug, Clone)]
 pub struct EligibilityTopology {
     /// Successor lists per job.
@@ -180,24 +180,13 @@ impl EligibilityState {
     }
 
     /// Mark job `j` complete under `topo`, unlocking any successors whose
-    /// predecessors are now all done. Allocation-free (batch hot path);
-    /// use [`EligibilityTracker::complete`] to collect the unlocked jobs.
+    /// predecessors are now all done: a job is *eligible* when all its
+    /// predecessors have completed (paper §2). Allocation-free, `O(1)`
+    /// amortized per completion event.
     ///
     /// Panics (debug) if `j` was already complete or not eligible — the
     /// engine never completes an ineligible job.
     pub fn complete(&mut self, topo: &EligibilityTopology, j: u32) {
-        self.complete_impl(topo, j, |_| {});
-    }
-
-    /// The one copy of the completion/unlock rule; `on_unlock` is called
-    /// for each newly eligible successor (a no-op on the allocation-free
-    /// path, a collector in [`EligibilityTracker::complete`]).
-    fn complete_impl(
-        &mut self,
-        topo: &EligibilityTopology,
-        j: u32,
-        mut on_unlock: impl FnMut(u32),
-    ) {
         debug_assert!(self.remaining.contains(j), "job {j} completed twice");
         debug_assert!(self.eligible.contains(j), "ineligible job {j} completed");
         self.epoch += 1;
@@ -207,72 +196,8 @@ impl EligibilityState {
             self.pending_preds[v as usize] -= 1;
             if self.pending_preds[v as usize] == 0 {
                 self.eligible.insert(v);
-                on_unlock(v);
             }
         }
-    }
-}
-
-/// Incremental eligibility: a job is *eligible* when all its predecessors
-/// have completed (paper §2). `O(1)` amortized per completion event.
-///
-/// One topology + one state, for single-trial execution. Batched execution
-/// holds many [`EligibilityState`]s against one shared
-/// [`EligibilityTopology`] instead.
-#[derive(Debug, Clone)]
-pub struct EligibilityTracker {
-    topo: EligibilityTopology,
-    state: EligibilityState,
-}
-
-impl EligibilityTracker {
-    /// Tracker with every job uncompleted. Panics if `dag` is cyclic.
-    pub fn new(dag: &Dag) -> Self {
-        let topo = EligibilityTopology::new(dag);
-        let state = topo.new_state();
-        EligibilityTracker { topo, state }
-    }
-
-    /// Jobs not yet completed.
-    #[inline]
-    pub fn remaining(&self) -> &BitSet {
-        self.state.remaining()
-    }
-
-    /// Jobs eligible to run right now.
-    #[inline]
-    pub fn eligible(&self) -> &BitSet {
-        self.state.eligible()
-    }
-
-    /// `true` once every job has completed.
-    #[inline]
-    pub fn all_done(&self) -> bool {
-        self.state.all_done()
-    }
-
-    /// Number of uncompleted jobs.
-    #[inline]
-    pub fn num_remaining(&self) -> usize {
-        self.state.num_remaining()
-    }
-
-    /// Number of completion events so far; see [`EligibilityState::epoch`].
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.state.epoch()
-    }
-
-    /// Mark job `j` complete, unlocking any successors whose predecessors
-    /// are now all done. Returns the newly eligible jobs.
-    ///
-    /// Panics (debug) if `j` was already complete or not eligible — the
-    /// engine never completes an ineligible job.
-    pub fn complete(&mut self, j: u32) -> Vec<u32> {
-        let mut unlocked = Vec::new();
-        self.state
-            .complete_impl(&self.topo, j, |v| unlocked.push(v));
-        unlocked
     }
 }
 
@@ -280,66 +205,74 @@ impl EligibilityTracker {
 mod tests {
     use super::*;
 
+    fn jobs(set: &BitSet) -> Vec<u32> {
+        set.iter().collect()
+    }
+
     #[test]
     fn independent_all_eligible() {
-        let t = EligibilityTracker::new(&Dag::new(4));
-        assert_eq!(t.eligible().len(), 4);
-        assert!(!t.all_done());
+        let topo = EligibilityTopology::new(&Dag::new(4));
+        let s = topo.new_state();
+        assert_eq!(s.eligible().len(), 4);
+        assert!(!s.all_done());
     }
 
     #[test]
     fn chain_unlocks_in_order() {
         let dag = Dag::from_edges(3, &[(0, 1), (1, 2)]);
-        let mut t = EligibilityTracker::new(&dag);
-        assert_eq!(t.eligible().iter().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(t.epoch(), 0);
-        assert_eq!(t.complete(0), vec![1]);
-        assert_eq!(t.epoch(), 1);
-        assert_eq!(t.complete(1), vec![2]);
-        assert_eq!(t.complete(2), Vec::<u32>::new());
-        assert_eq!(t.epoch(), 3);
-        assert!(t.all_done());
+        let topo = EligibilityTopology::new(&dag);
+        let mut s = topo.new_state();
+        assert_eq!(jobs(s.eligible()), vec![0]);
+        assert_eq!(s.epoch(), 0);
+        s.complete(&topo, 0);
+        assert_eq!(jobs(s.eligible()), vec![1]);
+        assert_eq!(s.epoch(), 1);
+        s.complete(&topo, 1);
+        assert_eq!(jobs(s.eligible()), vec![2]);
+        s.complete(&topo, 2);
+        assert_eq!(jobs(s.eligible()), Vec::<u32>::new());
+        assert_eq!(s.epoch(), 3);
+        assert!(s.all_done());
     }
 
     #[test]
     fn diamond_needs_both_parents() {
         let dag = Dag::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let mut t = EligibilityTracker::new(&dag);
-        t.complete(0);
-        assert!(t.eligible().contains(1) && t.eligible().contains(2));
-        assert!(!t.eligible().contains(3));
-        t.complete(1);
-        assert!(!t.eligible().contains(3), "3 still blocked by 2");
-        assert_eq!(t.complete(2), vec![3]);
+        let topo = EligibilityTopology::new(&dag);
+        let mut s = topo.new_state();
+        s.complete(&topo, 0);
+        assert_eq!(jobs(s.eligible()), vec![1, 2]);
+        s.complete(&topo, 1);
+        assert_eq!(jobs(s.eligible()), vec![2], "3 still blocked by 2");
+        s.complete(&topo, 2);
+        assert_eq!(jobs(s.eligible()), vec![3]);
     }
 
     #[test]
     #[should_panic]
     #[cfg(debug_assertions)]
     fn double_complete_panics() {
-        let mut t = EligibilityTracker::new(&Dag::new(2));
-        t.complete(0);
-        t.complete(0);
+        let topo = EligibilityTopology::new(&Dag::new(2));
+        let mut s = topo.new_state();
+        s.complete(&topo, 0);
+        s.complete(&topo, 0);
     }
 
     #[test]
     fn shared_topology_runs_independent_trial_states() {
         // Two trials over one topology complete in different orders; each
-        // state evolves exactly as a dedicated tracker would.
+        // state evolves on its own.
         let dag = Dag::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         let topo = EligibilityTopology::new(&dag);
         assert_eq!(topo.num_jobs(), 4);
         let mut a = topo.new_state();
         let mut b = topo.new_state();
-        let mut reference = EligibilityTracker::new(&dag);
 
         a.complete(&topo, 0);
         a.complete(&topo, 1);
-        reference.complete(0);
-        reference.complete(1);
-        assert_eq!(a.remaining(), reference.remaining());
-        assert_eq!(a.eligible(), reference.eligible());
-        assert_eq!(a.epoch(), reference.epoch());
+        assert_eq!(jobs(a.remaining()), vec![2, 3]);
+        assert_eq!(jobs(a.eligible()), vec![2]);
+        assert_eq!(a.epoch(), 2);
 
         // Trial b is untouched by trial a's progress.
         assert_eq!(b.num_remaining(), 4);

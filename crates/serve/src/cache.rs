@@ -49,8 +49,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use suu_core::fnv1a_hex;
 use suu_core::json::Json;
+use suu_core::{fnv1a_hex, is_fnv1a_hex};
 use suu_sim::EvalStats;
 
 /// Schema stamped on every cache file.
@@ -99,13 +99,6 @@ impl CellKey {
         let hex = fnv1a_hex(canonical.as_bytes());
         CellKey { canonical, hex }
     }
-}
-
-/// `true` iff `key` is a plausible cell address — the shared
-/// [`suu_core::is_fnv1a_hex`] shape, so this cache and the
-/// `validate_results` CI gate agree by construction.
-pub fn is_valid_key_hex(key: &str) -> bool {
-    suu_core::is_fnv1a_hex(key)
 }
 
 /// A loaded cache entry.
@@ -314,7 +307,7 @@ impl CellStore {
     /// Raw cache document for `GET /v1/cell/{key}` (None when absent or
     /// the key is malformed).
     pub fn raw(&self, hex: &str) -> Option<String> {
-        if !is_valid_key_hex(hex) {
+        if !is_fnv1a_hex(hex) {
             return None;
         }
         std::fs::read_to_string(self.path_for(hex)).ok()
@@ -581,7 +574,7 @@ mod tests {
             key(&params_a),
             CellKey::new(&cell_key_fields(&params_a, "x", 2, "suu-star", 10))
         );
-        assert!(is_valid_key_hex(&key(&params_a).hex));
+        assert!(is_fnv1a_hex(&key(&params_a).hex));
     }
 
     #[test]

@@ -265,21 +265,9 @@ pub fn parse_request(buf: &[u8]) -> Parsed {
     }
 }
 
-/// The application side of the server: one call per request. Must be
-/// callable from any worker thread.
-pub trait Handler: Send + Sync + 'static {
-    /// Produce the response for one request.
-    fn handle(&self, request: &Request) -> Response;
-}
-
-impl<F> Handler for F
-where
-    F: Fn(&Request) -> Response + Send + Sync + 'static,
-{
-    fn handle(&self, request: &Request) -> Response {
-        self(request)
-    }
-}
+/// The application side of the server: produces the response for one
+/// request. Must be callable from any worker thread.
+pub type Handler = dyn Fn(&Request) -> Response + Send + Sync;
 
 #[cfg(test)]
 mod tests {

@@ -46,7 +46,7 @@
 //! ones. A shard answering `429` turns the whole race into a `429` with
 //! `Retry-After`.
 
-use crate::cache::{cell_key_fields, is_valid_key_hex, CellKey};
+use crate::cache::{cell_key_fields, CellKey};
 use crate::client::Client;
 use crate::http::{Request, Response};
 use crate::server::ServerMetrics;
@@ -122,7 +122,7 @@ pub fn owner_of(key: u64, shards: usize) -> usize {
 
 /// Parse a 16-hex-char cell key into its u64 (routing) form.
 pub fn key_from_hex(hex: &str) -> Option<u64> {
-    if !is_valid_key_hex(hex) {
+    if !suu_core::is_fnv1a_hex(hex) {
         return None;
     }
     u64::from_str_radix(hex, 16).ok()

@@ -274,7 +274,7 @@ impl ServerHandle {
 pub fn serve_with(
     addr: impl ToSocketAddrs,
     cfg: ServerConfig,
-    handler: Arc<dyn Handler>,
+    handler: Arc<Handler>,
     metrics: Arc<ServerMetrics>,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
@@ -361,7 +361,7 @@ pub fn serve_with(
     })
 }
 
-fn worker_loop(queue: Arc<JobQueue>, completions: Arc<Completions>, handler: Arc<dyn Handler>) {
+fn worker_loop(queue: Arc<JobQueue>, completions: Arc<Completions>, handler: Arc<Handler>) {
     while let Some(job) = queue.pop() {
         let Job {
             slot,
@@ -371,9 +371,8 @@ fn worker_loop(queue: Arc<JobQueue>, completions: Arc<Completions>, handler: Arc
         } = job;
         // A panicking handler answers 500 and the worker lives on — one
         // poisoned request must not shrink the pool forever.
-        let response =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler.handle(&request)))
-                .unwrap_or_else(|_| Response::text(500, "internal error: handler panicked"));
+        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(&request)))
+            .unwrap_or_else(|_| Response::text(500, "internal error: handler panicked"));
         completions.push(Done {
             slot,
             gen,
@@ -810,7 +809,7 @@ mod tests {
         }
     }
 
-    fn echo_handler() -> Arc<dyn Handler> {
+    fn echo_handler() -> Arc<Handler> {
         Arc::new(|req: &Request| {
             Response::json(
                 200,
@@ -913,7 +912,7 @@ mod tests {
 
     #[test]
     fn saturated_queue_returns_429_with_retry_after_in_order() {
-        let handler: Arc<dyn Handler> = Arc::new(|req: &Request| {
+        let handler: Arc<Handler> = Arc::new(|req: &Request| {
             if req.path == "/slow" {
                 std::thread::sleep(Duration::from_millis(400));
             }
@@ -951,7 +950,7 @@ mod tests {
 
     #[test]
     fn rejected_requests_carry_retry_after() {
-        let handler: Arc<dyn Handler> = Arc::new(|_: &Request| {
+        let handler: Arc<Handler> = Arc::new(|_: &Request| {
             std::thread::sleep(Duration::from_millis(300));
             Response::text(200, "done")
         });

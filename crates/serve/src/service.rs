@@ -300,7 +300,7 @@ impl Service {
         precision: Precision,
     ) -> Result<(EvalStats, StopReason, CacheStatus), CellError> {
         self.store.with_inflight(key, || {
-            match self.store.load(key).map_err(CellError::Cache)? {
+            let (grown, status, counter) = match self.store.load(key).map_err(CellError::Cache)? {
                 Some(cached) => {
                     if let Some(reason) = precision.check_sample(cached.stats.acc.makespan()) {
                         self.store.hits.fetch_add(1, Ordering::Relaxed);
@@ -308,36 +308,32 @@ impl Service {
                     }
                     // Resume with the cell's own config (seed, semantics,
                     // step cap asserted to match inside).
-                    let adaptive = evaluator
-                        .resume_adaptive_spec(&self.registry, inst(), spec, cached.stats, precision)
-                        .map_err(CellError::Registry)?;
-                    self.store
-                        .store(
-                            key,
-                            &adaptive.stats.policy,
-                            &adaptive.stats,
-                            adaptive.stop_reason.as_str(),
-                        )
-                        .map_err(CellError::Cache)?;
-                    self.store.extends.fetch_add(1, Ordering::Relaxed);
-                    Ok((adaptive.stats, adaptive.stop_reason, CacheStatus::Extended))
+                    let grown = evaluator.resume_adaptive_spec(
+                        &self.registry,
+                        inst(),
+                        spec,
+                        cached.stats,
+                        precision,
+                    );
+                    (grown, CacheStatus::Extended, &self.store.extends)
                 }
                 None => {
-                    let adaptive = evaluator
-                        .run_adaptive_spec(&self.registry, inst(), spec, precision)
-                        .map_err(CellError::Registry)?;
-                    self.store
-                        .store(
-                            key,
-                            &adaptive.stats.policy,
-                            &adaptive.stats,
-                            adaptive.stop_reason.as_str(),
-                        )
-                        .map_err(CellError::Cache)?;
-                    self.store.misses.fetch_add(1, Ordering::Relaxed);
-                    Ok((adaptive.stats, adaptive.stop_reason, CacheStatus::Miss))
+                    let grown =
+                        evaluator.run_adaptive_spec(&self.registry, inst(), spec, precision);
+                    (grown, CacheStatus::Miss, &self.store.misses)
                 }
-            }
+            };
+            let adaptive = grown.map_err(CellError::Registry)?;
+            self.store
+                .store(
+                    key,
+                    &adaptive.stats.policy,
+                    &adaptive.stats,
+                    adaptive.stop_reason.as_str(),
+                )
+                .map_err(CellError::Cache)?;
+            counter.fetch_add(1, Ordering::Relaxed);
+            Ok((adaptive.stats, adaptive.stop_reason, status))
         })
     }
 }
@@ -412,7 +408,7 @@ mod tests {
         assert_eq!(cells.len(), 2);
         for cell in cells {
             let key = cell.get("cell_key").unwrap().as_str().unwrap();
-            assert!(crate::cache::is_valid_key_hex(key));
+            assert!(suu_core::is_fnv1a_hex(key));
             assert!(service.store().raw(key).is_some());
         }
         let _ = std::fs::remove_dir_all(service.store().dir());

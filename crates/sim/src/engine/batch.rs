@@ -47,7 +47,7 @@
 //! # Bitwise equality
 //!
 //! For every seed the batched engine produces outcomes **bitwise
-//! identical** to [`super::events::execute_events`] with that seed: the
+//! identical** to [`super::execute`] with that seed: the
 //! per-epoch computation (classification order, `star_steps` /
 //! `geometric_steps` expressions, counter updates) evaluates the same
 //! expressions in the same order *within* a trial, and the counter-based

@@ -11,7 +11,7 @@
 
 use super::{clamp_wake, geometric_steps, ExecConfig, ExecOutcome, JobRandomness, Semantics};
 use crate::policy::{Assignment, Policy, StateView};
-use suu_core::{EligibilityTracker, MachineId, SuuInstance};
+use suu_core::{EligibilityTopology, MachineId, SuuInstance};
 
 /// Execute `policy` on `inst` one unit step at a time.
 pub fn execute_dense(
@@ -24,8 +24,8 @@ pub fn execute_dense(
     let m = inst.num_machines();
     policy.reset();
 
-    let dag = inst.precedence().to_dag(n);
-    let mut tracker = EligibilityTracker::new(&dag);
+    let topo = EligibilityTopology::new(&inst.precedence().to_dag(n));
+    let mut elig = topo.new_state();
     let rnd = JobRandomness::new(seed);
 
     // SUU*: thresholds −log₂ r_j per job; SUU: per-segment coins instead.
@@ -63,7 +63,7 @@ pub fn execute_dense(
     let mut epoch_pending = true;
 
     let mut t = 0u64;
-    while !tracker.all_done() {
+    while !elig.all_done() {
         if t >= cfg.max_steps {
             return ExecOutcome {
                 makespan: cfg.max_steps,
@@ -79,9 +79,9 @@ pub fn execute_dense(
         let decision = {
             let view = StateView {
                 time: t,
-                epoch: tracker.epoch(),
-                remaining: tracker.remaining(),
-                eligible: tracker.eligible(),
+                epoch: elig.epoch(),
+                remaining: elig.remaining(),
+                eligible: elig.eligible(),
                 n,
                 m,
             };
@@ -103,10 +103,10 @@ pub fn execute_dense(
                 Some(j) => {
                     let ji = j.index();
                     debug_assert!(ji < n, "policy assigned out-of-range job");
-                    if !tracker.remaining().contains(j.0) {
+                    if !elig.remaining().contains(j.0) {
                         // Completed job: machine rests (allowed).
                         idle_steps += 1;
-                    } else if !tracker.eligible().contains(j.0) {
+                    } else if !elig.eligible().contains(j.0) {
                         ineligible += 1;
                     } else {
                         if !seen[ji] {
@@ -164,7 +164,7 @@ pub fn execute_dense(
             };
             if completes {
                 completion_time[ji] = t + 1;
-                tracker.complete(j);
+                elig.complete(&topo, j);
                 run_active[ji] = false;
                 any_completion = true;
             }

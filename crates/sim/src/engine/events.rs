@@ -19,7 +19,7 @@
 //! `O(makespan · m)` cost.
 //!
 //! All per-trial working memory lives in an `EventsScratch`: the
-//! one-shot [`execute_events`] builds a fresh one, while the batch
+//! one-shot [`execute`] builds a fresh one, while the batch
 //! engine's non-stationary fallback keeps a single scratch across every
 //! trial of a cell (`execute_events_in`), so the precedence DAG,
 //! eligibility topology and per-job columns are built once instead of
@@ -70,8 +70,11 @@ impl EventsScratch {
     }
 }
 
-/// Execute `policy` on `inst`, fast-forwarding between decision epochs.
-pub fn execute_events(
+/// Execute `policy` on `inst`, all randomness derived from `seed`,
+/// fast-forwarding between decision epochs.
+///
+/// One call = one sample of the schedule's makespan distribution.
+pub fn execute(
     inst: &SuuInstance,
     policy: &mut dyn Policy,
     cfg: &ExecConfig,
@@ -80,7 +83,7 @@ pub fn execute_events(
     execute_events_in(inst, policy, cfg, seed, &mut EventsScratch::new(inst))
 }
 
-/// [`execute_events`] against caller-owned scratch. `scratch` must have
+/// [`execute`] against caller-owned scratch. `scratch` must have
 /// been built from this `inst`; it is fully reset here, so reuse across
 /// trials is invisible in the outcome (bitwise).
 pub(crate) fn execute_events_in(

@@ -50,10 +50,10 @@ pub mod dense;
 pub mod events;
 pub mod sampling;
 
+pub use events::execute;
 pub(crate) use sampling::{geometric_steps, star_steps, NEVER};
 
 use crate::evaluate::derive_seed;
-use crate::policy::Policy;
 use suu_core::JobId;
 
 /// Which formulation's randomness to simulate.
@@ -139,19 +139,6 @@ impl ExecOutcome {
         let t = self.completion_time[j.index()];
         (t != u64::MAX).then_some(t)
     }
-}
-
-/// Execute `policy` on `inst`, all randomness derived from `seed`.
-///
-/// One call = one sample of the schedule's makespan distribution, run
-/// on the event engine ([`events::execute_events`]).
-pub fn execute(
-    inst: &suu_core::SuuInstance,
-    policy: &mut dyn Policy,
-    cfg: &ExecConfig,
-    seed: u64,
-) -> ExecOutcome {
-    events::execute_events(inst, policy, cfg, seed)
 }
 
 /// Domain tag separating threshold draws from everything else.

@@ -32,8 +32,8 @@
 //! Around the engine sit the two pieces every experiment is built from:
 //!
 //! * [`registry`] — the unified policy registry: schedules are named by a
-//!   [`PolicySpec`] and built by [`PolicyFactory`]s with typed
-//!   [`StructureClass`] capability declarations (independent ⊂ chains ⊂
+//!   [`PolicySpec`] and built by the family registered under that name
+//!   with a typed [`StructureClass`] capability (independent ⊂ chains ⊂
 //!   forest ⊂ DAG), so any policy can be constructed by name on any
 //!   instance it supports.
 //! * [`evaluate`] — the parallel, seed-deterministic [`Evaluator`]:
@@ -68,12 +68,10 @@ pub use evaluate::{
     PairedStats,
 };
 pub use policy::{Assignment, Decision, Policy, StateView};
-pub use registry::{
-    factory, PolicyFactory, PolicyRegistry, PolicySpec, RegistryError, StructureClass,
-};
+pub use registry::{PolicyRegistry, PolicySpec, RegistryError, StructureClass};
 pub use stats::{
-    student_t_quantile, summarize, t_ci95_scale, OutcomeAccumulator, P2Quantile, PairedDelta,
-    Precision, StopReason, Streaming, Summary,
+    student_t_quantile, t_ci95_scale, OutcomeAccumulator, P2Quantile, PairedDelta, Precision,
+    StopReason, Streaming, Summary,
 };
 pub use sweep::{BudgetLadder, PairedMargin};
 

@@ -39,7 +39,7 @@ pub struct StateView<'a> {
     /// Current timestep (0-based; the assignment returned executes from
     /// this step until the next decision epoch).
     pub time: u64,
-    /// Completion events so far ([`suu_core::EligibilityTracker::epoch`]).
+    /// Completion events so far ([`suu_core::EligibilityState::epoch`]).
     /// Two views with equal epochs see identical remaining/eligible sets,
     /// so policies can key caches off this instead of diffing bitsets.
     pub epoch: u64,

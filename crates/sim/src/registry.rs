@@ -8,14 +8,14 @@
 //! scenario meant touching a dozen call sites.
 //!
 //! Now a schedule is named by a [`PolicySpec`] — `"suu-i-sem"`,
-//! `"suu-c(seed=7)"` — and built by a [`PolicyFactory`] looked up in a
-//! [`PolicyRegistry`]. Factories declare the most general
-//! [`StructureClass`] they support, and the registry refuses (with a
-//! precise error) to build a policy on an instance outside its class, so
-//! capability mismatches fail loudly at construction rather than as
+//! `"suu-c(seed=7)"` — and built by the family registered under that
+//! name in a [`PolicyRegistry`]. Each family is registered with the most
+//! general [`StructureClass`] it supports, and the registry refuses (with
+//! a precise error) to build a policy on an instance outside its class,
+//! so capability mismatches fail loudly at construction rather than as
 //! silent precedence violations mid-trial.
 //!
-//! `suu-sim` owns the interface; `suu-algos` registers the paper's
+//! `suu-sim` owns the registry; `suu-algos` registers the paper's
 //! algorithms, the baselines and exact OPT into a
 //! `standard_registry()` (it cannot live here: `suu-algos` depends on
 //! this crate).
@@ -73,7 +73,7 @@ impl fmt::Display for StructureClass {
 ///
 /// The textual form is `name` or `name(key=value, key=value)`:
 /// `"greedy-lr"`, `"suu-c(seed=99, coarsen=true)"`. Parameters are typed
-/// at the factory boundary via [`PolicySpec::u64_param`] and friends.
+/// at the build boundary via [`PolicySpec::u64_param`] and friends.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicySpec {
     /// Registry name of the policy family.
@@ -161,7 +161,7 @@ impl PolicySpec {
         }
     }
 
-    /// Keys this spec carries that are not in `known` — used by factories
+    /// Keys this spec carries that are not in `known` — used by families
     /// to reject typos instead of silently ignoring them.
     pub fn unknown_params(&self, known: &[&str]) -> Vec<String> {
         self.params
@@ -190,20 +190,20 @@ impl fmt::Display for PolicySpec {
 /// Why a registry lookup or build failed.
 #[derive(Debug)]
 pub enum RegistryError {
-    /// No factory under that name.
+    /// No family under that name.
     UnknownPolicy {
         /// Requested name.
         name: String,
         /// Registered names, for the error message.
         known: Vec<String>,
     },
-    /// The instance's precedence class exceeds the factory's capability.
+    /// The instance's precedence class exceeds the family's capability.
     UnsupportedStructure {
         /// Policy name.
         policy: String,
         /// Instance class.
         class: StructureClass,
-        /// Most general class the factory supports.
+        /// Most general class the family supports.
         capability: StructureClass,
     },
     /// A parameter failed to parse as its declared type.
@@ -217,7 +217,7 @@ pub enum RegistryError {
         /// Expected type name.
         expected: &'static str,
     },
-    /// The spec carried parameters the factory does not know.
+    /// The spec carried parameters the family does not know.
     UnknownParams {
         /// Policy name.
         policy: String,
@@ -275,80 +275,23 @@ impl fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// The one constructor interface every schedule family implements.
-pub trait PolicyFactory: Send + Sync {
-    /// Registry name (stable; used in specs and reports).
-    fn id(&self) -> &str;
+/// How a family builds an executable policy for an instance and spec.
+///
+/// The registry has already checked the family's capability; the build
+/// may still fail on parameters or construction (e.g. LP solve errors).
+type BuildFn =
+    dyn Fn(&Arc<SuuInstance>, &PolicySpec) -> Result<Box<dyn Policy>, RegistryError> + Send + Sync;
 
-    /// One-line description for listings.
-    fn description(&self) -> &str;
-
-    /// The most general [`StructureClass`] this family can schedule.
-    fn capability(&self) -> StructureClass;
-
-    /// Build an executable policy for the instance.
-    ///
-    /// The registry has already checked the capability; factories may
-    /// still fail on parameters or construction (e.g. LP solve errors).
-    fn build(
-        &self,
-        inst: &Arc<SuuInstance>,
-        spec: &PolicySpec,
-    ) -> Result<Box<dyn Policy>, RegistryError>;
-}
-
-/// A [`PolicyFactory`] assembled from closures — the common case.
-pub struct FnPolicyFactory<F> {
-    id: String,
-    description: String,
+/// One registered family: its capability and how to build it.
+struct Family {
     capability: StructureClass,
-    build: F,
+    build: Box<BuildFn>,
 }
 
-/// Make a factory from an id, description, capability and build closure.
-pub fn factory<F>(
-    id: impl Into<String>,
-    description: impl Into<String>,
-    capability: StructureClass,
-    build: F,
-) -> FnPolicyFactory<F>
-where
-    F: Fn(&Arc<SuuInstance>, &PolicySpec) -> Result<Box<dyn Policy>, RegistryError> + Send + Sync,
-{
-    FnPolicyFactory {
-        id: id.into(),
-        description: description.into(),
-        capability,
-        build,
-    }
-}
-
-impl<F> PolicyFactory for FnPolicyFactory<F>
-where
-    F: Fn(&Arc<SuuInstance>, &PolicySpec) -> Result<Box<dyn Policy>, RegistryError> + Send + Sync,
-{
-    fn id(&self) -> &str {
-        &self.id
-    }
-    fn description(&self) -> &str {
-        &self.description
-    }
-    fn capability(&self) -> StructureClass {
-        self.capability
-    }
-    fn build(
-        &self,
-        inst: &Arc<SuuInstance>,
-        spec: &PolicySpec,
-    ) -> Result<Box<dyn Policy>, RegistryError> {
-        (self.build)(inst, spec)
-    }
-}
-
-/// Name → factory map with capability checking.
+/// Name → family map with capability checking.
 #[derive(Default)]
 pub struct PolicyRegistry {
-    factories: BTreeMap<String, Arc<dyn PolicyFactory>>,
+    families: BTreeMap<String, Family>,
 }
 
 impl PolicyRegistry {
@@ -357,33 +300,24 @@ impl PolicyRegistry {
         Self::default()
     }
 
-    /// Register a factory under its [`PolicyFactory::id`]. Replaces any
-    /// previous factory with the same id and returns it.
-    pub fn register(
-        &mut self,
-        factory: impl PolicyFactory + 'static,
-    ) -> Option<Arc<dyn PolicyFactory>> {
-        self.factories
-            .insert(factory.id().to_string(), Arc::new(factory))
+    /// Register a family under `name` (stable; used in specs and
+    /// reports): the most general [`StructureClass`] it can schedule and
+    /// its build closure. Replaces any family already under that name.
+    pub fn register<F>(&mut self, name: impl Into<String>, capability: StructureClass, build: F)
+    where
+        F: Fn(&Arc<SuuInstance>, &PolicySpec) -> Result<Box<dyn Policy>, RegistryError>
+            + Send
+            + Sync
+            + 'static,
+    {
+        let build = Box::new(build);
+        self.families
+            .insert(name.into(), Family { capability, build });
     }
 
     /// Registered names, sorted.
     pub fn names(&self) -> Vec<&str> {
-        self.factories.keys().map(|k| k.as_str()).collect()
-    }
-
-    /// Look up a factory.
-    pub fn get(&self, name: &str) -> Option<&Arc<dyn PolicyFactory>> {
-        self.factories.get(name)
-    }
-
-    /// Names of every family able to schedule instances of `class`.
-    pub fn supporting(&self, class: StructureClass) -> Vec<&str> {
-        self.factories
-            .values()
-            .filter(|f| f.capability() >= class)
-            .map(|f| f.id())
-            .collect()
+        self.families.keys().map(|k| k.as_str()).collect()
     }
 
     /// Build a policy from a spec, enforcing the capability declaration.
@@ -392,22 +326,22 @@ impl PolicyRegistry {
         inst: &Arc<SuuInstance>,
         spec: &PolicySpec,
     ) -> Result<Box<dyn Policy>, RegistryError> {
-        let factory =
-            self.factories
-                .get(&spec.name)
-                .ok_or_else(|| RegistryError::UnknownPolicy {
-                    name: spec.name.clone(),
-                    known: self.names().iter().map(|s| s.to_string()).collect(),
-                })?;
+        let family = self
+            .families
+            .get(&spec.name)
+            .ok_or_else(|| RegistryError::UnknownPolicy {
+                name: spec.name.clone(),
+                known: self.names().iter().map(|s| s.to_string()).collect(),
+            })?;
         let class = StructureClass::of(inst.precedence());
-        if class > factory.capability() {
+        if class > family.capability {
             return Err(RegistryError::UnsupportedStructure {
                 policy: spec.name.clone(),
                 class,
-                capability: factory.capability(),
+                capability: family.capability,
             });
         }
-        factory.build(inst, spec)
+        (family.build)(inst, spec)
     }
 
     /// Build from the textual spec form (`"suu-c(seed=7)"`).
@@ -445,11 +379,11 @@ mod tests {
         }
     }
 
-    fn idle_factory(cap: StructureClass) -> impl PolicyFactory {
-        factory("idle", "does nothing", cap, |_, spec| {
+    fn register_idle(reg: &mut PolicyRegistry, cap: StructureClass) {
+        reg.register("idle", cap, |_, spec| {
             let _ = spec.u64_param("k", 0)?;
             Ok(Box::new(Idle) as Box<dyn Policy>)
-        })
+        });
     }
 
     #[test]
@@ -489,7 +423,7 @@ mod tests {
     #[test]
     fn registry_builds_and_enforces_capability() {
         let mut reg = PolicyRegistry::new();
-        reg.register(idle_factory(StructureClass::Independent));
+        register_idle(&mut reg, StructureClass::Independent);
         let ind = Arc::new(workload::homogeneous(2, 3, 0.5, Precedence::Independent));
         assert!(reg.build_named(&ind, "idle").is_ok());
         assert!(matches!(
@@ -504,10 +438,9 @@ mod tests {
             Err(RegistryError::UnsupportedStructure { .. })
         ));
 
-        let mut reg2 = PolicyRegistry::new();
-        reg2.register(idle_factory(StructureClass::Dag));
-        assert!(reg2.build_named(&chained, "idle").is_ok());
-        assert_eq!(reg2.supporting(StructureClass::Dag), vec!["idle"]);
-        assert!(reg.supporting(StructureClass::Chains).is_empty());
+        // Registering under the same name replaces the family.
+        register_idle(&mut reg, StructureClass::Dag);
+        assert_eq!(reg.names(), vec!["idle"]);
+        assert!(reg.build_named(&chained, "idle").is_ok());
     }
 }

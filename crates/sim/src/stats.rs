@@ -8,11 +8,10 @@
 //! end, so memory grew linearly with the trial count. Everything here is
 //! `O(1)` per sample and per accumulator: mean/variance via Welford's
 //! update, min/max directly, and median/p95 through the P² marker sketch
-//! — with an **exact small-sample fallback**: below
-//! [`OutcomeAccumulator::DEFAULT_EXACT_CAP`] samples the accumulator
-//! retains the raw values and reports exact interpolated quantiles
-//! (bitwise what the old sort-based `summarize` reported), switching to
-//! the sketch only when the sample outgrows the cap.
+//! — with an **exact small-sample fallback**: up to
+//! [`OutcomeAccumulator::EXACT_CAP`] samples the accumulator retains the
+//! raw values and reports exact interpolated quantiles, switching to the
+//! sketch only when the sample outgrows the cap.
 //!
 //! Confidence intervals use hand-rolled Student-t quantiles
 //! ([`student_t_quantile`], via log-gamma + the regularized incomplete
@@ -53,20 +52,6 @@ pub struct Summary {
     /// `false` when they are P² sketch estimates (sample outgrew the
     /// accumulator's exact cap).
     pub exact_quantiles: bool,
-}
-
-/// Summarize a sample, or `None` if it is empty.
-///
-/// Routed through [`OutcomeAccumulator`]'s exact path (the sample is
-/// retained whole, so quantiles are exact regardless of length); the
-/// one sort happens here rather than once per repeated call on a stored
-/// report.
-pub fn summarize(values: &[f64]) -> Option<Summary> {
-    let mut acc = OutcomeAccumulator::with_exact_cap(usize::MAX);
-    for &v in values {
-        acc.push_makespan(v, true, 0);
-    }
-    acc.summary()
 }
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7).
@@ -704,10 +689,9 @@ pub struct OutcomeAccumulator {
     makespan: Streaming,
     median: P2Quantile,
     p95: P2Quantile,
-    /// Raw makespans, retained while `count <= exact_cap` for exact
+    /// Raw makespans, retained while `count <= EXACT_CAP` for exact
     /// quantiles; dropped (switching to the sketches) beyond the cap.
     exact: Option<Vec<f64>>,
-    exact_cap: usize,
     completed: u64,
     ineligible: u64,
 }
@@ -722,23 +706,18 @@ impl OutcomeAccumulator {
     /// Samples up to which quantiles are computed exactly from the
     /// retained values; beyond it the P² sketches take over. Sized so
     /// that every historical experiment (≤ 500 trials per cell) keeps
-    /// bitwise-identical summary statistics.
-    pub const DEFAULT_EXACT_CAP: usize = 512;
+    /// bitwise-identical summary statistics. Snapshots record it as
+    /// `exact_cap`, and [`OutcomeAccumulator::from_json`] refuses any
+    /// other value.
+    pub const EXACT_CAP: usize = 512;
 
-    /// Accumulator with the default exact-quantile cap.
+    /// Empty accumulator.
     pub fn new() -> Self {
-        Self::with_exact_cap(Self::DEFAULT_EXACT_CAP)
-    }
-
-    /// Accumulator retaining up to `cap` raw samples for exact quantiles
-    /// (`usize::MAX` ⇒ always exact, memory proportional to the sample).
-    pub fn with_exact_cap(cap: usize) -> Self {
         OutcomeAccumulator {
             makespan: Streaming::new(),
             median: P2Quantile::new(0.5),
             p95: P2Quantile::new(0.95),
             exact: Some(Vec::new()),
-            exact_cap: cap,
             completed: 0,
             ineligible: 0,
         }
@@ -753,15 +732,13 @@ impl OutcomeAccumulator {
         );
     }
 
-    /// Fold in one trial as raw fields (used by [`summarize`] and tests).
+    /// Fold in one trial as raw fields.
     ///
     /// While the exact sample is retained the sketches are not updated
     /// (their estimates could never be consulted); on outgrowing the cap
     /// the retained values are replayed into the sketches in arrival
     /// order, so the sketch state — and every later estimate — is
-    /// identical to having fed them from the start. An always-exact
-    /// accumulator ([`summarize`]'s `usize::MAX` cap) never pays for the
-    /// sketches at all.
+    /// identical to having fed them from the start.
     pub fn push_makespan(&mut self, makespan: f64, completed: bool, ineligible: u64) {
         if completed {
             self.completed += 1;
@@ -769,7 +746,7 @@ impl OutcomeAccumulator {
         self.ineligible += ineligible;
         self.makespan.push(makespan);
         match &mut self.exact {
-            Some(exact) if exact.len() < self.exact_cap => exact.push(makespan),
+            Some(exact) if exact.len() < Self::EXACT_CAP => exact.push(makespan),
             Some(_) => {
                 // Outgrew the cap: sketches take over from here.
                 let exact = self.exact.take().expect("checked Some");
@@ -801,14 +778,7 @@ impl OutcomeAccumulator {
         let mut doc = Json::obj()
             .field("schema", Self::SNAPSHOT_SCHEMA)
             .field("makespan", self.makespan.to_json())
-            .field(
-                "exact_cap",
-                if self.exact_cap == usize::MAX {
-                    Json::Null // "unbounded"; usize::MAX is not portable
-                } else {
-                    Json::UInt(self.exact_cap as u64)
-                },
-            )
+            .field("exact_cap", Json::UInt(Self::EXACT_CAP as u64))
             .field("completed", self.completed)
             .field("ineligible", self.ineligible);
         match &self.exact {
@@ -839,19 +809,17 @@ impl OutcomeAccumulator {
             json.get("makespan")
                 .ok_or("accumulator snapshot missing 'makespan'")?,
         )?;
-        let exact_cap = match json.get("exact_cap") {
-            Some(Json::Null) | None => usize::MAX,
-            Some(v) => v
-                .as_u64()
-                .ok_or("accumulator 'exact_cap' must be an integer or null")?
-                as usize,
-        };
+        if json.get("exact_cap").and_then(Json::as_u64) != Some(Self::EXACT_CAP as u64) {
+            return Err(format!(
+                "accumulator 'exact_cap' must be {}",
+                Self::EXACT_CAP
+            ));
+        }
         let mut acc = OutcomeAccumulator {
             makespan,
             median: P2Quantile::new(0.5),
             p95: P2Quantile::new(0.95),
             exact: None,
-            exact_cap,
             completed: json
                 .get("completed")
                 .and_then(Json::as_u64)
@@ -1078,9 +1046,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Summary of `values` folded in order into a fresh accumulator.
+    fn summary_of(values: &[f64]) -> Option<Summary> {
+        let mut acc = OutcomeAccumulator::new();
+        for &v in values {
+            acc.push_makespan(v, true, 0);
+        }
+        acc.summary()
+    }
+
     #[test]
     fn summary_of_constant_sample() {
-        let s = summarize(&[4.0; 10]).expect("nonempty");
+        let s = summary_of(&[4.0; 10]).expect("nonempty");
         assert_eq!(s.mean, 4.0);
         assert_eq!(s.std_dev, 0.0);
         assert_eq!(s.median, 4.0);
@@ -1091,7 +1068,7 @@ mod tests {
 
     #[test]
     fn summary_basic_moments() {
-        let s = summarize(&[1.0, 2.0, 3.0, 4.0, 5.0]).expect("nonempty");
+        let s = summary_of(&[1.0, 2.0, 3.0, 4.0, 5.0]).expect("nonempty");
         assert!((s.mean - 3.0).abs() < 1e-12);
         assert!((s.std_dev - (2.5f64).sqrt()).abs() < 1e-12);
         assert_eq!(s.median, 3.0);
@@ -1099,7 +1076,6 @@ mod tests {
 
     #[test]
     fn empty_sample_is_none_not_panic() {
-        assert!(summarize(&[]).is_none());
         assert!(OutcomeAccumulator::new().summary().is_none());
     }
 
@@ -1125,20 +1101,21 @@ mod tests {
 
     #[test]
     fn accumulator_switches_to_sketch_past_the_cap() {
-        let mut acc = OutcomeAccumulator::with_exact_cap(8);
-        for i in 0..8 {
+        let cap = OutcomeAccumulator::EXACT_CAP;
+        let mut acc = OutcomeAccumulator::new();
+        for i in 0..cap {
             acc.push_makespan(i as f64, true, 0);
         }
         assert!(acc.exact_quantiles());
         assert!(acc.summary().unwrap().exact_quantiles);
-        acc.push_makespan(8.0, true, 0);
+        acc.push_makespan(cap as f64, true, 0);
         assert!(!acc.exact_quantiles());
         let s = acc.summary().unwrap();
         assert!(!s.exact_quantiles);
         // Moments stay exact regardless of the quantile mode.
-        assert!((s.mean - 4.0).abs() < 1e-12);
+        assert!((s.mean - cap as f64 / 2.0).abs() < 1e-9);
         assert_eq!(s.min, 0.0);
-        assert_eq!(s.max, 8.0);
+        assert_eq!(s.max, cap as f64);
     }
 
     #[test]
@@ -1216,7 +1193,7 @@ mod tests {
         fn small_samples_stay_exact(
             values in proptest::collection::vec(0.0f64..1.0e4, 1..64),
         ) {
-            let s = summarize(&values).unwrap();
+            let s = summary_of(&values).unwrap();
             prop_assert!(s.exact_quantiles);
             prop_assert_eq!(s.median, exact_quantile(&values, 0.5));
             prop_assert_eq!(s.p95, exact_quantile(&values, 0.95));
@@ -1369,7 +1346,7 @@ mod tests {
         // approximation understated small-n intervals. Pin the summary
         // half-widths to t-based values.
         // n = 5, std_dev = sqrt(2.5), std_err = sqrt(0.5).
-        let s = summarize(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
+        let s = summary_of(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
         let want = 2.7764 * (0.5f64).sqrt();
         assert!(
             (s.ci95 - want).abs() < 1e-3,
@@ -1379,10 +1356,10 @@ mod tests {
         assert!(s.ci95 > 1.96 * s.std_err, "t must widen past the normal");
         // n = 2: t_{0.975,1} = 12.706 — the normal approximation was off
         // by a factor of ~6.5 here.
-        let s2 = summarize(&[1.0, 3.0]).unwrap();
+        let s2 = summary_of(&[1.0, 3.0]).unwrap();
         assert!((s2.ci95 - 12.7062 * s2.std_err).abs() < 1e-3 * s2.std_err);
         // n = 1: degenerate, zero half-width (std_err is zero).
-        let s1 = summarize(&[4.0]).unwrap();
+        let s1 = summary_of(&[4.0]).unwrap();
         assert_eq!(s1.ci95, 0.0);
     }
 
@@ -1469,14 +1446,14 @@ mod tests {
     /// Push `values[..split]` into one accumulator, snapshot/restore it,
     /// push the rest into the restored copy, and compare against pushing
     /// everything into a fresh accumulator — all state bitwise equal.
-    fn snapshot_roundtrip_case(values: &[f64], split: usize, cap: usize) {
-        let mut first = OutcomeAccumulator::with_exact_cap(cap);
+    fn snapshot_roundtrip_case(values: &[f64], split: usize) {
+        let mut first = OutcomeAccumulator::new();
         for &v in &values[..split] {
             first.push_makespan(v, true, 1);
         }
         let snapshot = first.to_json();
         let mut restored = OutcomeAccumulator::from_json(&snapshot).unwrap();
-        let mut whole = OutcomeAccumulator::with_exact_cap(cap);
+        let mut whole = OutcomeAccumulator::new();
         for &v in values {
             whole.push_makespan(v, true, 1);
         }
@@ -1486,7 +1463,8 @@ mod tests {
         assert_eq!(
             restored.to_json().to_compact(),
             whole.to_json().to_compact(),
-            "split {split} cap {cap}"
+            "split {split} of {}",
+            values.len()
         );
         let (r, w) = (restored.summary().unwrap(), whole.summary().unwrap());
         assert_eq!(r.mean.to_bits(), w.mean.to_bits());
@@ -1496,14 +1474,17 @@ mod tests {
 
     #[test]
     fn accumulator_snapshot_roundtrips_bitwise() {
-        let values: Vec<f64> = (0..40).map(|i| ((i * 37 + 11) % 23) as f64).collect();
-        // Exact regime, sketch regime, and a cap crossing that happens
-        // *after* the snapshot.
-        snapshot_roundtrip_case(&values, 10, usize::MAX);
-        snapshot_roundtrip_case(&values, 10, 8); // snapshot after crossing
-        snapshot_roundtrip_case(&values, 5, 8); // crossing after restore
-        snapshot_roundtrip_case(&values, 0, 16);
-        snapshot_roundtrip_case(&values, 40, 16);
+        let cap = OutcomeAccumulator::EXACT_CAP;
+        let values: Vec<f64> = (0..cap + 88).map(|i| ((i * 37 + 11) % 23) as f64).collect();
+        // Exact regime throughout, a cap crossing that happens *after*
+        // the restore, a snapshot taken after the crossing (sketch
+        // regime), and both ends.
+        snapshot_roundtrip_case(&values[..40], 10);
+        snapshot_roundtrip_case(&values, 10); // crossing after restore
+        snapshot_roundtrip_case(&values, cap); // full exact sample, crossing next
+        snapshot_roundtrip_case(&values, cap + 40); // snapshot after crossing
+        snapshot_roundtrip_case(&values, 0);
+        snapshot_roundtrip_case(&values, values.len());
     }
 
     #[test]
@@ -1514,6 +1495,17 @@ mod tests {
         acc.push_makespan(3.0, true, 0);
         let good = acc.to_json();
         assert!(OutcomeAccumulator::from_json(&good).is_ok());
+        // The cap is a constant: a snapshot recording any other value, or
+        // the unbounded `null`, is not one this accumulator wrote.
+        assert_eq!(
+            good.get("exact_cap").and_then(Json::as_u64),
+            Some(OutcomeAccumulator::EXACT_CAP as u64)
+        );
+        for cap in [Json::Null, Json::UInt(8), Json::UInt(513)] {
+            let err = OutcomeAccumulator::from_json(&good.clone().field("exact_cap", cap))
+                .expect_err("foreign cap");
+            assert!(err.contains("'exact_cap'"), "{err}");
+        }
         let truncated = good.field("exact", Json::Arr(vec![]));
         assert!(OutcomeAccumulator::from_json(&truncated).is_err());
     }

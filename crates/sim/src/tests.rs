@@ -2,11 +2,10 @@
 //! and the machine-step accounting invariant.
 
 use crate::engine::dense::execute_dense;
-use crate::engine::events::execute_events;
 use crate::engine::{execute, ExecConfig, ExecOutcome, Semantics};
 use crate::evaluate::{EvalConfig, Evaluator};
 use crate::policy::{Assignment, Decision, Policy, StateView};
-use crate::stats::{chi_square_critical_001, chi_square_two_sample, histogram_pair, summarize};
+use crate::stats::{chi_square_critical_001, chi_square_two_sample, histogram_pair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use suu_core::{workload, JobId, Precedence};
@@ -106,7 +105,7 @@ fn eval(trials: usize, seed: u64, semantics: Semantics) -> Evaluator {
 fn deterministic_independent_one_step() {
     // q = 0 everywhere, n = m: spread policy finishes everything in 1 step.
     let inst = workload::deterministic(4, 4, Precedence::Independent);
-    for engine in [execute_dense as Engine, execute_events] {
+    for engine in [execute_dense as Engine, execute] {
         let out = engine(&inst, &mut SpreadPolicy, &cfg(Semantics::SuuStar), 1);
         assert!(out.completed);
         assert_eq!(out.makespan, 1);
@@ -190,10 +189,7 @@ fn step_cap_reports_incomplete() {
         semantics: Semantics::SuuStar,
         max_steps: 50,
     };
-    for (name, engine) in [
-        ("dense", execute_dense as Engine),
-        ("events", execute_events),
-    ] {
+    for (name, engine) in [("dense", execute_dense as Engine), ("events", execute)] {
         let out = engine(&inst, &mut IdlePolicy, &exec, 3);
         assert!(!out.completed);
         assert_eq!(out.makespan, 50);
@@ -210,10 +206,7 @@ fn ineligible_assignments_are_counted_and_harmless() {
         semantics: Semantics::SuuStar,
         max_steps: 10,
     };
-    for (name, engine) in [
-        ("dense", execute_dense as Engine),
-        ("events", execute_events),
-    ] {
+    for (name, engine) in [("dense", execute_dense as Engine), ("events", execute)] {
         let out = engine(&inst, &mut CheatingPolicy, &exec, 4);
         // Job 2 never becomes eligible because 0 and 1 never run.
         assert!(!out.completed);
@@ -229,10 +222,7 @@ fn machine_step_accounting_partitions_exactly() {
     let cs = ChainSet::new(6, vec![vec![0, 1, 2], vec![3, 4, 5]]).unwrap();
     let mut grng = StdRng::seed_from_u64(8);
     let inst = workload::uniform_unrelated(3, 6, 0.3, 0.9, Precedence::Chains(cs), &mut grng);
-    for (name, engine) in [
-        ("dense", execute_dense as Engine),
-        ("events", execute_events),
-    ] {
+    for (name, engine) in [("dense", execute_dense as Engine), ("events", execute)] {
         for semantics in [Semantics::Suu, Semantics::SuuStar] {
             for (policy, max_steps) in [(0, 1_000_000u64), (1, 25)] {
                 let exec = ExecConfig {
@@ -267,7 +257,7 @@ fn dense_and_event_engines_agree_bitwise() {
             };
             assert_eq!(
                 run(execute_dense),
-                run(execute_events),
+                run(execute),
                 "{semantics:?} seed {seed}"
             );
         }
@@ -313,8 +303,7 @@ fn single_thread_matches_multi_thread() {
 fn summary_of_makespans() {
     let inst = workload::homogeneous(1, 1, 0.5, Precedence::Independent);
     let report = eval(500, 1, Semantics::SuuStar).run(&inst, || GangPolicy);
-    let values: Vec<f64> = report.outcomes.iter().map(|o| o.makespan as f64).collect();
-    let s = summarize(&values).expect("nonempty");
+    let s = report.summary().expect("nonempty");
     assert_eq!(s.count, 500);
     assert!(s.min >= 1.0);
     assert!(s.mean > 1.0 && s.mean < 3.0);

@@ -17,9 +17,7 @@ use suu::algos::SemPolicy;
 use suu::bench::runner::{run_race_with, Race};
 use suu::bench::scenario::Scenario;
 use suu::core::SuuInstance;
-use suu::sim::{
-    factory, Assignment, Decision, Policy, Precision, RegistryError, StateView, StructureClass,
-};
+use suu::sim::{Assignment, Decision, Policy, Precision, RegistryError, StateView, StructureClass};
 
 /// Phase-aware schedule: `SUU-I-SEM` on the maps, then on the reduces.
 struct TwoPhaseSem {
@@ -63,21 +61,16 @@ fn main() {
 
     // The registry extension point: any schedule becomes raceable by name.
     let mut registry = suu::algos::standard_registry();
-    registry.register(factory(
-        "two-phase-sem",
-        "SUU-I-SEM applied per MapReduce phase (Theorem 4 twice)",
-        StructureClass::Dag,
-        move |inst, spec| {
-            let phase_split = spec.u64_param("maps", maps as u64)? as usize;
-            let policy = TwoPhaseSem::build(inst.clone(), phase_split).map_err(|e| {
-                RegistryError::BuildFailed {
-                    policy: spec.name.clone(),
-                    reason: e.to_string(),
-                }
-            })?;
-            Ok(Box::new(policy) as Box<dyn Policy>)
-        },
-    ));
+    registry.register("two-phase-sem", StructureClass::Dag, move |inst, spec| {
+        let phase_split = spec.u64_param("maps", maps as u64)? as usize;
+        let policy = TwoPhaseSem::build(inst.clone(), phase_split).map_err(|e| {
+            RegistryError::BuildFailed {
+                policy: spec.name.clone(),
+                reason: e.to_string(),
+            }
+        })?;
+        Ok(Box::new(policy) as Box<dyn Policy>)
+    });
 
     let doc = run_race_with(
         Race {

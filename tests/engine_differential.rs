@@ -3,10 +3,9 @@
 //! randomness semantics,
 //!
 //! * the dense per-step oracle (`engine::dense::execute_dense`, kept
-//!   only as the tests' reference) and the event engine
-//!   (`engine::events::execute_events`), both called directly on the
-//!   evaluator's trial seeds (plus a hard-jobs family, where
-//!   fast-forwarding skips the most steps), and
+//!   only as the tests' reference) and the event engine (`execute`),
+//!   both called directly on the evaluator's trial seeds (plus a
+//!   hard-jobs family, where fast-forwarding skips the most steps), and
 //! * the per-trial event engine (`Evaluator::run_serial`) and the
 //!   **batched SoA pipeline** (`Evaluator::run`, including the
 //!   stationary shared-decision fast path),
@@ -27,10 +26,9 @@ use suu::algos::standard_registry;
 use suu::bench::scenario::{Scenario, ScenarioSuite};
 use suu::core::{workload, Precedence};
 use suu::sim::engine::dense::execute_dense;
-use suu::sim::engine::events::execute_events;
 use suu::sim::{
-    spec_factory, Assignment, Decision, EvalConfig, Evaluator, ExecConfig, ExecOutcome, Policy,
-    PolicySpec, RegistryError, Semantics, StateView,
+    execute, spec_factory, Assignment, Decision, EvalConfig, Evaluator, ExecConfig, ExecOutcome,
+    Policy, PolicySpec, RegistryError, Semantics, StateView,
 };
 
 /// A per-trial engine entry point: the dense oracle or the event engine.
@@ -104,7 +102,7 @@ fn dense_and_event_engines_agree_on_every_scenario_family() {
                     Err(RegistryError::UnsupportedStructure { .. }) => continue,
                     Err(e) => panic!("{}/{spec_text}: {e}", sc.id),
                 };
-                let events = outcomes(&inst, &spec, semantics, execute_events, 6).unwrap();
+                let events = outcomes(&inst, &spec, semantics, execute, 6).unwrap();
                 assert_eq!(
                     dense, events,
                     "engines diverge on {}/{spec_text}/{semantics:?}",
@@ -394,7 +392,7 @@ proptest! {
                     }
                 };
                 let dense = run(execute_dense);
-                let events = run(execute_events);
+                let events = run(execute);
                 prop_assert_eq!(&dense, &events);
                 prop_assert_eq!(
                     events.busy_steps + events.idle_steps + events.ineligible_assignments,
