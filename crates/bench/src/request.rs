@@ -386,45 +386,26 @@ impl RaceRequest {
         })
     }
 
-    /// Re-emit the parsed request in wire form. Every execution field is
-    /// spelled out explicitly (even where it matches a default), so the
-    /// emitted document re-parses to an identical request regardless of
-    /// how future defaults drift — the property a proxy needs to forward
-    /// requests to backends without changing their meaning (or their
-    /// content-addressed cell keys).
-    pub fn to_json(&self) -> Json {
-        let scenario_refs: Vec<&RequestScenario> = self.scenarios.iter().collect();
-        let policy_refs: Vec<&str> = self.policies.iter().map(String::as_str).collect();
-        self.wire_json(&scenario_refs, &policy_refs)
-    }
-
     /// The wire form of the **single-cell sub-request** for
     /// `(scenarios[scenario], policies[policy])`: same stopping rule,
     /// master seed, and execution context as the whole request, so the
     /// cell a backend computes for it is bit-identical to the one it
     /// would compute inside the full request (per-scenario seeds derive
-    /// only from `master_seed` and the scenario itself).
+    /// only from `master_seed` and the scenario itself). Every execution
+    /// field is spelled out explicitly (even where it matches a default),
+    /// so the sub-request re-parses to the same cell regardless of how
+    /// future defaults drift — the property the router needs to forward
+    /// cells to backends without changing their meaning (or their
+    /// content-addressed cell keys).
     pub fn cell_request_json(&self, scenario: usize, policy: usize) -> Json {
-        self.wire_json(
-            &[&self.scenarios[scenario]],
-            &[self.policies[policy].as_str()],
-        )
-    }
-
-    fn wire_json(&self, scenarios: &[&RequestScenario], policies: &[&str]) -> Json {
         let mut doc = Json::obj()
             .field(
                 "scenarios",
-                Json::Arr(scenarios.iter().map(|rs| rs.params.clone()).collect()),
+                Json::Arr(vec![self.scenarios[scenario].params.clone()]),
             )
             .field(
                 "policies",
-                Json::Arr(
-                    policies
-                        .iter()
-                        .map(|p| Json::Str((*p).to_string()))
-                        .collect(),
-                ),
+                Json::Arr(vec![Json::Str(self.policies[policy].clone())]),
             );
         doc = match self.precision {
             Precision::FixedTrials(n) => doc.field("trials", n as u64),
@@ -642,7 +623,7 @@ mod tests {
                 r#"{{"scenarios":[{{"family":"uniform","m":3,"n":8,"lo":0.2,"hi":0.9,"seed":1}}],"policies":["greedy-lr"],"trials":4{extra}}}"#
             ))
             .unwrap()
-            .to_json()
+            .cell_request_json(0, 0)
             .to_canonical()
         };
         let plain = wire("");
@@ -666,14 +647,22 @@ mod tests {
                 "max_steps":5000,"ratios_to_lower_bound":true}"#,
         ] {
             let first = req(text).unwrap();
-            let emitted = first.to_json();
-            let second = RaceRequest::from_json(&emitted).expect("wire form re-parses");
-            // Emit → parse → emit is a fixed point (bytewise).
-            assert_eq!(emitted.to_canonical(), second.to_json().to_canonical());
-            assert_eq!(first.master_seed, second.master_seed);
-            assert_eq!(first.policies, second.policies);
-            for (a, b) in first.scenarios.iter().zip(&second.scenarios) {
-                assert_eq!(a.params.to_canonical(), b.params.to_canonical());
+            for s in 0..first.scenarios.len() {
+                for p in 0..first.policies.len() {
+                    let emitted = first.cell_request_json(s, p);
+                    let second = RaceRequest::from_json(&emitted).expect("wire form re-parses");
+                    // Emit → parse → emit is a fixed point (bytewise).
+                    assert_eq!(
+                        emitted.to_canonical(),
+                        second.cell_request_json(0, 0).to_canonical()
+                    );
+                    assert_eq!(first.master_seed, second.master_seed);
+                    assert_eq!(second.policies, [first.policies[p].as_str()]);
+                    assert_eq!(
+                        second.scenarios[0].params.to_canonical(),
+                        first.scenarios[s].params.to_canonical()
+                    );
+                }
             }
         }
     }

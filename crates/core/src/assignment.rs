@@ -118,15 +118,6 @@ impl Assignment {
             .sum()
     }
 
-    /// Jobs with at least one assigned step.
-    pub fn assigned_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.per_job
-            .iter()
-            .enumerate()
-            .filter(|(_, row)| !row.is_empty())
-            .map(|(j, _)| JobId(j as u32))
-    }
-
     /// Stack into a finite oblivious [`Timetable`] of length `max load`:
     /// machine `i` runs its assigned jobs consecutively, in job-id order.
     pub fn to_timetable(&self) -> Timetable {
@@ -216,13 +207,5 @@ mod tests {
         assert_eq!(t.get(2, MachineId(0)), Some(JobId(2)));
         assert_eq!(t.get(0, MachineId(1)), Some(JobId(1)));
         assert_eq!(t.get(1, MachineId(1)), None);
-    }
-
-    #[test]
-    fn assigned_jobs_iterates_nonempty() {
-        let mut a = Assignment::new(1, 3);
-        a.add(MachineId(0), JobId(2), 1);
-        let jobs: Vec<_> = a.assigned_jobs().collect();
-        assert_eq!(jobs, vec![JobId(2)]);
     }
 }

@@ -130,22 +130,6 @@ impl BitSet {
     pub fn first(&self) -> Option<u32> {
         self.iter().next()
     }
-
-    /// In-place intersection with `other` (capacities must match).
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
-    /// In-place union with `other` (capacities must match).
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
 }
 
 /// Iterator over a [`BitSet`]'s elements.
@@ -232,21 +216,6 @@ mod tests {
         let got: Vec<u32> = s.iter().collect();
         assert_eq!(got, vec![0, 5, 64, 65, 199]);
         assert_eq!(s.first(), Some(0));
-    }
-
-    #[test]
-    fn set_operations() {
-        let mut a = BitSet::new(10);
-        let mut b = BitSet::new(10);
-        a.insert(1);
-        a.insert(2);
-        b.insert(2);
-        b.insert(3);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![2]);
-        a.union_with(&b);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
     #[test]

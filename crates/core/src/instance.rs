@@ -139,24 +139,6 @@ impl SuuInstance {
         &self.precedence
     }
 
-    /// Restrict to a subset of jobs (given by old job ids, in the new
-    /// order), producing an instance over `old_ids.len()` jobs with the
-    /// provided precedence.
-    pub fn restrict_jobs(
-        &self,
-        old_ids: &[u32],
-        precedence: Precedence,
-    ) -> Result<Self, InstanceError> {
-        let n2 = old_ids.len();
-        let mut q = Vec::with_capacity(self.m * n2);
-        for i in 0..self.m {
-            for &j in old_ids {
-                q.push(self.q[i * self.n + j as usize]);
-            }
-        }
-        SuuInstance::new(self.m, n2, q, precedence)
-    }
-
     /// The best (largest) log failure available for job `j` on any machine.
     pub fn best_ell(&self, j: JobId) -> f64 {
         (0..self.m)
@@ -330,14 +312,5 @@ mod tests {
         assert!(SuuInstance::from_json(&doc).is_err());
         let doc = crate::json::parse(r#"{"m": 1, "n": 1, "q": [0.5], "edges": [[0]]}"#).unwrap();
         assert!(SuuInstance::from_json(&doc).is_err());
-    }
-
-    #[test]
-    fn restrict_jobs_reindexes() {
-        let inst = SuuInstance::new(2, 2, q2x2(), Precedence::Independent).unwrap();
-        let sub = inst.restrict_jobs(&[1], Precedence::Independent).unwrap();
-        assert_eq!(sub.num_jobs(), 1);
-        assert_eq!(sub.q(MachineId(0), JobId(0)), 0.25);
-        assert_eq!(sub.q(MachineId(1), JobId(0)), 0.5);
     }
 }

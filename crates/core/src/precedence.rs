@@ -41,16 +41,6 @@ impl Precedence {
             Precedence::Dag(d) => Some(d.num_vertices()),
         }
     }
-
-    /// `true` if there are no precedence edges.
-    pub fn is_independent(&self) -> bool {
-        match self {
-            Precedence::Independent => true,
-            Precedence::Chains(cs) => cs.max_chain_len() <= 1,
-            Precedence::Forest(f) => f.to_dag().num_edges() == 0,
-            Precedence::Dag(d) => d.num_edges() == 0,
-        }
-    }
 }
 
 /// The immutable half of eligibility tracking: successor lists and initial
@@ -164,12 +154,6 @@ impl EligibilityState {
         self.remaining.is_empty()
     }
 
-    /// Number of uncompleted jobs.
-    #[inline]
-    pub fn num_remaining(&self) -> usize {
-        self.remaining.len()
-    }
-
     /// Number of completion events so far. Increments exactly when the
     /// eligible set changes, so two observations with equal epochs are
     /// guaranteed to see identical remaining/eligible sets — the hook the
@@ -275,7 +259,7 @@ mod tests {
         assert_eq!(a.epoch(), 2);
 
         // Trial b is untouched by trial a's progress.
-        assert_eq!(b.num_remaining(), 4);
+        assert_eq!(b.remaining().len(), 4);
         assert_eq!(b.epoch(), 0);
         b.complete(&topo, 0);
         b.complete(&topo, 2);
@@ -305,13 +289,9 @@ mod tests {
     #[test]
     fn precedence_to_dag_shapes() {
         assert_eq!(Precedence::Independent.to_dag(5).num_edges(), 0);
-        assert!(Precedence::Independent.is_independent());
         let cs = ChainSet::new(3, vec![vec![0, 1], vec![2]]).unwrap();
         let p = Precedence::Chains(cs);
         assert_eq!(p.to_dag(3).num_edges(), 1);
         assert_eq!(p.num_jobs(), Some(3));
-        assert!(!p.is_independent());
-        let singles = Precedence::Chains(ChainSet::singletons(3));
-        assert!(singles.is_independent());
     }
 }

@@ -61,12 +61,6 @@ impl Timetable {
         self.steps.extend(other.steps.iter().cloned());
     }
 
-    /// Append a single fully specified step.
-    pub fn push_step(&mut self, row: Vec<Option<JobId>>) {
-        assert_eq!(row.len(), self.m, "row width mismatch");
-        self.steps.push(row);
-    }
-
     /// Number of consecutive steps starting at `t` whose rows are all
     /// identical to row `t` (at least 1; scans to the end of the table,
     /// no wrap-around). Event-driven policies use this to declare how
@@ -175,13 +169,5 @@ mod tests {
         let c = Timetable::idle(2, 3);
         assert_eq!(c.cyclic_change_distances(), vec![None; 3]);
         assert_eq!(c.run_length_from(0), 3);
-    }
-
-    #[test]
-    fn push_step_appends() {
-        let mut t = Timetable::idle(2, 0);
-        t.push_step(vec![Some(JobId(1)), None]);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(0, MachineId(0)), Some(JobId(1)));
     }
 }

@@ -159,18 +159,4 @@ impl Dag {
         }
         self.n - matcher.solve()
     }
-
-    /// All vertices with no predecessors.
-    pub fn sources(&self) -> Vec<u32> {
-        (0..self.n as u32)
-            .filter(|&v| self.pred[v as usize].is_empty())
-            .collect()
-    }
-
-    /// All vertices with no successors.
-    pub fn sinks(&self) -> Vec<u32> {
-        (0..self.n as u32)
-            .filter(|&v| self.succ[v as usize].is_empty())
-            .collect()
-    }
 }

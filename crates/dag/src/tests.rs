@@ -62,13 +62,6 @@ fn transitive_closure_reaches_descendants() {
     assert_eq!(tc[3][0], 0);
 }
 
-#[test]
-fn sources_and_sinks() {
-    let dag = Dag::from_edges(4, &[(0, 1), (2, 1)]);
-    assert_eq!(dag.sources(), vec![0, 2, 3]);
-    assert_eq!(dag.sinks(), vec![1, 3]);
-}
-
 // ---------- forests ----------
 
 #[test]

@@ -43,19 +43,6 @@ impl FlowNetwork {
         }
     }
 
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Add one more node, returning its index.
-    pub fn add_node(&mut self) -> usize {
-        self.adj.push(Vec::new());
-        self.level.push(-1);
-        self.iter.push(0);
-        self.adj.len() - 1
-    }
-
     /// Add a directed edge `from -> to` with capacity `cap`.
     ///
     /// Returns an [`EdgeId`] usable with [`FlowNetwork::flow_on`] after a

@@ -85,16 +85,6 @@ fn per_edge_flow_conservation() {
 }
 
 #[test]
-fn add_node_grows_network() {
-    let mut net = FlowNetwork::new(2);
-    let mid = net.add_node();
-    assert_eq!(net.num_nodes(), 3);
-    net.add_edge(0, mid, 2);
-    net.add_edge(mid, 1, 2);
-    assert_eq!(net.max_flow(0, 1), 2);
-}
-
-#[test]
 fn min_cut_certificate_matches_flow() {
     let mut net = FlowNetwork::new(6);
     net.add_edge(0, 1, 10);

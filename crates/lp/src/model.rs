@@ -114,7 +114,7 @@ pub(crate) struct Row {
 /// Incrementally built LP model.
 ///
 /// All variables satisfy `x >= 0`. The objective is supplied per-variable at
-/// creation time (and may be adjusted with [`LpBuilder::set_obj_coeff`]).
+/// creation time ([`LpBuilder::add_var`]).
 #[derive(Debug, Clone)]
 pub struct LpBuilder {
     pub(crate) sense: Sense,
@@ -145,11 +145,6 @@ impl LpBuilder {
     pub fn add_var(&mut self, obj_coeff: f64) -> VarId {
         self.obj.push(obj_coeff);
         VarId(self.obj.len() - 1)
-    }
-
-    /// Overwrite the objective coefficient of an existing variable.
-    pub fn set_obj_coeff(&mut self, v: VarId, c: f64) {
-        self.obj[v.0] = c;
     }
 
     /// Number of variables added so far.

@@ -222,11 +222,6 @@ impl CellStore {
         &self.dir
     }
 
-    /// The configured size budget, if any.
-    pub fn budget(&self) -> Option<u64> {
-        self.budget
-    }
-
     /// Total bytes of cached cells (from the in-memory size mirror).
     pub fn cache_bytes(&self) -> u64 {
         self.lru_lock().total_bytes

@@ -11,14 +11,17 @@
 //! (see [`crate::server`]), which is what makes the split sound.
 //!
 //! Connection establishment is **deadline-bounded**
-//! ([`Client::connect_deadline`]): the connect starts nonblocking on the
-//! workspace `mio` shim ([`mio::net::TcpStream::connect`]) and completion
-//! is awaited as a writability event, so a dead backend costs a bounded
-//! wait, never a wedged thread.
+//! ([`Client::connect_deadline`], std's [`TcpStream::connect_timeout`]),
+//! so a dead backend costs a bounded wait, never a wedged thread. Replies
+//! are bounded too: a head over [`MAX_HEAD_BYTES`] or a declared body
+//! over [`MAX_BODY_BYTES`] is refused before anything is allocated for
+//! it, so a hostile or broken peer cannot make the reader buffer without
+//! limit.
 
+use crate::http::{MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One parsed response.
 #[derive(Debug)]
@@ -64,39 +67,19 @@ impl Client {
         Client::from_stream(stream, read_timeout)
     }
 
-    /// Connect with a hard deadline on establishment: nonblocking
-    /// connect via the `mio` shim, completion awaited as writability,
-    /// `SO_ERROR` checked for the verdict. A backend that is down —
-    /// or a blackholed address — costs at most `connect_timeout`.
+    /// Connect with a hard deadline on establishment, through std's
+    /// [`TcpStream::connect_timeout`]: a nonblocking connect, one
+    /// `poll(2)` bounded by the deadline, `SO_ERROR` for the verdict,
+    /// blocking mode restored. A backend that is down — or a blackholed
+    /// address — costs at most `connect_timeout` and fails with
+    /// [`io::ErrorKind::TimedOut`]; a zero `connect_timeout` is refused
+    /// as invalid input.
     pub fn connect_deadline(
         addr: &str,
         connect_timeout: Duration,
         read_timeout: Duration,
     ) -> io::Result<Client> {
-        let pending = mio::net::TcpStream::connect(resolve(addr)?)?;
-        let mut poll = mio::Poll::new()?;
-        poll.registry()
-            .register(&pending, mio::Token(0), mio::Interest::WRITABLE)?;
-        let mut events = mio::Events::with_capacity(4);
-        let deadline = Instant::now() + connect_timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("connect to {addr} timed out"),
-                ));
-            }
-            poll.poll(&mut events, Some(remaining))?;
-            if !events.is_empty() {
-                break;
-            }
-        }
-        if let Some(err) = pending.take_error()? {
-            return Err(err);
-        }
-        let stream = pending.into_std();
-        stream.set_nonblocking(false)?;
+        let stream = TcpStream::connect_timeout(&resolve(addr)?, connect_timeout)?;
         Client::from_stream(stream, read_timeout)
     }
 
@@ -122,10 +105,32 @@ impl Client {
         self.reader.get_mut().write_all(&bytes)
     }
 
-    /// Read one `Content-Length`-framed reply.
+    /// Read one head line into `line` (cleared first), charging it to
+    /// the `head_left` bytes the head may still use. `Ok(false)` means
+    /// the peer closed before the line ended.
+    fn read_head_line(&mut self, line: &mut String, head_left: &mut usize) -> io::Result<bool> {
+        line.clear();
+        let n = (&mut self.reader).take(*head_left as u64).read_line(line)?;
+        *head_left -= n;
+        if line.ends_with('\n') {
+            Ok(true)
+        } else if *head_left == 0 {
+            Err(invalid(format!(
+                "reply head exceeds {MAX_HEAD_BYTES} bytes"
+            )))
+        } else {
+            Ok(false)
+        }
+    }
+
+    /// Read one `Content-Length`-framed reply. The head (status line and
+    /// headers) may use at most [`MAX_HEAD_BYTES`], the body at most
+    /// [`MAX_BODY_BYTES`]; a reply over either bound fails with
+    /// [`io::ErrorKind::InvalidData`] before its body is allocated.
     pub fn read_reply(&mut self) -> io::Result<Reply> {
+        let mut head_left = MAX_HEAD_BYTES;
         let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        if !self.read_head_line(&mut line, &mut head_left)? {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed before status line",
@@ -139,8 +144,7 @@ impl Client {
         let mut headers = Vec::new();
         let mut content_length = None;
         loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
+            if !self.read_head_line(&mut line, &mut head_left)? {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed inside headers",
@@ -160,6 +164,11 @@ impl Client {
             }
         }
         let len = content_length.ok_or_else(|| invalid("missing Content-Length".into()))?;
+        if len > MAX_BODY_BYTES {
+            return Err(invalid(format!(
+                "reply body of {len} bytes exceeds {MAX_BODY_BYTES}"
+            )));
+        }
         let mut body = vec![0u8; len];
         self.reader.read_exact(&mut body)?;
         Ok(Reply {
@@ -173,5 +182,163 @@ impl Client {
     pub fn request(&mut self, method: &str, path: &str, body: Option<&[u8]>) -> io::Result<Reply> {
         self.send(method, path, body)?;
         self.read_reply()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::thread::JoinHandle;
+    use std::time::Instant;
+
+    const READ_TIMEOUT: Duration = Duration::from_secs(2);
+
+    /// A one-connection peer on an ephemeral loopback port: it accepts,
+    /// reads the request head, writes `reply`, then holds the connection
+    /// open until the client hangs up.
+    fn fake_peer(reply: Vec<u8>) -> (String, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut seen = Vec::new();
+            let mut buf = [0u8; 1024];
+            while !seen.windows(4).any(|w| w == b"\r\n\r\n") {
+                match conn.read(&mut buf) {
+                    Ok(n) if n > 0 => seen.extend_from_slice(&buf[..n]),
+                    _ => return,
+                }
+            }
+            // The client may already have hung up on a reply it refuses.
+            let _ = conn.write_all(&reply);
+            while matches!(conn.read(&mut buf), Ok(n) if n > 0) {}
+        });
+        (addr, peer)
+    }
+
+    /// Send one request to a peer answering `reply`; the error it must
+    /// fail with, and how long that took.
+    fn refused_reply(reply: Vec<u8>) -> (io::Error, Duration) {
+        let (addr, peer) = fake_peer(reply);
+        let mut client = Client::connect(&addr, READ_TIMEOUT).unwrap();
+        let start = Instant::now();
+        let err = match client.request("GET", "/v1/healthz", None) {
+            Ok(reply) => panic!("reply accepted: status {}", reply.status),
+            Err(err) => err,
+        };
+        let waited = start.elapsed();
+        drop(client);
+        peer.join().unwrap();
+        (err, waited)
+    }
+
+    #[test]
+    fn a_refused_connect_fails_well_inside_the_deadline() {
+        // Bind then drop: the port is (momentarily) known-closed.
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+            .to_string();
+        let start = Instant::now();
+        let err = match Client::connect_deadline(&addr, Duration::from_secs(5), READ_TIMEOUT) {
+            Ok(_) => panic!("connected to a closed port"),
+            Err(err) => err,
+        };
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{err}");
+        assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn an_accepted_connect_sets_the_read_timeout_and_reads_a_framed_reply() {
+        let (addr, peer) =
+            fake_peer(b"HTTP/1.1 200 OK\r\nX-Test: yes\r\nContent-Length: 5\r\n\r\nhello".to_vec());
+        let mut client =
+            Client::connect_deadline(&addr, Duration::from_secs(5), READ_TIMEOUT).unwrap();
+        let stream = client.reader.get_ref();
+        assert_eq!(stream.read_timeout().unwrap(), Some(READ_TIMEOUT));
+        assert!(stream.nodelay().unwrap());
+        // The peer answers only after reading the request, so a stream
+        // left nonblocking would fail this read with `WouldBlock`.
+        let reply = client.request("GET", "/v1/healthz", None).unwrap();
+        assert_eq!(reply.status, 200);
+        assert_eq!(reply.header("x-test"), Some("yes"));
+        assert_eq!(reply.body, b"hello");
+        drop(client);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn a_connect_that_cannot_complete_times_out_at_the_deadline() {
+        // Once a listener's accept queue is full (std listens with a
+        // backlog of 128), Linux drops further SYNs: a connect can then
+        // neither complete nor be refused.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut queued = Vec::new();
+        loop {
+            assert!(
+                queued.len() < 300,
+                "accept queue still open after 300 connects"
+            );
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+                Ok(stream) => queued.push(stream),
+                Err(err) if err.kind() == io::ErrorKind::TimedOut => break,
+                Err(err) => panic!("connect {} failed: {err}", queued.len() + 1),
+            }
+        }
+
+        let start = Instant::now();
+        let deadline = Duration::from_millis(200);
+        let err = match Client::connect_deadline(&addr.to_string(), deadline, READ_TIMEOUT) {
+            Ok(_) => panic!("connected past a full accept queue"),
+            Err(err) => err,
+        };
+        let waited = start.elapsed();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(
+            waited >= deadline && waited < Duration::from_secs(1),
+            "timed out after {waited:?}"
+        );
+    }
+
+    #[test]
+    fn a_declared_body_over_the_cap_fails_before_the_read_timeout() {
+        // A body of exactly the cap is read in full…
+        let mut at_cap =
+            format!("HTTP/1.1 200 OK\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n").into_bytes();
+        at_cap.resize(at_cap.len() + MAX_BODY_BYTES, b'x');
+        let (addr, peer) = fake_peer(at_cap);
+        let mut client = Client::connect(&addr, READ_TIMEOUT).unwrap();
+        let reply = client.request("GET", "/v1/healthz", None).unwrap();
+        assert_eq!(reply.body.len(), MAX_BODY_BYTES);
+        drop(client);
+        peer.join().unwrap();
+
+        // …one byte more is refused at once, though no body byte comes.
+        let over = MAX_BODY_BYTES + 1;
+        let (err, waited) = refused_reply(
+            format!("HTTP/1.1 200 OK\r\nContent-Length: {over}\r\n\r\n").into_bytes(),
+        );
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(waited < READ_TIMEOUT / 2, "refused after {waited:?}");
+    }
+
+    #[test]
+    fn a_head_over_the_cap_fails_before_the_read_timeout() {
+        // Many short header lines, and one header line that never ends;
+        // neither shape ever sends the blank line that ends a head.
+        let mut lines = b"HTTP/1.1 200 OK\r\n".to_vec();
+        while lines.len() <= MAX_HEAD_BYTES {
+            lines.extend_from_slice(b"X-Filler: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n");
+        }
+        let mut endless = b"HTTP/1.1 200 OK\r\nX-Endless: ".to_vec();
+        endless.resize(MAX_HEAD_BYTES + 1024, b'a');
+        for head in [lines, endless] {
+            let (err, waited) = refused_reply(head);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(waited < READ_TIMEOUT / 2, "refused after {waited:?}");
+        }
     }
 }

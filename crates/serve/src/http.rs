@@ -19,7 +19,11 @@
 
 /// Most bytes accepted for the request line + headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
-/// Most bytes accepted for a request body.
+/// Most bytes accepted for a request body, and for a reply body
+/// [`crate::client::Client::read_reply`] reads. 4 MiB covers the largest
+/// reply the daemon can send: a race holds at most
+/// `MAX_SCENARIOS × MAX_POLICIES` = 2,048 cells, and the CI smoke's cells
+/// render to about 0.5 KB each.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
 /// A parsed request.

@@ -15,8 +15,9 @@
 //!   ([`suu_bench::request::RaceRequest::cell_request_json`]), routes
 //!   each to the shard owning its key ([`owner_of`]), **pipelines** the
 //!   batch per shard over persistent keep-alive upstream connections
-//!   (established nonblocking with a deadline — [`crate::client`]), and
-//!   reads replies while the shards compute in parallel;
+//!   (each connect bounded by a deadline through std's
+//!   `TcpStream::connect_timeout` — [`crate::client`]), and reads
+//!   replies while the shards compute in parallel;
 //! * **reassembles** the `suu-results/v2` document in request order
 //!   ([`suu_bench::report::ResultsBuilder::add_cell_json`]). Because a
 //!   cell's JSON depends only on its own scenario, policy and the

@@ -23,127 +23,12 @@
 //!   ones replaying byte-identically, and recomputes evicted cells
 //!   deterministically.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use common::{http, Daemon, Reply};
 use std::time::Duration;
 use suu_core::schemas;
-
-struct Daemon {
-    child: Child,
-    addr: String,
-    cache_dir: PathBuf,
-}
-
-impl Daemon {
-    fn spawn(tag: &str) -> Daemon {
-        Daemon::spawn_with(tag, &[])
-    }
-
-    /// Spawn with extra flags on a fresh cache dir named after `tag`
-    /// (tests reusing a tag share — and must clean — that dir).
-    fn spawn_with(tag: &str, extra_args: &[&str]) -> Daemon {
-        let cache_dir = std::env::temp_dir().join(format!("suud-e2e-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        let mut child = Command::new(env!("CARGO_BIN_EXE_suud"))
-            .args([
-                "--addr",
-                "127.0.0.1:0",
-                "--workers",
-                "2",
-                "--cache-dir",
-                cache_dir.to_str().unwrap(),
-            ])
-            .args(extra_args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn suud");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let banner = lines
-            .next()
-            .expect("suud prints its address")
-            .expect("readable stdout");
-        let addr = banner
-            .strip_prefix("suud listening on http://")
-            .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
-            .trim()
-            .to_string();
-        // Keep draining stdout so the daemon never blocks on a full pipe.
-        std::thread::spawn(move || for _ in lines {});
-        Daemon {
-            child,
-            addr,
-            cache_dir,
-        }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        let _ = std::fs::remove_dir_all(&self.cache_dir);
-    }
-}
-
-struct Reply {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl Reply {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn json(&self) -> suu_core::json::Json {
-        suu_core::json::parse(&self.body)
-            .unwrap_or_else(|e| panic!("unparsable body ({e}): {}", self.body))
-    }
-}
-
-/// Minimal one-shot HTTP/1.1 client over a fresh connection.
-fn http(addr: &str, method: &str, path: &str, body: Option<&str>) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect to suud");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let mut request = format!("{method} {path} HTTP/1.1\r\nHost: suud\r\n");
-    if let Some(body) = body {
-        request.push_str(&format!("Content-Length: {}\r\n", body.len()));
-    }
-    request.push_str("Connection: close\r\n\r\n");
-    if let Some(body) = body {
-        request.push_str(body);
-    }
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).unwrap();
-    let raw = String::from_utf8(raw).expect("utf-8 response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
-    let mut lines = head.lines();
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {raw:?}"));
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-        .collect();
-    Reply {
-        status,
-        headers,
-        body: body.to_string(),
-    }
-}
+use suu_serve::client::Client;
 
 fn race_body(trials: u64) -> String {
     format!(
@@ -319,70 +204,26 @@ fn concurrent_identical_races_coalesce_onto_one_computation() {
     assert_eq!(stats.get("cells_on_disk").unwrap().as_u64(), Some(1));
 }
 
-// ---------------------------------------------------------------------
-// Keep-alive client (framed reads, so one connection can carry many
-// responses).
-// ---------------------------------------------------------------------
-
-struct KeepAlive {
-    reader: BufReader<TcpStream>,
-}
+/// A keep-alive connection: the crate's [`Client`], with each reply
+/// turned into the harness's [`Reply`] so the assertions read the same
+/// as over [`http`].
+struct KeepAlive(Client);
 
 impl KeepAlive {
     fn connect(addr: &str) -> KeepAlive {
-        let stream = TcpStream::connect(addr).expect("connect to suud");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        KeepAlive {
-            reader: BufReader::new(stream),
-        }
+        KeepAlive(Client::connect(addr, Duration::from_secs(60)).expect("connect to suud"))
     }
 
     fn send(&mut self, method: &str, path: &str, body: Option<&str>) {
-        let mut request = format!("{method} {path} HTTP/1.1\r\nHost: suud\r\n");
-        if let Some(body) = body {
-            request.push_str(&format!("Content-Length: {}\r\n", body.len()));
-        }
-        request.push_str("\r\n");
-        if let Some(body) = body {
-            request.push_str(body);
-        }
-        self.reader.get_mut().write_all(request.as_bytes()).unwrap();
+        self.0.send(method, path, body.map(str::as_bytes)).unwrap();
     }
 
-    /// Read exactly one Content-Length-framed response.
     fn read_reply(&mut self) -> Reply {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).unwrap();
-        let status: u16 = line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("bad status line {line:?}"));
-        let mut headers: Vec<(String, String)> = Vec::new();
-        loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).unwrap();
-            let trimmed = line.trim_end_matches(['\r', '\n']);
-            if trimmed.is_empty() {
-                break;
-            }
-            if let Some((k, v)) = trimmed.split_once(':') {
-                headers.push((k.trim().to_string(), v.trim().to_string()));
-            }
-        }
-        let len: usize = headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-            .and_then(|(_, v)| v.parse().ok())
-            .expect("framed response needs Content-Length");
-        let mut body = vec![0u8; len];
-        self.reader.read_exact(&mut body).unwrap();
+        let reply = self.0.read_reply().unwrap();
         Reply {
-            status,
-            headers,
-            body: String::from_utf8(body).expect("utf-8 body"),
+            status: reply.status,
+            headers: reply.headers,
+            body: String::from_utf8(reply.body).expect("utf-8 body"),
         }
     }
 

@@ -54,7 +54,6 @@ pub use events::execute;
 pub(crate) use sampling::{geometric_steps, star_steps, NEVER};
 
 use crate::evaluate::derive_seed;
-use suu_core::JobId;
 
 /// Which formulation's randomness to simulate.
 ///
@@ -131,14 +130,6 @@ pub struct ExecOutcome {
     pub ineligible_assignments: u64,
     /// Completion step per job (`u64::MAX` if never completed).
     pub completion_time: Vec<u64>,
-}
-
-impl ExecOutcome {
-    /// Convenience: completion time of job `j`.
-    pub fn completed_at(&self, j: JobId) -> Option<u64> {
-        let t = self.completion_time[j.index()];
-        (t != u64::MAX).then_some(t)
-    }
 }
 
 /// Domain tag separating threshold draws from everything else.

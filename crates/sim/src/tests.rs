@@ -125,7 +125,7 @@ fn deterministic_chain_takes_n_steps() {
         assert_eq!(out.makespan, 5);
         // Completion times are 1..=5 in chain order.
         for j in 0..5 {
-            assert_eq!(out.completed_at(JobId(j)), Some(j as u64 + 1));
+            assert_eq!(out.completion_time[j], j as u64 + 1);
         }
     }
 }

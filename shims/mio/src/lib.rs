@@ -10,7 +10,10 @@
 //! [`Poll`] / [`Registry`] / [`Events`] / [`Event`] / [`Token`] /
 //! [`Interest`], **level-triggered** (no `EPOLLET`): a readiness event
 //! repeats until the condition is drained, so a handler that stops early
-//! is re-told on the next poll rather than silently wedged.
+//! is re-told on the next poll rather than silently wedged. Upstream
+//! connects do not go through the shim: `suu_serve::client` uses std's
+//! `TcpStream::connect_timeout`, which already runs a deadline-bounded
+//! nonblocking connect, so the only foreign calls are the four above.
 //!
 //! One deliberate deviation from real mio: sources are registered as
 //! `&impl AsRawFd` (std's `TcpListener` / `TcpStream` / `UnixStream`
@@ -57,13 +60,6 @@ mod sys {
     pub const EPOLLHUP: u32 = 0x010;
     pub const EPOLLRDHUP: u32 = 0x2000;
 
-    pub const AF_INET: c_int = 2;
-    pub const AF_INET6: c_int = 10;
-    pub const SOCK_STREAM: c_int = 1;
-    pub const SOCK_NONBLOCK: c_int = 0o4000;
-    pub const SOCK_CLOEXEC: c_int = 0o2000000;
-    pub const EINPROGRESS: c_int = 115;
-
     extern "C" {
         pub fn epoll_create1(flags: c_int) -> c_int;
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -74,107 +70,6 @@ mod sys {
             timeout: c_int,
         ) -> c_int;
         pub fn close(fd: c_int) -> c_int;
-        pub fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-        pub fn connect(fd: c_int, addr: *const u8, len: u32) -> c_int;
-    }
-}
-
-pub mod net {
-    //! Upstream (client-side) connections: the subset of `mio::net` a
-    //! proxy needs. [`TcpStream::connect`] starts a **nonblocking**
-    //! connect — the socket is created `SOCK_NONBLOCK | SOCK_CLOEXEC`,
-    //! so no window exists where it could block — and returns
-    //! immediately with the connect in flight (`EINPROGRESS`).
-    //! Completion is a readiness event: register the stream for
-    //! [`Interest::WRITABLE`](super::Interest::WRITABLE), and when the
-    //! event fires check [`TcpStream::take_error`] — `None` means the
-    //! connection is established, `Some` carries the failure (e.g.
-    //! `ECONNREFUSED`). This lets a caller bound connection
-    //! establishment with a poll deadline instead of blocking a thread
-    //! on a dead peer.
-
-    use super::sys;
-    use std::io;
-    use std::net::SocketAddr;
-    use std::os::fd::{AsRawFd, FromRawFd, RawFd};
-
-    /// A TCP stream whose connect is in flight (or already complete).
-    /// Wraps a std stream that is nonblocking from birth.
-    pub struct TcpStream {
-        inner: std::net::TcpStream,
-    }
-
-    /// `struct sockaddr_in` / `sockaddr_in6` wire bytes for `addr`.
-    fn sockaddr_bytes(addr: &SocketAddr) -> (std::os::raw::c_int, Vec<u8>) {
-        match addr {
-            SocketAddr::V4(v4) => {
-                let mut bytes = vec![0u8; 16];
-                bytes[0..2].copy_from_slice(&(sys::AF_INET as u16).to_ne_bytes());
-                bytes[2..4].copy_from_slice(&v4.port().to_be_bytes());
-                bytes[4..8].copy_from_slice(&v4.ip().octets());
-                (sys::AF_INET, bytes)
-            }
-            SocketAddr::V6(v6) => {
-                let mut bytes = vec![0u8; 28];
-                bytes[0..2].copy_from_slice(&(sys::AF_INET6 as u16).to_ne_bytes());
-                bytes[2..4].copy_from_slice(&v6.port().to_be_bytes());
-                bytes[4..8].copy_from_slice(&v6.flowinfo().to_be_bytes());
-                bytes[8..24].copy_from_slice(&v6.ip().octets());
-                bytes[24..28].copy_from_slice(&v6.scope_id().to_ne_bytes());
-                (sys::AF_INET6, bytes)
-            }
-        }
-    }
-
-    impl TcpStream {
-        /// Begin a nonblocking connect to `addr`. An `Ok` return means
-        /// the attempt is in flight (or already done); await
-        /// writability, then call [`take_error`](TcpStream::take_error)
-        /// for the verdict.
-        pub fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
-            let (family, bytes) = sockaddr_bytes(&addr);
-            let fd = unsafe {
-                sys::socket(
-                    family,
-                    sys::SOCK_STREAM | sys::SOCK_NONBLOCK | sys::SOCK_CLOEXEC,
-                    0,
-                )
-            };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            // Owns the fd from here on — an early error drop closes it.
-            let inner = unsafe { std::net::TcpStream::from_raw_fd(fd) };
-            let rc = unsafe { sys::connect(fd, bytes.as_ptr(), bytes.len() as u32) };
-            if rc == 0 {
-                return Ok(TcpStream { inner });
-            }
-            let err = io::Error::last_os_error();
-            if err.raw_os_error() == Some(sys::EINPROGRESS) {
-                Ok(TcpStream { inner })
-            } else {
-                Err(err)
-            }
-        }
-
-        /// `SO_ERROR`: the deferred outcome of the nonblocking connect
-        /// (consumed on read). `Ok(None)` after writability fired means
-        /// the stream is connected.
-        pub fn take_error(&self) -> io::Result<Option<io::Error>> {
-            self.inner.take_error()
-        }
-
-        /// Unwrap into a std stream (still in nonblocking mode; callers
-        /// wanting blocking I/O flip it with `set_nonblocking(false)`).
-        pub fn into_std(self) -> std::net::TcpStream {
-            self.inner
-        }
-    }
-
-    impl AsRawFd for TcpStream {
-        fn as_raw_fd(&self) -> RawFd {
-            self.inner.as_raw_fd()
-        }
     }
 }
 
@@ -500,60 +395,5 @@ mod tests {
         poll.poll(&mut events, Some(Duration::from_millis(20)))
             .unwrap();
         assert!(events.is_empty(), "deregistered source must go silent");
-    }
-
-    #[test]
-    fn nonblocking_connect_completes_via_writability() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-
-        let mut poll = Poll::new().unwrap();
-        poll.registry()
-            .register(&stream, Token(3), Interest::WRITABLE)
-            .unwrap();
-        let mut events = Events::with_capacity(8);
-        poll.poll(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        let ev = events.iter().next().expect("connect completion event");
-        assert_eq!(ev.token(), Token(3));
-        assert!(ev.is_writable());
-        assert!(stream.take_error().unwrap().is_none(), "connect succeeded");
-
-        // The established stream carries real bytes end to end.
-        poll.registry().deregister(&stream).unwrap();
-        let client = stream.into_std();
-        client.set_nonblocking(false).unwrap();
-        (&client).write_all(b"hello").unwrap();
-        let (mut accepted, _) = listener.accept().unwrap();
-        let mut buf = [0u8; 8];
-        assert_eq!(accepted.read(&mut buf).unwrap(), 5);
-        assert_eq!(&buf[..5], b"hello");
-    }
-
-    #[test]
-    fn refused_connect_surfaces_as_a_deferred_error() {
-        // Bind then drop: the port is (momentarily) known-closed.
-        let addr = {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.local_addr().unwrap()
-        };
-        // Loopback refusal may surface synchronously (connect() itself
-        // errors) or as a deferred SO_ERROR after writability — both
-        // are correct; neither may hang or succeed.
-        let Ok(stream) = net::TcpStream::connect(addr) else {
-            return;
-        };
-        let mut poll = Poll::new().unwrap();
-        poll.registry()
-            .register(&stream, Token(4), Interest::WRITABLE)
-            .unwrap();
-        let mut events = Events::with_capacity(8);
-        poll.poll(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert!(!events.is_empty(), "refusal must produce an event");
-        assert!(
-            stream.take_error().unwrap().is_some(),
-            "SO_ERROR must carry the refusal"
-        );
     }
 }
