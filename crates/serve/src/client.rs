@@ -83,7 +83,9 @@ impl Client {
         Client::from_stream(stream, read_timeout)
     }
 
-    fn from_stream(stream: TcpStream, read_timeout: Duration) -> io::Result<Client> {
+    /// A client over an already-connected stream: sets the read timeout
+    /// and `TCP_NODELAY`.
+    pub(crate) fn from_stream(stream: TcpStream, read_timeout: Duration) -> io::Result<Client> {
         stream.set_read_timeout(Some(read_timeout))?;
         stream.set_nodelay(true)?;
         Ok(Client {

@@ -713,100 +713,27 @@ impl EventLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufRead;
+    use crate::client::{Client, Reply};
+    use std::io;
 
-    /// Framed keep-alive test client.
-    struct Client {
-        reader: std::io::BufReader<TcpStream>,
+    /// A keep-alive connection: the crate's client for framed requests
+    /// and replies, and a clone of its stream for raw bytes.
+    fn connect(addr: SocketAddr) -> (Client, TcpStream) {
+        let stream = TcpStream::connect(addr).unwrap();
+        let raw = stream.try_clone().unwrap();
+        (
+            Client::from_stream(stream, Duration::from_secs(30)).unwrap(),
+            raw,
+        )
     }
 
-    struct Reply {
-        status: u16,
-        headers: Vec<(String, String)>,
-        body: Vec<u8>,
+    fn text(reply: &Reply) -> &str {
+        std::str::from_utf8(&reply.body).unwrap()
     }
 
-    impl Reply {
-        fn header(&self, name: &str) -> Option<&str> {
-            self.headers
-                .iter()
-                .find(|(k, _)| k.eq_ignore_ascii_case(name))
-                .map(|(_, v)| v.as_str())
-        }
-
-        fn text(&self) -> &str {
-            std::str::from_utf8(&self.body).unwrap()
-        }
-    }
-
-    impl Client {
-        fn connect(addr: SocketAddr) -> Client {
-            let stream = TcpStream::connect(addr).unwrap();
-            stream
-                .set_read_timeout(Some(Duration::from_secs(30)))
-                .unwrap();
-            Client {
-                reader: std::io::BufReader::new(stream),
-            }
-        }
-
-        fn send_raw(&mut self, raw: &[u8]) {
-            self.reader.get_mut().write_all(raw).unwrap();
-        }
-
-        fn send(&mut self, method: &str, path: &str, body: Option<&str>) {
-            let mut req = format!("{method} {path} HTTP/1.1\r\nHost: t\r\n");
-            if let Some(body) = body {
-                req.push_str(&format!("Content-Length: {}\r\n", body.len()));
-            }
-            req.push_str("\r\n");
-            if let Some(body) = body {
-                req.push_str(body);
-            }
-            self.send_raw(req.as_bytes());
-        }
-
-        /// Read one framed response (keep-alive safe).
-        fn read_reply(&mut self) -> Reply {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).unwrap();
-            let status: u16 = line
-                .split_whitespace()
-                .nth(1)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("bad status line {line:?}"));
-            let mut headers = Vec::new();
-            loop {
-                let mut line = String::new();
-                self.reader.read_line(&mut line).unwrap();
-                let trimmed = line.trim_end_matches(['\r', '\n']);
-                if trimmed.is_empty() {
-                    break;
-                }
-                if let Some((k, v)) = trimmed.split_once(':') {
-                    headers.push((k.trim().to_string(), v.trim().to_string()));
-                }
-            }
-            let len: usize = headers
-                .iter()
-                .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-                .and_then(|(_, v)| v.parse().ok())
-                .expect("Content-Length");
-            let mut body = vec![0u8; len];
-            self.reader.read_exact(&mut body).unwrap();
-            Reply {
-                status,
-                headers,
-                body,
-            }
-        }
-
-        /// Everything until EOF (connection closed by the server).
-        fn read_to_end(&mut self) -> Vec<u8> {
-            let mut out = Vec::new();
-            let _ = self.reader.read_to_end(&mut out);
-            out
-        }
+    /// The server closed the connection: the next read finds no reply.
+    fn closed(client: &mut Client) -> bool {
+        matches!(client.read_reply(), Err(e) if e.kind() == io::ErrorKind::UnexpectedEof)
     }
 
     fn echo_handler() -> Arc<Handler> {
@@ -840,20 +767,19 @@ mod tests {
     #[test]
     fn keep_alive_serves_many_requests_on_one_connection() {
         let server = echo_server(2);
-        let mut client = Client::connect(server.addr());
+        let (mut client, _) = connect(server.addr());
         for i in 0..5 {
-            client.send("GET", &format!("/req/{i}"), None);
-            let reply = client.read_reply();
+            let reply = client.request("GET", &format!("/req/{i}"), None).unwrap();
             assert_eq!(reply.status, 200);
-            assert_eq!(reply.header("Connection"), Some("keep-alive"));
+            assert_eq!(reply.header("connection"), Some("keep-alive"));
             assert!(
-                reply.text().contains(&format!("/req/{i}")),
+                text(&reply).contains(&format!("/req/{i}")),
                 "{}",
-                reply.text()
+                text(&reply)
             );
         }
-        client.send("POST", "/v1/x", Some("hello"));
-        assert!(client.read_reply().text().contains("\"body_len\":5"));
+        let reply = client.request("POST", "/v1/x", Some(b"hello")).unwrap();
+        assert!(text(&reply).contains("\"body_len\":5"));
         assert_eq!(server.metrics().accepted.load(Ordering::Relaxed), 1);
         assert_eq!(server.metrics().requests.load(Ordering::Relaxed), 6);
         server.shutdown();
@@ -862,21 +788,22 @@ mod tests {
     #[test]
     fn pipelined_requests_answer_in_order() {
         let server = echo_server(3);
-        let mut client = Client::connect(server.addr());
+        let (mut client, mut raw) = connect(server.addr());
         // All six at once; compute order is up to the pool, response
         // order must be request order.
-        let mut raw = Vec::new();
+        let mut burst = Vec::new();
         for i in 0..6 {
-            raw.extend_from_slice(format!("GET /pipe/{i} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes());
+            burst
+                .extend_from_slice(format!("GET /pipe/{i} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes());
         }
-        client.send_raw(&raw);
+        raw.write_all(&burst).unwrap();
         for i in 0..6 {
-            let reply = client.read_reply();
+            let reply = client.read_reply().unwrap();
             assert_eq!(reply.status, 200);
             assert!(
-                reply.text().contains(&format!("/pipe/{i}")),
+                text(&reply).contains(&format!("/pipe/{i}")),
                 "response {i} out of order: {}",
-                reply.text()
+                text(&reply)
             );
         }
         server.shutdown();
@@ -885,28 +812,29 @@ mod tests {
     #[test]
     fn connection_close_is_honored() {
         let server = echo_server(1);
-        let mut client = Client::connect(server.addr());
-        client.send_raw(b"GET /last HTTP/1.1\r\nConnection: close\r\n\r\n");
-        let reply = client.read_reply();
+        let (mut client, mut raw) = connect(server.addr());
+        raw.write_all(b"GET /last HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let reply = client.read_reply().unwrap();
         assert_eq!(reply.status, 200);
-        assert_eq!(reply.header("Connection"), Some("close"));
-        assert!(client.read_to_end().is_empty(), "server must close");
+        assert_eq!(reply.header("connection"), Some("close"));
+        assert!(closed(&mut client), "server must close");
         server.shutdown();
     }
 
     #[test]
     fn malformed_requests_get_4xx_then_close() {
         let server = echo_server(1);
-        let mut client = Client::connect(server.addr());
-        client.send_raw(b"garbage\r\n\r\n");
-        assert_eq!(client.read_reply().status, 400);
-        assert!(client.read_to_end().is_empty());
+        let (mut client, mut raw) = connect(server.addr());
+        raw.write_all(b"garbage\r\n\r\n").unwrap();
+        assert_eq!(client.read_reply().unwrap().status, 400);
+        assert!(closed(&mut client));
 
-        let mut client = Client::connect(server.addr());
-        let mut raw = b"GET /".to_vec();
-        raw.resize(crate::http::MAX_HEAD_BYTES + 512, b'a');
-        client.send_raw(&raw);
-        assert_eq!(client.read_reply().status, 413);
+        let (mut client, mut raw) = connect(server.addr());
+        let mut head = b"GET /".to_vec();
+        head.resize(crate::http::MAX_HEAD_BYTES + 512, b'a');
+        raw.write_all(&head).unwrap();
+        assert_eq!(client.read_reply().unwrap().status, 413);
         server.shutdown();
     }
 
@@ -930,19 +858,20 @@ mod tests {
             Arc::clone(&metrics),
         )
         .unwrap();
-        let mut client = Client::connect(server.addr());
+        let (mut client, _) = connect(server.addr());
         // Occupy the single worker…
-        client.send("GET", "/slow", None);
+        client.send("GET", "/slow", None).unwrap();
         std::thread::sleep(Duration::from_millis(100));
         // …then fill the queue (1 slot) and overflow it.
-        client.send("GET", "/slow", None);
-        client.send("GET", "/q3", None);
-        client.send("GET", "/q4", None);
-        let statuses: Vec<u16> = (0..4).map(|_| client.read_reply().status).collect();
+        client.send("GET", "/slow", None).unwrap();
+        client.send("GET", "/q3", None).unwrap();
+        client.send("GET", "/q4", None).unwrap();
+        let statuses: Vec<u16> = (0..4)
+            .map(|_| client.read_reply().unwrap().status)
+            .collect();
         assert_eq!(statuses, vec![200, 200, 429, 429]);
         // Re-read the last two for their headers.
-        client.send("GET", "/q5", None);
-        let reply = client.read_reply();
+        let reply = client.request("GET", "/q5", None).unwrap();
         assert_eq!(reply.status, 200, "the pool must recover after a 429");
         assert_eq!(metrics.rejected_429.load(Ordering::Relaxed), 2);
         server.shutdown();
@@ -965,17 +894,17 @@ mod tests {
             Arc::new(ServerMetrics::default()),
         )
         .unwrap();
-        let mut client = Client::connect(server.addr());
-        client.send("GET", "/a", None);
+        let (mut client, _) = connect(server.addr());
+        client.send("GET", "/a", None).unwrap();
         std::thread::sleep(Duration::from_millis(80));
-        client.send("GET", "/b", None);
-        client.send("GET", "/c", None);
+        client.send("GET", "/b", None).unwrap();
+        client.send("GET", "/c", None).unwrap();
         let mut saw_429 = false;
         for _ in 0..3 {
-            let reply = client.read_reply();
+            let reply = client.read_reply().unwrap();
             if reply.status == 429 {
                 saw_429 = true;
-                assert_eq!(reply.header("Retry-After"), Some(RETRY_AFTER_SECS));
+                assert_eq!(reply.header("retry-after"), Some(RETRY_AFTER_SECS));
             }
         }
         assert!(saw_429, "overflow must be answered 429");
@@ -996,13 +925,12 @@ mod tests {
             Arc::clone(&metrics),
         )
         .unwrap();
-        let mut client = Client::connect(server.addr());
+        let (mut client, _) = connect(server.addr());
         // A request keeps it alive…
-        client.send("GET", "/alive", None);
-        assert_eq!(client.read_reply().status, 200);
+        assert_eq!(client.request("GET", "/alive", None).unwrap().status, 200);
         // …then silence: the deadline closes it from the server side.
         let start = Instant::now();
-        assert!(client.read_to_end().is_empty());
+        assert!(closed(&mut client));
         assert!(
             start.elapsed() >= Duration::from_millis(100),
             "reaped too early"
@@ -1028,11 +956,9 @@ mod tests {
             Arc::new(ServerMetrics::default()),
         )
         .unwrap();
-        let mut client = Client::connect(server.addr());
-        client.send("GET", "/boom", None);
-        assert_eq!(client.read_reply().status, 500);
-        client.send("GET", "/ok", None);
-        assert_eq!(client.read_reply().status, 200);
+        let (mut client, _) = connect(server.addr());
+        assert_eq!(client.request("GET", "/boom", None).unwrap().status, 500);
+        assert_eq!(client.request("GET", "/ok", None).unwrap().status, 200);
         server.shutdown();
     }
 
@@ -1044,11 +970,11 @@ mod tests {
             let handles: Vec<_> = (0..6)
                 .map(|i| {
                     scope.spawn(move || {
-                        let mut client = Client::connect(addr);
-                        client.send("GET", &format!("/conn/{i}"), None);
-                        let reply = client.read_reply();
+                        let (mut client, _) = connect(addr);
+                        let path = format!("/conn/{i}");
+                        let reply = client.request("GET", &path, None).unwrap();
                         assert_eq!(reply.status, 200);
-                        assert!(reply.text().contains(&format!("/conn/{i}")));
+                        assert!(text(&reply).contains(&path));
                     })
                 })
                 .collect();
@@ -1063,11 +989,10 @@ mod tests {
     fn serves_and_shuts_down() {
         let server = echo_server(2);
         let addr = server.addr();
-        let mut client = Client::connect(addr);
-        client.send("GET", "/v1/healthz", None);
-        let reply = client.read_reply();
+        let (mut client, _) = connect(addr);
+        let reply = client.request("GET", "/v1/healthz", None).unwrap();
         assert_eq!(reply.status, 200);
-        assert_eq!(reply.header("X-Echo"), Some("yes"));
+        assert_eq!(reply.header("x-echo"), Some("yes"));
         server.shutdown();
         // The port stops answering (connect may still succeed briefly on
         // a lingering backlog entry, but a request gets no response).

@@ -444,6 +444,29 @@ mod tests {
     }
 
     #[test]
+    fn one_trial_stops_on_the_ceiling_not_the_ci() {
+        let service = Service::new(tempdir("one-trial")).unwrap();
+        let text = r#"{"scenarios":[{"family":"uniform","m":3,"n":8,"lo":0.2,"hi":0.9,"seed":7}],
+            "policies":["greedy-lr"],
+            "precision":{"half_width":0.01,"relative":true,"min_trials":1,"max_trials":1},
+            "master_seed":11}"#;
+        let race = RaceRequest::from_json(&suu_core::json::parse(text).unwrap()).unwrap();
+        // Cold, then from the cache: the same answer both times.
+        for label in ["miss", "hit"] {
+            let (doc, counts) = service.evaluate(&race).unwrap();
+            assert_eq!(counts.label(), label);
+            let cell = &doc.get("cells").unwrap().as_array().unwrap()[0];
+            assert_eq!(cell.get("trials_used").unwrap().as_u64(), Some(1));
+            assert_eq!(cell.get("ci95").unwrap().as_f64(), Some(0.0));
+            assert_eq!(
+                cell.get("stop_reason").unwrap().as_str(),
+                Some("max-trials")
+            );
+        }
+        let _ = std::fs::remove_dir_all(service.store().dir());
+    }
+
+    #[test]
     fn capability_skips_and_unknown_policies_are_cells_not_failures() {
         let service = Service::new(tempdir("skip")).unwrap();
         let text = r#"{

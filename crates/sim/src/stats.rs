@@ -17,7 +17,11 @@
 //! ([`student_t_quantile`], via log-gamma + the regularized incomplete
 //! beta function): at the small sample sizes adaptive stopping visits
 //! first, the z≈1.96 normal approximation understates the interval badly
-//! (t₀.₉₇₅ is 12.71 at n=2 and 2.78 at n=5). Accumulators can be
+//! (t₀.₉₇₅ is 12.71 at n=2 and 2.78 at n=5). Every CI goes through
+//! [`t_ci95_scale`], which memoizes the scale of each count below 4096
+//! once per process in a table of atomics and reads back exactly the bits
+//! the bisection returns, so a cached cell's stopping check and summary
+//! cost two loads, not two root solves. Accumulators can be
 //! **snapshotted** to [`suu_core::json`] ([`OutcomeAccumulator::to_json`])
 //! and later resumed, which is what makes cells resumable: extending a
 //! cell replays the same per-trial values in the same order, so the
@@ -25,6 +29,7 @@
 //! fresh longer run produces.
 
 use crate::engine::ExecOutcome;
+use std::sync::atomic::{AtomicU64, Ordering};
 use suu_core::json::Json;
 
 /// Summary of a sample of makespans (or any non-negative metric).
@@ -168,8 +173,9 @@ pub fn student_t_cdf(t: f64, df: f64) -> f64 {
 ///
 /// Deterministic bisection against [`student_t_cdf`] — a fixed iteration
 /// count, no floating-point environment dependence, accurate to ~1e-12.
-/// Not a hot path: it is consulted once per stopping check / summary,
-/// never per trial.
+/// One call costs tens of microseconds, as much as a whole cache hit
+/// spends elsewhere, so the CI paths reach it through [`t_ci95_scale`],
+/// which solves each count once per process.
 pub fn student_t_quantile(p: f64, df: f64) -> f64 {
     assert!(
         (0.0..=1.0).contains(&p) && p > 0.0 && p < 1.0,
@@ -212,12 +218,39 @@ pub fn student_t_quantile(p: f64, df: f64) -> f64 {
 /// undefined; `0.0` is returned so a single observation reports a zero
 /// half-width (its `std_err` is zero anyway), matching the old normal-
 /// approximation behavior at the degenerate size.
+///
+/// Memoized: a count below 4096 is solved by [`student_t_quantile`] the
+/// first time this process asks for it, and every later call reads the
+/// stored bits back, so the result is bitwise the function's own at any
+/// call and on any thread. The table is 4096 zero-initialized atomics:
+/// no lock on a read, no allocation, and only the pages of counts in use
+/// are touched. A count at or above 4096 is solved on every call; a
+/// sample that large took far longer to draw than one solve.
 pub fn t_ci95_scale(count: usize) -> f64 {
+    // Slot `n` holds the bits of the scale for count `n`, `0` while not
+    // yet solved (the scale is positive for every count ≥ 2). Each slot
+    // publishes only its own value, a pure function of its index, so
+    // `Relaxed` suffices: two threads that race both store the same bits.
+    static SCALE: [AtomicU64; SCALE_MEMO_COUNTS] = [const { AtomicU64::new(0) }; SCALE_MEMO_COUNTS];
     if count < 2 {
         return 0.0;
     }
-    student_t_quantile(0.975, (count - 1) as f64)
+    let solve = || student_t_quantile(0.975, (count - 1) as f64);
+    let Some(slot) = SCALE.get(count) else {
+        return solve();
+    };
+    match slot.load(Ordering::Relaxed) {
+        0 => {
+            let scale = solve();
+            slot.store(scale.to_bits(), Ordering::Relaxed);
+            scale
+        }
+        bits => f64::from_bits(bits),
+    }
 }
+
+/// Counts below this are memoized by [`t_ci95_scale`].
+const SCALE_MEMO_COUNTS: usize = 4096;
 
 /// When a cell stops growing under adaptive precision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,6 +318,10 @@ impl Precision {
 
     /// Stopping check for a sample of `count` observations with the given
     /// mean and 95% CI half-width. `None` means: keep sampling.
+    ///
+    /// The CI rule needs at least two observations: one has no interval
+    /// (its `ci95` reads `0.0`), so a `max_trials` of 1 stops as
+    /// [`StopReason::MaxTrials`], never as [`StopReason::CiReached`].
     pub fn check(&self, count: usize, mean: f64, ci95: f64) -> Option<StopReason> {
         match self {
             Precision::FixedTrials(n) => (count >= *n).then_some(StopReason::FixedBudget),
@@ -299,7 +336,7 @@ impl Precision {
                 } else {
                     *half_width
                 };
-                if count >= self.min_trials() && ci95 <= goal {
+                if count >= self.min_trials().max(2) && ci95 <= goal {
                     Some(StopReason::CiReached)
                 } else if count >= *max_trials {
                     Some(StopReason::MaxTrials)
@@ -627,12 +664,15 @@ impl P2Quantile {
 
     /// Restore a snapshot produced by [`P2Quantile::to_json`]. The
     /// per-observation increments are a pure function of `q` and are
-    /// rebuilt rather than stored.
+    /// rebuilt rather than stored; a `q` outside `(0, 1)` is refused.
     pub fn from_json(json: &Json) -> Result<Self, String> {
         let q = json
             .get("q")
             .and_then(Json::as_f64)
             .ok_or("sketch snapshot missing 'q'")?;
+        if !(q > 0.0 && q < 1.0) {
+            return Err(format!("sketch 'q' {q} outside (0, 1)"));
+        }
         let count = json
             .get("count")
             .and_then(Json::as_u64)
@@ -853,6 +893,22 @@ impl OutcomeAccumulator {
                 json.get("p95_sketch")
                     .ok_or("accumulator snapshot missing 'p95_sketch'")?,
             )?;
+            // Past the cap both sketches have seen every trial, so one
+            // that tracks another quantile or counts differently was not
+            // written by this accumulator (and would fail `summary`).
+            for (key, sketch, q) in [
+                ("median_sketch", &acc.median, 0.5),
+                ("p95_sketch", &acc.p95, 0.95),
+            ] {
+                if sketch.q != q {
+                    return Err(format!("accumulator '{key}' tracks q {} not {q}", sketch.q));
+                }
+                if sketch.count as u64 != acc.makespan.count() {
+                    return Err(format!(
+                        "accumulator '{key}' count disagrees with 'makespan.count'"
+                    ));
+                }
+            }
         }
         Ok(acc)
     }
@@ -1423,6 +1479,21 @@ mod tests {
         assert_eq!(relative.check(50, 20.0, 1.9), Some(StopReason::CiReached));
         assert_eq!(relative.check(50, 20.0, 2.1), None);
 
+        // One trial has no CI (its `ci95` reads 0): a ceiling of 1 stops
+        // on the ceiling, never on the CI rule.
+        let one = Precision::TargetCi {
+            half_width: 0.01,
+            relative: true,
+            min_trials: 1,
+            max_trials: 1,
+        };
+        assert_eq!(one.min_trials(), 1);
+        let mut single = Streaming::new();
+        single.push(4.0);
+        assert_eq!(single.ci95(), Some(0.0));
+        assert_eq!(one.check_sample(&single), Some(StopReason::MaxTrials));
+        assert_eq!(one.check(1, 4.0, 0.0), Some(StopReason::MaxTrials));
+
         // On a sample: its own count, mean and CI (empty: mean 0, CI ∞).
         let mut sample = Streaming::new();
         assert_eq!(target.check_sample(&sample), None);
@@ -1508,5 +1579,66 @@ mod tests {
         }
         let truncated = good.field("exact", Json::Arr(vec![]));
         assert!(OutcomeAccumulator::from_json(&truncated).is_err());
+
+        // Past the cap the sketches carry the quantiles: one that tracks
+        // another `q` or another count is an error, not a later panic.
+        let mut acc = OutcomeAccumulator::new();
+        for i in 0..600 {
+            acc.push_makespan((i % 17) as f64, true, 0);
+        }
+        let good = acc.to_json();
+        assert!(OutcomeAccumulator::from_json(&good).is_ok());
+        let damaged = |key: &str, field: &str, value: Json| {
+            let sketch = good.get(key).unwrap().clone().field(field, value);
+            OutcomeAccumulator::from_json(&good.clone().field(key, sketch))
+                .expect_err("damaged sketch")
+        };
+        let err = damaged("median_sketch", "q", Json::Num(2.0));
+        assert!(err.contains("outside (0, 1)"), "{err}");
+        let err = damaged("p95_sketch", "q", Json::Num(0.5));
+        assert!(err.contains("'p95_sketch' tracks q 0.5"), "{err}");
+        for key in ["median_sketch", "p95_sketch"] {
+            for count in [0, 599, 601] {
+                let err = damaged(key, "count", Json::UInt(count));
+                assert!(err.contains(&format!("'{key}' count")), "{err}");
+            }
+        }
+        let sketch = P2Quantile::new(0.5).to_json();
+        for q in [0.0, 1.0, -0.5, 2.0] {
+            assert!(P2Quantile::from_json(&sketch.clone().field("q", q)).is_err());
+        }
+    }
+
+    /// The memo returns the bisection's own bits, for every count a
+    /// ladder or a test visits, on first and later calls and from several
+    /// threads at once; counts past the table are solved directly.
+    #[test]
+    fn ci_scale_memo_is_bitwise_the_bisection() {
+        let solved = |n: usize| student_t_quantile(0.975, (n - 1) as f64).to_bits();
+        let mut counts: Vec<usize> = (2..=130).collect();
+        counts.extend(crate::sweep::BudgetLadder::new(2, 1536).rungs());
+        counts.extend(crate::sweep::BudgetLadder::new(16, 1536).rungs());
+        counts.extend([
+            SCALE_MEMO_COUNTS - 1,
+            SCALE_MEMO_COUNTS,
+            SCALE_MEMO_COUNTS + 1,
+        ]);
+        let want: Vec<u64> = counts.iter().map(|&n| solved(n)).collect();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..2 {
+                        for (&n, &bits) in counts.iter().zip(&want) {
+                            assert_eq!(t_ci95_scale(n).to_bits(), bits, "count {n}");
+                        }
+                    }
+                });
+            }
+        });
+        for n in 0..2 {
+            assert_eq!(t_ci95_scale(n).to_bits(), 0.0f64.to_bits());
+        }
     }
 }

@@ -11,7 +11,7 @@ use suu::algos::standard_registry;
 use suu::core::{workload, Precedence};
 use suu::dag::ChainSet;
 use suu::sim::stats::{chi_square_critical_001, chi_square_two_sample, histogram_pair};
-use suu::sim::{spec_factory, EvalConfig, Evaluator, ExecConfig, PolicySpec, Semantics};
+use suu::sim::{spec_factory, EvalConfig, Evaluator, ExecConfig, PolicySpec, Precision, Semantics};
 
 fn evaluator(trials: usize, semantics: Semantics, seed: u64) -> Evaluator {
     Evaluator::new(EvalConfig {
@@ -130,6 +130,54 @@ fn simulated_exact_opt_policy_matches_dp_value() {
         "simulated {:.3} vs DP {opt:.3} (ci {ci:.3})",
         summary.mean
     );
+}
+
+#[test]
+fn ci95_covers_the_exact_mdp_value() {
+    // exact-opt's mean makespan is exactly the DP value, so the share of
+    // runs whose 95% CI contains it is the interval's coverage, under a
+    // fixed budget and under the adaptive rule that stops on the CI.
+    let registry = standard_registry();
+    let mut rng = SmallRng::seed_from_u64(41);
+    let inst = Arc::new(workload::uniform_unrelated(
+        2,
+        5,
+        0.3,
+        0.9,
+        Precedence::Independent,
+        &mut rng,
+    ));
+    let opt = exact_opt(&inst, OptLimits::default()).unwrap();
+    let spec = PolicySpec::new("exact-opt");
+    let target = Precision::TargetCi {
+        half_width: 0.05,
+        relative: true,
+        min_trials: 16,
+        max_trials: 256,
+    };
+    const RUNS: u64 = 400;
+    for precision in [
+        Precision::FixedTrials(16),
+        Precision::FixedTrials(64),
+        target,
+    ] {
+        let covered = (0..RUNS)
+            .filter(|&master_seed| {
+                let cell = evaluator(0, Semantics::SuuStar, master_seed)
+                    .with_threads(1)
+                    .run_adaptive_spec(&registry, &inst, &spec, precision)
+                    .unwrap();
+                let s = cell.stats.summary().expect("nonempty");
+                (s.mean - opt).abs() <= s.ci95
+            })
+            .count();
+        // About 0.011 is one binomial standard deviation at 400 runs.
+        let share = covered as f64 / RUNS as f64;
+        assert!(
+            (0.91..=0.99).contains(&share),
+            "{precision:?}: {covered} of {RUNS} CIs cover {opt}"
+        );
+    }
 }
 
 #[test]
