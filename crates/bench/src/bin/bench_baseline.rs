@@ -3,8 +3,8 @@
 //! registry policy that fits each scenario (on the streaming batched
 //! evaluator), measures the batched evaluator's all-cores-vs-one-worker
 //! speedup (outcomes checked against the per-trial reference), and races
-//! the **per-trial event engine against the batched SoA engine**
-//! (identical outcomes required, wall clocks recorded). Writes:
+//! the **per-trial event engine against the batch runner** (identical
+//! outcomes required, wall clocks recorded). Writes:
 //!
 //! * `BENCH_baseline.json` — schema `suu-results/v2` with an extra
 //!   `"evaluator"` block (quality + per-cell wall clock) and an
@@ -14,8 +14,8 @@
 //! * `BENCH_engine_batch.json` — per-trial vs. batched engine per
 //!   scenario family plus three large hard-jobs families, with
 //!   `threads`/`host_cores`/`batch_size` recorded and a `stationary`
-//!   flag per cell (stationary policies take the shared-decision SoA
-//!   fast path; the rest measure the fallback's overhead).
+//!   flag per cell (stationary policies share epoch plans through the
+//!   runner's plan cache; the rest gain only the runner's reused state).
 //!
 //! Dense ≡ events is proven bitwise by `tests/engine_differential.rs`,
 //! not here. Later scaling PRs re-run this binary and diff the JSON:
@@ -402,13 +402,13 @@ fn main() {
         );
     }
 
-    // 3. Per-trial vs. batched engine. Stationary policies take the SoA
-    //    shared-decision fast path; suu-i-obl measures the per-trial
-    //    fallback. Full mode adds three large hard-jobs families (n ≥ 96,
-    //    near-certain per-step failure: hundreds of unit steps per
-    //    completion) and runs both semantics there, so the SUU geometric
-    //    wide kernel is measured alongside the SUU* one.
-    println!("\n-- engine comparison: per-trial event engine vs. batched SoA engine --");
+    // 3. Per-trial vs. batched engine. Stationary policies share cached
+    //    epoch plans; suu-i-obl, which wakes at every row change, decides
+    //    at every epoch. Full mode adds three large hard-jobs families
+    //    (n ≥ 96, near-certain per-step failure: hundreds of unit steps
+    //    per completion) and runs both semantics there, so the SUU
+    //    geometric sampler is measured alongside the SUU* one.
+    println!("\n-- engine comparison: per-trial event engine vs. batch runner --");
     let batch_trials = if smoke { 4 } else { 60 };
     let batch_size = 256usize;
     let batch_specs = ["gang-sequential", "best-machine", "greedy-lr", "suu-i-obl"];

@@ -11,8 +11,10 @@
 //! returned assignment fixed in between. Two loops implement these
 //! semantics:
 //!
-//! * [`events`] is the one production engine ([`execute`] and the batch
-//!   engine's per-trial path run it). It jumps straight from epoch to
+//! * [`events`] is the one production loop: [`execute`] runs one trial
+//!   through it, and [`batch::BatchRunner`] runs every trial of a cell
+//!   through it against one warm state, sharing a stationary policy's
+//!   epoch plans through a plan cache. It jumps straight from epoch to
 //!   epoch: for each running job it computes the exact step at which
 //!   accrued mass crosses the hidden threshold (SUU*) or samples a
 //!   geometric completion time (SUU), then advances `t` by the minimum.

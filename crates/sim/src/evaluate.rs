@@ -7,9 +7,9 @@
 //!
 //! * trial `k`'s engine randomness is the seed
 //!   `derive_seed(master_seed, k, ENGINE_DOMAIN)`, from which the engine
-//!   derives counter-based *per-job* streams (so the dense, event and
-//!   batched engines consume identical randomness — see
-//!   [`crate::engine`]);
+//!   derives counter-based *per-job* streams (so the dense oracle and
+//!   the event loop, per trial or batched, consume identical randomness
+//!   — see [`crate::engine`]);
 //! * trial `k`'s *policy-internal* randomness (e.g. `SUU-C`'s Theorem-7
 //!   start delays) is pinned by calling [`crate::Policy::reseed`] with
 //!   `derive_seed(master_seed, k, POLICY_DOMAIN)` before execution.

@@ -41,9 +41,10 @@
 //!   derived from one master seed (engine and policy randomness in
 //!   separate domains), producing bitwise-identical outcomes at any
 //!   thread count. Every path but the per-trial [`Evaluator::run_serial`]
-//!   reference runs trials through the **batched SoA engine**
-//!   ([`engine::batch`]) — stationary policies share one `decide` per
-//!   distinct remaining set across a whole batch — and
+//!   reference runs trials through the **batch runner**
+//!   ([`engine::batch`]): the same epoch loop against one warm state per
+//!   worker, where stationary policies share one `decide` per distinct
+//!   remaining set across the trials of a rung — and
 //!   [`Evaluator::run_stats`] folds them into the streaming [`stats`]
 //!   layer (Welford moments + P² quantile sketches with an exact
 //!   small-sample fallback), so evaluation memory is independent of the

@@ -312,8 +312,8 @@ fn summary_of_makespans() {
 
 #[test]
 fn batched_run_matches_per_trial_run_bitwise() {
-    // GangPolicy declares stationary, so the batched pipeline goes through
-    // the SoA fast path; its outcome vector must equal the per-trial
+    // GangPolicy declares stationary, so the batch runner's trials share
+    // cached epoch plans; its outcome vector must equal the per-trial
     // engine's.
     let mut grng = StdRng::seed_from_u64(9);
     let inst = workload::uniform_unrelated(3, 7, 0.25, 0.95, Precedence::Independent, &mut grng);

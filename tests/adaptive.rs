@@ -1,7 +1,8 @@
 //! Integration tests for the adaptive-precision subsystem: resumable
 //! cells (extending `n → n+k` is bitwise identical to a fresh `n+k` run
-//! — moments *and* P² sketch state — across thread counts, on both the
-//! batched fast path and the per-trial fallback), deterministic
+//! — moments *and* P² sketch state — across thread counts, for a
+//! stationary policy sharing cached plans and a non-stationary one
+//! deciding at every epoch), deterministic
 //! sequential stopping, checkpoint round-trips, and paired CRN
 //! comparisons.
 
@@ -77,9 +78,9 @@ fn assert_resume_bitwise(spec: &str, sc: &Scenario, base: usize, total: usize) {
 
 #[test]
 fn extend_is_bitwise_identical_to_fresh_run() {
-    // greedy-lr: stationary, takes the batched SoA fast path.
+    // greedy-lr: stationary, so its trials share cached epoch plans.
     assert_resume_bitwise("greedy-lr", &Scenario::uniform(3, 8, 0.3, 0.9, 5), 25, 60);
-    // suu-c: not stationary, so it takes the per-trial fallback, with
+    // suu-c: not stationary, so it decides at every epoch, with
     // internal policy randomness (Theorem-7 delays) pinned per trial
     // index via reseed; chains structure.
     assert_resume_bitwise("suu-c", &Scenario::chains(3, 9, 3, 77), 10, 31);
@@ -346,8 +347,8 @@ fn paired_crn_variance_is_smaller_than_marginal_variance() {
 
 #[test]
 fn paired_cells_match_the_serial_reference_at_any_thread_count() {
-    // greedy-lr takes the batched fast path and suu-c (not stationary)
-    // the per-trial fallback. An unreachable CI target climbs all 8
+    // greedy-lr shares cached epoch plans and suu-c (not stationary)
+    // decides at every epoch. An unreachable CI target climbs all 8
     // rungs of the 8..100 ladder, each cut into chunks of at most 8
     // trials and split across every worker of both policies' pools.
     let registry = standard_registry();

@@ -1,6 +1,7 @@
-//! A warm `decide` of every stationary baseline allocates nothing.
+//! A warm `decide` of every stationary baseline allocates nothing, and
+//! neither does a warm batch runner beyond the outcomes it returns.
 //!
-//! The batched engine calls a stationary policy's `decide` once per plan
+//! The batch runner calls a stationary policy's `decide` once per plan
 //! miss, i.e. once per distinct remaining set of a cell. The policy may
 //! size its scratch on the first call; after that a decision must not
 //! touch the heap. A counting global allocator checks it. The counter is
@@ -14,7 +15,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 use suu::algos::standard_registry;
 use suu::core::{workload, BitSet, Precedence};
-use suu::sim::{Assignment, StateView};
+use suu::sim::{Assignment, BatchRunner, EvalConfig, Evaluator, ExecConfig, Semantics, StateView};
 
 struct CountingAlloc;
 
@@ -52,18 +53,23 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-#[test]
-fn warm_stationary_decisions_allocate_nothing() {
-    let (m, n) = (8, 96);
+/// The n = 96 instance both tests run on.
+fn instance() -> Arc<suu::core::SuuInstance> {
     let mut rng = SmallRng::seed_from_u64(96);
-    let inst = Arc::new(workload::uniform_unrelated(
-        m,
-        n,
+    Arc::new(workload::uniform_unrelated(
+        8,
+        96,
         0.1,
         0.9,
         Precedence::Independent,
         &mut rng,
-    ));
+    ))
+}
+
+#[test]
+fn warm_stationary_decisions_allocate_nothing() {
+    let inst = instance();
+    let (m, n) = (inst.num_machines(), inst.num_jobs());
     let registry = standard_registry();
     // Jobs leave the eligible set in a scrambled order (37 is coprime to
     // 96, so this visits 50 distinct jobs).
@@ -108,6 +114,44 @@ fn warm_stationary_decisions_allocate_nothing() {
             assert!(
                 out.slots().iter().all(Option::is_some),
                 "{name}: every machine has a useful job"
+            );
+        }
+    }
+}
+
+/// Once a runner has run a batch, running the same trials again allocates
+/// one `completion_time` per outcome plus the outcome vector, and nothing
+/// per epoch: not for the plan-cache hits of a stationary policy
+/// (`greedy-lr`, `best-machine`), and not for the per-epoch decisions of
+/// a non-stationary one (`suu-i-obl`, which wakes at every row change).
+#[test]
+fn warm_batch_runner_allocates_only_its_outcomes() {
+    let inst = instance();
+    let registry = standard_registry();
+    for semantics in [Semantics::Suu, Semantics::SuuStar] {
+        let exec = ExecConfig {
+            semantics,
+            ..ExecConfig::default()
+        };
+        let trials = Evaluator::new(EvalConfig {
+            trials: 64,
+            master_seed: 0xA110C,
+            exec,
+            ..EvalConfig::default()
+        })
+        .trial_batch(0, 64);
+        for name in ["greedy-lr", "best-machine", "suu-i-obl"] {
+            let mut policy = registry.build_named(&inst, name).unwrap();
+            let mut runner = BatchRunner::new(&inst, &exec);
+            let cold = runner.run(&mut *policy, &trials);
+            let before = allocations();
+            let warm = runner.run(&mut *policy, &trials);
+            let made = allocations() - before;
+            assert_eq!(warm, cold, "{name}/{semantics:?}");
+            assert!(
+                made <= trials.len() as u64 + 1,
+                "{name}/{semantics:?}: a warm run of {} trials allocated {made} times",
+                trials.len()
             );
         }
     }

@@ -7,8 +7,8 @@
 //!   both called directly on the evaluator's trial seeds (plus a
 //!   hard-jobs family, where fast-forwarding skips the most steps), and
 //! * the per-trial event engine (`Evaluator::run_serial`) and the
-//!   **batched SoA pipeline** (`Evaluator::run`, including the
-//!   stationary shared-decision fast path),
+//!   **batch runner** (`Evaluator::run`, whose stationary trials share
+//!   epoch plans through its plan cache),
 //!
 //! must produce **bitwise-identical** `ExecOutcome`s from the same
 //! master seed — makespans, machine-step counters and per-job completion
@@ -126,8 +126,8 @@ fn dense_and_event_engines_agree_on_every_scenario_family() {
 /// for **every** standard scenario family (including the layered /
 /// bimodal / hetero-pareto additions) × every registry policy that can
 /// run there × both semantics. Stationary policies (gang, best-machine,
-/// greedy-lr, exact-opt) take the shared-decision SoA fast path; the
-/// rest exercise the per-trial fallback — both must be invisible in the
+/// greedy-lr, exact-opt) share epoch plans through the runner's plan
+/// cache; the rest decide at every epoch — both must be invisible in the
 /// outcomes.
 #[test]
 fn batched_engine_matches_per_trial_engine_on_every_scenario_family() {
@@ -267,17 +267,15 @@ impl Policy for Rotate {
     }
 }
 
-/// Satellite of the profile-guided batch-engine rebuild: the wide
-/// sampling kernels the batched engine runs per plan group must be
-/// **bitwise** the scalar samplers, lane for lane — including at the
-/// numeric edges the standard suite's instances never reach: `u → 1`
-/// boundaries, `mass → 0` through the denormal range, `mass = ∞`, and
-/// denormal / infinite SUU\* thresholds.
+/// The scalar samplers at the numeric edges the standard suite's
+/// instances never reach: `u → 1` boundaries, `mass → 0` through the
+/// denormal range, `mass = ∞`, and denormal / infinite SUU\*
+/// thresholds. A cached plan samples through [`GeomSegment::steps`], so
+/// it must be bitwise the free [`geometric_steps`] the dense oracle
+/// calls, over every mass × `u` pair.
 #[test]
-fn wide_sampling_kernels_match_scalar_on_edge_inputs() {
-    use suu::sim::engine::sampling::{
-        geometric_steps, star_steps, star_steps_wide, GeomSegment, LANES, NEVER,
-    };
+fn scalar_samplers_on_edge_inputs() {
+    use suu::sim::engine::sampling::{geometric_steps, star_steps, GeomSegment, NEVER};
 
     // SUU (geometric inversion). Denormal masses underflow the per-step
     // failure probability to exactly 1.0 (no progress → NEVER); huge
@@ -297,21 +295,12 @@ fn wide_sampling_kernels_match_scalar_on_edge_inputs() {
     const US: [f64; 7] = [0.0, 5e-324, 1e-16, 0.25, 0.5, 0.875, 1.0 - 1e-16];
     for mass in MASSES {
         let seg = GeomSegment::new(mass);
-        for rot in 0..US.len() {
-            // Rotate the u list through the lanes so every (mass, u)
-            // pair appears in every lane position.
-            let us: [f64; LANES] = core::array::from_fn(|l| US[(l + rot) % US.len()]);
-            let mut wide = [0u64; LANES];
-            seg.steps_wide(&us, &mut wide);
-            for l in 0..LANES {
-                assert_eq!(wide[l], seg.steps(us[l]), "geom mass {mass} u {}", us[l]);
-                assert_eq!(
-                    wide[l],
-                    geometric_steps(us[l], mass),
-                    "free fn diverges, mass {mass} u {}",
-                    us[l]
-                );
-            }
+        for u in US {
+            assert_eq!(
+                seg.steps(u),
+                geometric_steps(u, mass),
+                "segment and free fn diverge, mass {mass} u {u}"
+            );
         }
     }
     assert_eq!(
@@ -333,25 +322,20 @@ fn wide_sampling_kernels_match_scalar_on_edge_inputs() {
     // SUU* (threshold crossing). A denormal threshold is crossed on the
     // first step by any ordinary mass; a denormal mass (or an infinite
     // threshold, the r = 0 draw) never crosses — and must return NEVER
-    // fast instead of crawling the fix-up loop there.
+    // fast instead of crawling the fix-up loop there. Every finite
+    // answer over the edge grid is the first crossing.
     const BASES: [f64; 5] = [0.0, 0.37, 1.0, 1e6, 1e16];
     const THRESHOLDS: [f64; 7] = [5e-324, 1e-310, 1e-3, 1.0, 64.0, 1e6, f64::INFINITY];
     const STAR_MASSES: [f64; 6] = [5e-324, 1e-320, 1e-3, 0.5, 64.0, f64::INFINITY];
     for mass in STAR_MASSES {
-        for rot in 0..(BASES.len() * THRESHOLDS.len()) {
-            let bases: [f64; LANES] = core::array::from_fn(|l| BASES[(l + rot) % BASES.len()]);
-            let thresholds: [f64; LANES] =
-                core::array::from_fn(|l| THRESHOLDS[(l + rot / BASES.len()) % THRESHOLDS.len()]);
-            let mut wide = [0u64; LANES];
-            star_steps_wide(&bases, &thresholds, mass, &mut wide);
-            for l in 0..LANES {
-                assert_eq!(
-                    wide[l],
-                    star_steps(bases[l], thresholds[l], mass),
-                    "star mass {mass} base {} threshold {}",
-                    bases[l],
-                    thresholds[l]
-                );
+        for base in BASES {
+            for threshold in THRESHOLDS {
+                let k = star_steps(base, threshold, mass);
+                let at = |k: u64| base + k as f64 * mass;
+                assert!(k >= 1, "star mass {mass} base {base} threshold {threshold}");
+                if k != NEVER && mass.is_finite() {
+                    assert!(at(k) >= threshold && (k == 1 || at(k - 1) < threshold));
+                }
             }
         }
     }
