@@ -458,8 +458,8 @@ struct PointOutcome {
 }
 
 /// Judge one point from its per-policy cells: winner by lowest mean,
-/// resolution by the winner's conservative CRN margin against every
-/// rival.
+/// resolution by the winner's CRN margin ([`PairedMargin`]) against
+/// every rival.
 fn judge(cells: &[PolicyCell]) -> (usize, PairedMargin, bool) {
     let winner = cells
         .iter()

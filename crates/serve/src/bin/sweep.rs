@@ -4,8 +4,10 @@
 //! Explores a declarative parameter grid (scenario family × m × n ×
 //! q-range, see `suu_bench::sweep`) and *actively refines*: each round
 //! every unresolved grid point races all policies at the current rung
-//! of the trial-budget ladder, and only points whose conservative
-//! paired-CRN 95% CI still straddles zero are granted the next rung.
+//! of the trial-budget ladder, and only points whose paired-CRN margin
+//! (`suu_sim::PairedMargin`, which bounds the paired 95% CI only when
+//! the CRN correlation is non-negative) still straddles zero are
+//! granted the next rung.
 //! Every evaluation is a single-cell race through the in-process
 //! [`Service`] — the call `suud --oneshot` makes — over the serving
 //! tier's content-addressed cell cache, so a re-run or a tighter

@@ -13,13 +13,23 @@
 //!
 //! Each cache file stores an [`EvalStats`] checkpoint
 //! (`suu-sim/evalstats/v1`) wrapped in a [`CELL_SCHEMA`] envelope. A
-//! cell is never recomputed: a request the cached trial count already
-//! satisfies replays it byte-identically, and a request for more
-//! precision *extends* it via the evaluator's resume path — bitwise
-//! what a cold run at the final trial count would produce.
+//! cell is recomputed only when damaged: a request the cached trial
+//! count already satisfies replays it byte-identically and writes
+//! nothing, and a request for more precision *extends* it via the
+//! evaluator's resume path — bitwise what a cold run at the final trial
+//! count would produce. The envelope may also carry `lower_bound`, the
+//! scenario's LP lower bound (`suu_algos::bounds::lower_bound`, written
+//! shortest-round-trip, so it reads back as the same f64): a request for
+//! ratios records it in each cell it computes or extends, and an extend
+//! keeps a bound the cell already carries.
 //!
 //! Writes go through a temp file + atomic rename, so a crashed daemon
-//! leaves either the old or the new checkpoint, never a torn one.
+//! leaves either the old or the new checkpoint, never a torn one. A cell
+//! file that cannot be used anyway (torn by a crash the rename did not
+//! cover, hand-edited, of another schema) is a [`CellFault::Damaged`]:
+//! the service recomputes the cell, whose store replaces the file, and
+//! counts it as `corrupt_recovered`. Only a file holding *another* key's
+//! cell ([`CellFault::Collision`]) stays an error.
 //! In-process, `InflightTable` serializes work per key: concurrent
 //! identical requests coalesce onto one computation and the latecomer
 //! reads the winner's checkpoint from disk.
@@ -108,6 +118,30 @@ pub struct CachedCell {
     pub stats: EvalStats,
     /// Stop reason recorded when the cell last grew.
     pub stop_reason: String,
+    /// The scenario's LP lower bound, when a request for ratios
+    /// computed or extended the cell.
+    pub lower_bound: Option<f64>,
+}
+
+/// Why a cell file that exists could not be loaded. Messages name the
+/// cell key, never the path: they reach clients in 500 bodies, and the
+/// cache root is the host's business.
+#[derive(Debug)]
+pub enum CellFault {
+    /// The file holds another key's cell (an FNV-1a collision): a real
+    /// conflict, never overwritten.
+    Collision(String),
+    /// Unreadable, unparsable, of another schema or missing a field: a
+    /// cell is a pure function of its key, so recomputing repairs it.
+    Damaged(String),
+}
+
+impl std::fmt::Display for CellFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CellFault::Collision(e) | CellFault::Damaged(e) => f.write_str(e),
+        }
+    }
 }
 
 /// The on-disk store plus its counters.
@@ -123,6 +157,8 @@ pub struct CellStore {
     pub coalesced: AtomicU64,
     /// Cells deleted to stay under the size budget.
     pub evictions: AtomicU64,
+    /// Damaged cells recomputed in place of a load.
+    pub corrupt_recovered: AtomicU64,
     inflight: InflightTable,
     /// Total-cell-bytes ceiling (`None` = unbounded).
     budget: Option<u64>,
@@ -211,6 +247,7 @@ impl CellStore {
             extends: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            corrupt_recovered: AtomicU64::new(0),
             inflight: InflightTable::new(),
             budget,
             lru: Mutex::new(lru),
@@ -309,52 +346,62 @@ impl CellStore {
     }
 
     /// Load a cell if cached. A file that exists but fails validation
-    /// (schema drift, truncation despite atomic writes, key collision)
-    /// is reported as an error — the daemon refuses to guess. Errors
-    /// name the cell key, never the path: they reach clients in 500
-    /// bodies, and the cache root is the host's business.
+    /// is reported as an error naming the cell — [`CellStore::fetch`]
+    /// tells a collision from damage.
     pub fn load(&self, key: &CellKey) -> Result<Option<CachedCell>, String> {
+        self.fetch(key).map_err(|fault| fault.to_string())
+    }
+
+    /// Load a cell if cached, classifying a file that exists but fails
+    /// validation (truncation, schema drift, key collision).
+    pub fn fetch(&self, key: &CellKey) -> Result<Option<CachedCell>, CellFault> {
+        use CellFault::{Collision, Damaged};
         let hex = &key.hex;
         let text = match std::fs::read_to_string(self.path_for(hex)) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(format!("cache read cell {hex}: {e}")),
+            Err(e) => return Err(Damaged(format!("cache read cell {hex}: {e}"))),
         };
-        let doc =
-            suu_core::json::parse(&text).map_err(|e| format!("cache parse cell {hex}: {e}"))?;
+        let doc = suu_core::json::parse(&text)
+            .map_err(|e| Damaged(format!("cache parse cell {hex}: {e}")))?;
         match doc.get("schema").and_then(Json::as_str) {
             Some(CELL_SCHEMA) => {}
-            other => return Err(format!("cache cell {hex}: bad schema {other:?}")),
+            other => return Err(Damaged(format!("cache cell {hex}: bad schema {other:?}"))),
         }
         // Detect FNV collisions / foreign files: the stored canonical key
         // must be exactly ours.
         match doc.get("cell_key_canonical").and_then(Json::as_str) {
             Some(canonical) if canonical == key.canonical => {}
             Some(_) => {
-                return Err(format!(
+                return Err(Collision(format!(
                     "cache cell {hex}: content-address collision (stored key differs)"
-                ))
+                )))
             }
-            None => return Err(format!("cache cell {hex}: missing canonical key")),
+            None => return Err(Damaged(format!("cache cell {hex}: missing canonical key"))),
         }
         let stop_reason = doc
             .get("stop_reason")
             .and_then(Json::as_str)
-            .ok_or_else(|| format!("cache cell {hex}: missing stop_reason"))?
+            .ok_or_else(|| Damaged(format!("cache cell {hex}: missing stop_reason")))?
             .to_string();
         let checkpoint = doc
             .get("checkpoint")
-            .ok_or_else(|| format!("cache cell {hex}: missing checkpoint"))?;
-        let stats =
-            EvalStats::from_json(checkpoint).map_err(|e| format!("cache cell {hex}: {e}"))?;
+            .ok_or_else(|| Damaged(format!("cache cell {hex}: missing checkpoint")))?;
+        let stats = EvalStats::from_json(checkpoint)
+            .map_err(|e| Damaged(format!("cache cell {hex}: {e}")))?;
+        let lower_bound = doc.get("lower_bound").and_then(Json::as_f64);
         // A read is a use: hits must refresh recency or a hot cell gets
         // evicted under write pressure.
         self.lru_touch(hex, u64::try_from(text.len()).unwrap_or(u64::MAX));
-        Ok(Some(CachedCell { stats, stop_reason }))
+        Ok(Some(CachedCell {
+            stats,
+            stop_reason,
+            lower_bound,
+        }))
     }
 
-    /// Persist a cell checkpoint (temp file + rename, atomic on POSIX).
-    /// Errors name the cell key, not the path, as in [`CellStore::load`].
+    /// Persist a cell checkpoint without a lower bound; see
+    /// [`CellStore::store_with_bound`].
     pub fn store(
         &self,
         key: &CellKey,
@@ -362,13 +409,30 @@ impl CellStore {
         stats: &EvalStats,
         stop_reason: &str,
     ) -> Result<(), String> {
-        let doc = Json::obj()
+        self.store_with_bound(key, policy, stats, stop_reason, None)
+    }
+
+    /// Persist a cell checkpoint (temp file + rename, atomic on POSIX),
+    /// with the scenario's LP lower bound when one is given. Errors name
+    /// the cell key, not the path, as in [`CellStore::load`].
+    pub fn store_with_bound(
+        &self,
+        key: &CellKey,
+        policy: &str,
+        stats: &EvalStats,
+        stop_reason: &str,
+        lower_bound: Option<f64>,
+    ) -> Result<(), String> {
+        let mut doc = Json::obj()
             .field("schema", CELL_SCHEMA)
             .field("cell_key", key.hex.as_str())
             .field("cell_key_canonical", key.canonical.as_str())
             .field("policy", policy)
-            .field("stop_reason", stop_reason)
-            .field("checkpoint", stats.to_json());
+            .field("stop_reason", stop_reason);
+        if let Some(lb) = lower_bound {
+            doc = doc.field("lower_bound", lb);
+        }
+        let doc = doc.field("checkpoint", stats.to_json());
         let hex = &key.hex;
         let path = self.path_for(hex);
         let tmp = self.dir.join(format!("{hex}.tmp.{}", std::process::id()));
@@ -591,6 +655,16 @@ mod tests {
         assert_eq!(store.cells_on_disk(), 1);
         assert!(store.raw(&key.hex).unwrap().contains(CELL_SCHEMA));
         assert!(store.raw("not-a-key").is_none());
+        // Only `store_with_bound` writes a lower bound, and it reads back
+        // bitwise.
+        assert_eq!(cached.lower_bound, None);
+        assert!(!store.raw(&key.hex).unwrap().contains("lower_bound"));
+        let bound = 0.1 + 0.2; // not the shortest decimal of 0.3
+        store
+            .store_with_bound(&key, "gang-sequential", &stats, "fixed-budget", Some(bound))
+            .unwrap();
+        let cached = store.load(&key).unwrap().expect("stored cell");
+        assert_eq!(cached.lower_bound.map(f64::to_bits), Some(bound.to_bits()));
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -621,8 +695,10 @@ mod tests {
         let err = store.load(&key_b).unwrap_err();
         assert!(err.contains("collision"), "{err}");
         names_key_not_dir(&err, &key_b);
+        assert!(matches!(store.fetch(&key_b), Err(CellFault::Collision(_))));
         // Truncated file: error, not a panic or a silent miss.
         let cell_a = dir.join(format!("{}.json", key_a.hex));
+        let intact = suu_core::json::parse(&std::fs::read_to_string(&cell_a).unwrap()).unwrap();
         std::fs::write(&cell_a, "{\"sch").unwrap();
         let err = store.load(&key_a).unwrap_err();
         assert!(err.contains("cache parse"), "{err}");
@@ -631,6 +707,28 @@ mod tests {
         let err = store.load(&key_a).unwrap_err();
         assert!(err.contains("bad schema"), "{err}");
         names_key_not_dir(&err, &key_a);
+        // Every failure but a collision is damage, which recomputing the
+        // cell repairs: also a cell missing a field or with a bad
+        // checkpoint.
+        let without = |field: &str| match &intact {
+            Json::Obj(fields) => {
+                Json::Obj(fields.iter().filter(|(k, _)| k != field).cloned().collect())
+            }
+            _ => unreachable!("a cell is an object"),
+        };
+        for damaged in [
+            "{\"sch".to_string(),
+            "{\"schema\":\"x\"}".to_string(),
+            without("cell_key_canonical").to_pretty(),
+            without("stop_reason").to_pretty(),
+            without("checkpoint").to_pretty(),
+            intact.clone().field("checkpoint", Json::obj()).to_pretty(),
+        ] {
+            std::fs::write(&cell_a, &damaged).unwrap();
+            let fault = store.fetch(&key_a).unwrap_err();
+            assert!(matches!(fault, CellFault::Damaged(_)), "{fault}: {damaged}");
+            names_key_not_dir(&fault.to_string(), &key_a);
+        }
         // A store that cannot write (the directory is gone) says so the
         // same way.
         std::fs::remove_dir_all(&dir).unwrap();

@@ -23,16 +23,18 @@
 //!   its canonical identity JSON; cached cells replay byte-identically,
 //!   tighter-precision requests **extend** the cached cell (`n → n+k`,
 //!   bitwise a cold `n+k` run), and concurrent identical requests
-//!   coalesce onto one computation. Responses are `suu-results/v2`
+//!   coalesce onto one computation. A damaged cell file is recomputed;
+//!   a ratio request's LP lower bound is recorded in its cells, so a
+//!   later hit solves no LP. Responses are `suu-results/v2`
 //!   documents; cache status rides in `X-Suu-Cache*` headers so the
 //!   body stays replay-deterministic.
 //! * `GET /v1/cell/{key}` — the raw cached checkpoint
-//!   (`suu-serve/cell/v1`: key provenance + the
-//!   `suu-sim/evalstats/v1` accumulator snapshot).
+//!   (`suu-serve/cell/v1`: key provenance, an optional `lower_bound`,
+//!   and the `suu-sim/evalstats/v1` accumulator snapshot).
 //! * `GET /v1/healthz`, `GET /v1/stats` — liveness, cache counters
-//!   (hits / misses / extends / coalesced / inflight / cells on disk)
-//!   and serving counters (evictions / cache_bytes / queue_depth /
-//!   rejected_429).
+//!   (hits / misses / extends / coalesced / inflight / cells on disk),
+//!   serving counters (evictions / cache_bytes / queue_depth /
+//!   rejected_429), bounds_solved and corrupt_recovered.
 //!
 //! The service also **shards across processes** ([`router`]): because
 //! every cell is content-addressed by a uniform 64-bit key, the cache

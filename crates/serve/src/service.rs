@@ -18,9 +18,14 @@
 //!   wait on the in-flight guard and replay its checkpoint;
 //! * a request's retired `"engine"` field (`"events"` or `"dense"`)
 //!   changes no byte of the response: every cell runs on the one event
-//!   engine, and its checkpoint records `"engine": "events"`.
+//!   engine, and its checkpoint records `"engine": "events"`;
+//! * a damaged cell file is recomputed (a cell is a pure function of its
+//!   key), so it answers what a cold run would, never a lasting 500;
+//! * a request for ratios takes each scenario's LP lower bound from the
+//!   first of its cells that carries one, solving it only when none
+//!   does — the same f64 either way, so the same bytes.
 
-use crate::cache::{cell_key_fields, CellKey, CellStore};
+use crate::cache::{cell_key_fields, CellFault, CellKey, CellStore};
 use crate::http::{Request, Response};
 use crate::server::ServerMetrics;
 use std::cell::OnceCell;
@@ -31,7 +36,9 @@ use suu_algos::bounds::lower_bound;
 use suu_bench::report::ResultsBuilder;
 use suu_bench::request::RaceRequest;
 use suu_bench::runner::scenario_master_seed;
+use suu_bench::scenario::Scenario;
 use suu_core::json::Json;
+use suu_core::SuuInstance;
 use suu_sim::{
     EvalConfig, EvalStats, Evaluator, PolicyRegistry, PolicySpec, Precision, RegistryError,
     Semantics, StopReason,
@@ -97,6 +104,8 @@ pub struct Service {
     registry: PolicyRegistry,
     /// Total `POST /v1/race` requests accepted.
     pub races: AtomicU64,
+    /// LP lower bounds solved (each `lower_bound` call).
+    bounds_solved: AtomicU64,
     /// Front-end counters (queue depth, 429s), attached once the event
     /// loop exists — `/v1/stats` reports zeros until then (oneshot mode,
     /// in-process tests).
@@ -120,6 +129,7 @@ impl Service {
             store: CellStore::open_with_budget(cache_dir, max_cache_bytes)?,
             registry: suu_algos::standard_registry(),
             races: AtomicU64::new(0),
+            bounds_solved: AtomicU64::new(0),
             server_metrics: OnceLock::new(),
         })
     }
@@ -183,8 +193,8 @@ impl Service {
     /// The `/v1/stats` document (live counters; `cells_on_disk` and
     /// `cache_bytes` come from the store's in-memory mirror, so a call
     /// reads no file). The original v1 fields keep their exact names and
-    /// order — the budget/backpressure fields are strictly appended, so
-    /// pre-existing consumers parse unchanged.
+    /// order — the budget/backpressure, bound and recovery fields are
+    /// strictly appended, so pre-existing consumers parse unchanged.
     pub fn stats_json(&self) -> Json {
         let (queue_depth, rejected_429) = self
             .server_metrics
@@ -209,6 +219,11 @@ impl Service {
             .field("cache_bytes", self.store.cache_bytes())
             .field("queue_depth", queue_depth)
             .field("rejected_429", rejected_429)
+            .field("bounds_solved", self.bounds_solved.load(Ordering::Relaxed))
+            .field(
+                "corrupt_recovered",
+                self.store.corrupt_recovered.load(Ordering::Relaxed),
+            )
     }
 
     /// Evaluate a parsed race through the cache, producing the
@@ -229,15 +244,13 @@ impl Service {
 
         for rs in &race.scenarios {
             builder.add_scenario(&rs.scenario);
-            // Built on first need: a hit reads only the cache, so a
-            // request of hits without an LP bound never instantiates.
-            let built = OnceCell::new();
-            let inst = || built.get_or_init(|| rs.scenario.instantiate());
-            let lb_result = race
-                .ratios_to_lower_bound
-                .then(|| lower_bound(inst()).map_err(|e| e.to_string()));
-            let lb = lb_result.as_ref().and_then(|r| r.as_ref().ok()).copied();
-            let lb_error = lb_result.as_ref().and_then(|r| r.as_ref().err()).cloned();
+            let scenario = LazyScenario {
+                scenario: &rs.scenario,
+                wants_bound: race.ratios_to_lower_bound,
+                bounds_solved: &self.bounds_solved,
+                inst: OnceCell::new(),
+                bound: OnceCell::new(),
+            };
 
             let evaluator = Evaluator::new(EvalConfig {
                 trials: race.precision.max_trials(),
@@ -258,7 +271,7 @@ impl Service {
                     race.exec.semantics.as_str(),
                     race.exec.max_steps,
                 ));
-                match self.evaluate_cell(&key, &evaluator, inst, spec, race.precision) {
+                match self.evaluate_cell(&key, &evaluator, &scenario, spec, race.precision) {
                     Ok((stats, stop_reason, status)) => {
                         counts.record(status);
                         let mean = stats.mean_makespan();
@@ -266,12 +279,14 @@ impl Service {
                             ("stop_reason", Json::Str(stop_reason.as_str().into())),
                             ("cell_key", Json::Str(key.hex.clone())),
                         ];
-                        if let Some(lb) = lb {
-                            extra.push(("lower_bound", Json::Num(lb)));
-                            extra.push(("ratio_to_lb", Json::Num(mean / lb)));
-                        }
-                        if let Some(e) = &lb_error {
-                            extra.push(("lower_bound_error", Json::Str(e.clone())));
+                        if scenario.wants_bound {
+                            match scenario.bound() {
+                                Ok(lb) => {
+                                    extra.push(("lower_bound", Json::Num(*lb)));
+                                    extra.push(("ratio_to_lb", Json::Num(mean / lb)));
+                                }
+                                Err(e) => extra.push(("lower_bound_error", Json::Str(e.clone()))),
+                            }
                         }
                         builder.add_cell(&rs.scenario.id, policy_text, &stats, &extra);
                     }
@@ -289,19 +304,36 @@ impl Service {
         Ok((builder.finish(), counts))
     }
 
-    /// One cell through the cache, under the in-flight guard. `inst`
-    /// builds the scenario, called only on a miss or an extend.
-    fn evaluate_cell<'i>(
+    /// One cell through the cache, under the in-flight guard. The
+    /// scenario is built only on a miss or an extend.
+    fn evaluate_cell(
         &self,
         key: &CellKey,
         evaluator: &Evaluator,
-        inst: impl Fn() -> &'i Arc<suu_core::SuuInstance>,
+        scenario: &LazyScenario,
         spec: &PolicySpec,
         precision: Precision,
     ) -> Result<(EvalStats, StopReason, CacheStatus), CellError> {
         self.store.with_inflight(key, || {
-            let (grown, status, counter) = match self.store.load(key).map_err(CellError::Cache)? {
+            let cached = match self.store.fetch(key) {
+                Ok(cached) => cached,
+                // Computed afresh, the store's rename replaces the file.
+                Err(CellFault::Damaged(_)) => {
+                    self.store.corrupt_recovered.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+                Err(fault @ CellFault::Collision(_)) => {
+                    return Err(CellError::Cache(fault.to_string()))
+                }
+            };
+            let kept_bound = cached.as_ref().and_then(|c| c.lower_bound);
+            if let Some(lb) = kept_bound {
+                let _ = scenario.bound.set(Ok(lb));
+            }
+            let (grown, status, counter) = match cached {
                 Some(cached) => {
+                    // A hit writes nothing, so a cell stored without a
+                    // bound gets one only when it next grows.
                     if let Some(reason) = precision.check_sample(cached.stats.acc.makespan()) {
                         self.store.hits.fetch_add(1, Ordering::Relaxed);
                         return Ok((cached.stats, reason, CacheStatus::Hit));
@@ -310,7 +342,7 @@ impl Service {
                     // step cap asserted to match inside).
                     let grown = evaluator.resume_adaptive_spec(
                         &self.registry,
-                        inst(),
+                        scenario.inst(),
                         spec,
                         cached.stats,
                         precision,
@@ -318,22 +350,62 @@ impl Service {
                     (grown, CacheStatus::Extended, &self.store.extends)
                 }
                 None => {
-                    let grown =
-                        evaluator.run_adaptive_spec(&self.registry, inst(), spec, precision);
+                    let grown = evaluator.run_adaptive_spec(
+                        &self.registry,
+                        scenario.inst(),
+                        spec,
+                        precision,
+                    );
                     (grown, CacheStatus::Miss, &self.store.misses)
                 }
             };
             let adaptive = grown.map_err(CellError::Registry)?;
+            // A cell keeps the bound it carries; a request for ratios
+            // records it in every cell it computes or extends.
+            let bound = match kept_bound {
+                Some(lb) => Some(lb),
+                None if scenario.wants_bound => scenario.bound().as_ref().ok().copied(),
+                None => None,
+            };
             self.store
-                .store(
+                .store_with_bound(
                     key,
                     &adaptive.stats.policy,
                     &adaptive.stats,
                     adaptive.stop_reason.as_str(),
+                    bound,
                 )
                 .map_err(CellError::Cache)?;
             counter.fetch_add(1, Ordering::Relaxed);
             Ok((adaptive.stats, adaptive.stop_reason, status))
+        })
+    }
+}
+
+/// One scenario of a race, built on first need: a hit reads only the
+/// cache, so a request of hits never instantiates, and one that asks for
+/// ratios solves no LP when a loaded cell carries the bound.
+struct LazyScenario<'r> {
+    scenario: &'r Scenario,
+    /// The request asks for `ratios_to_lower_bound`.
+    wants_bound: bool,
+    /// The service's count of `lower_bound` calls.
+    bounds_solved: &'r AtomicU64,
+    inst: OnceCell<Arc<SuuInstance>>,
+    bound: OnceCell<Result<f64, String>>,
+}
+
+impl LazyScenario<'_> {
+    fn inst(&self) -> &Arc<SuuInstance> {
+        self.inst.get_or_init(|| self.scenario.instantiate())
+    }
+
+    /// The LP lower bound: the one a loaded cell carried, or solved now
+    /// (once per scenario and request).
+    fn bound(&self) -> &Result<f64, String> {
+        self.bound.get_or_init(|| {
+            self.bounds_solved.fetch_add(1, Ordering::Relaxed);
+            lower_bound(self.inst()).map_err(|e| e.to_string())
         })
     }
 }
@@ -346,7 +418,7 @@ enum CellError {
 /// The `suu-serve/stats/v1` field names, in emission order. The router
 /// aggregates shard stats by summing exactly these fields (and appending
 /// its own), and the append-only regression test pins the order.
-pub const STATS_FIELDS: [&str; 12] = [
+pub const STATS_FIELDS: [&str; 14] = [
     "schema",
     "races",
     "hits",
@@ -359,6 +431,8 @@ pub const STATS_FIELDS: [&str; 12] = [
     "cache_bytes",
     "queue_depth",
     "rejected_429",
+    "bounds_solved",
+    "corrupt_recovered",
 ];
 
 /// Canonical wire spelling of a [`Semantics`] (cell-key field): kept as
@@ -615,19 +689,185 @@ mod tests {
         assert_eq!(service.handle(&req("GET", "/nope", "")).status, 404);
         assert_eq!(service.handle(&req("DELETE", "/v1/race", "")).status, 405);
 
-        // A torn cell answers 500, and the body names the cell, not
-        // where the cache lives.
+        // A torn cell is recomputed: the reply is the first one's bytes,
+        // and the recovery is counted.
         let dir = service.store().dir().to_path_buf();
         let cell_path = dir.join(format!("{key}.json"));
         let bytes = std::fs::read(&cell_path).unwrap();
         std::fs::write(&cell_path, &bytes[..100]).unwrap();
         let torn = service.handle(&req("POST", "/v1/race", body));
-        assert_eq!(torn.status, 500);
-        let text = String::from_utf8(torn.body).unwrap();
+        assert_eq!(torn.status, 200);
+        assert_eq!(cache_header(&torn), "miss");
+        assert_eq!(torn.body, first.body, "a recomputed cell is byte-identical");
+        let recovered = || service.stats_json().get("corrupt_recovered")?.as_u64();
+        assert_eq!(recovered(), Some(1));
+        assert_eq!(
+            service.handle(&req("POST", "/v1/race", body)).body,
+            first.body,
+            "and the rewritten cell replays"
+        );
+
+        // A cell file holding another key's cell is a collision: a 500
+        // whose body names the cell, not where the cache lives.
+        let foreign = suu_core::json::parse(&std::fs::read_to_string(&cell_path).unwrap())
+            .unwrap()
+            .field("cell_key_canonical", "{}");
+        std::fs::write(&cell_path, foreign.to_pretty()).unwrap();
+        let clash = service.handle(&req("POST", "/v1/race", body));
+        assert_eq!(clash.status, 500);
+        let text = String::from_utf8(clash.body).unwrap();
+        assert!(text.contains("collision"), "{text}");
         assert!(text.contains(&format!("cell {key}")), "{text}");
         assert!(!text.contains(std::path::MAIN_SEPARATOR), "{text}");
         let dir_name = dir.file_name().unwrap().to_str().unwrap();
         assert!(!text.contains(dir_name), "{text}");
+        assert_eq!(recovered(), Some(1), "a collision is never overwritten");
+        assert_eq!(
+            std::fs::read(&cell_path).unwrap(),
+            foreign.to_pretty().as_bytes()
+        );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An independent and a chains scenario (so both LP1 and LP2 run),
+    /// two policies each.
+    fn ratio_request(trials: u64, ratios: bool) -> RaceRequest {
+        let text = format!(
+            r#"{{
+                "scenarios": [{{"family": "uniform", "m": 3, "n": 6,
+                                "lo": 0.3, "hi": 0.9, "seed": 7}},
+                              {{"family": "chains", "m": 3, "n": 8,
+                                "chains": 3, "seed": 4}}],
+                "policies": ["gang-sequential", "greedy-lr"],
+                "trials": {trials},
+                "master_seed": 21,
+                "ratios_to_lower_bound": {ratios}
+            }}"#
+        );
+        RaceRequest::from_json(&suu_core::json::parse(&text).unwrap()).unwrap()
+    }
+
+    fn bounds_solved(service: &Service) -> u64 {
+        let stats = service.stats_json();
+        stats.get("bounds_solved").and_then(Json::as_u64).unwrap()
+    }
+
+    /// Each cell of a response: its key, its body's `lower_bound` and
+    /// the `lower_bound` its cache file records.
+    fn cell_bounds(service: &Service, doc: &Json) -> Vec<(String, Option<f64>, Option<f64>)> {
+        let cells = doc.get("cells").and_then(Json::as_array).unwrap();
+        cells
+            .iter()
+            .map(|cell| {
+                let key = cell.get("cell_key").and_then(Json::as_str).unwrap();
+                let file = suu_core::json::parse(&service.store().raw(key).unwrap()).unwrap();
+                (
+                    key.to_string(),
+                    cell.get("lower_bound").and_then(Json::as_f64),
+                    file.get("lower_bound").and_then(Json::as_f64),
+                )
+            })
+            .collect()
+    }
+
+    /// Every file of the cache directory, with its bytes.
+    fn files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (
+                    e.file_name().into_string().unwrap(),
+                    std::fs::read(e.path()).unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_ratio_race_records_the_bound_and_its_replay_solves_no_lp() {
+        let service = Service::new(tempdir("bound-replay")).unwrap();
+        let race = ratio_request(8, true);
+        let (cold, counts) = service.evaluate(&race).unwrap();
+        assert_eq!((counts.misses, counts.hits), (4, 0));
+        assert_eq!(bounds_solved(&service), 2, "one solve per scenario");
+        // Cells run scenario-major: two per scenario, each recording the
+        // bound bitwise as `lower_bound` computes it and the body says.
+        let bounds = cell_bounds(&service, &cold);
+        assert_eq!(bounds.len(), 4);
+        for (rs, pair) in race.scenarios.iter().zip(bounds.chunks(2)) {
+            let lb = lower_bound(&rs.scenario.instantiate()).unwrap();
+            for (key, in_body, in_file) in pair {
+                assert_eq!(in_body.map(f64::to_bits), Some(lb.to_bits()), "{key}");
+                assert_eq!(in_file.map(f64::to_bits), Some(lb.to_bits()), "{key}");
+            }
+        }
+        // The replay is a byte-identical hit that solves nothing and
+        // writes nothing.
+        let before = files(service.store().dir());
+        let (replay, counts) = service.evaluate(&race).unwrap();
+        assert_eq!(counts.label(), "hit");
+        assert_eq!(replay.to_pretty(), cold.to_pretty());
+        assert_eq!(bounds_solved(&service), 2);
+        assert!(
+            files(service.store().dir()) == before,
+            "a hit writes no byte"
+        );
+        let _ = std::fs::remove_dir_all(service.store().dir());
+    }
+
+    #[test]
+    fn an_extend_keeps_a_bound_and_records_a_missing_one() {
+        // Cells computed with ratios keep their bound through an extend
+        // that does not ask for ratios.
+        let service = Service::new(tempdir("bound-kept")).unwrap();
+        let (cold, _) = service.evaluate(&ratio_request(8, true)).unwrap();
+        let recorded = cell_bounds(&service, &cold);
+        let (grown, counts) = service.evaluate(&ratio_request(16, false)).unwrap();
+        assert_eq!(counts.label(), "extended");
+        assert_eq!(
+            bounds_solved(&service),
+            2,
+            "an extend without ratios solves none"
+        );
+        for ((key, _, before), (grown_key, in_body, after)) in
+            recorded.iter().zip(cell_bounds(&service, &grown))
+        {
+            assert_eq!(key, &grown_key);
+            assert_eq!(in_body, None, "no ratios were asked for");
+            assert_eq!(after.map(f64::to_bits), before.map(f64::to_bits), "{key}");
+        }
+        let _ = std::fs::remove_dir_all(service.store().dir());
+
+        // Cells computed without ratios: a ratio hit solves the bound and
+        // still writes nothing; the next extend records it, and its
+        // replay solves nothing.
+        let service = Service::new(tempdir("bound-recorded")).unwrap();
+        service.evaluate(&ratio_request(8, false)).unwrap();
+        let before = files(service.store().dir());
+        let (hit, counts) = service.evaluate(&ratio_request(8, true)).unwrap();
+        assert_eq!(counts.label(), "hit");
+        assert_eq!(bounds_solved(&service), 2);
+        assert!(
+            files(service.store().dir()) == before,
+            "a hit writes no byte"
+        );
+        assert!(cell_bounds(&service, &hit).iter().all(|b| b.2.is_none()));
+        let (grown, counts) = service.evaluate(&ratio_request(16, true)).unwrap();
+        assert_eq!(counts.label(), "extended");
+        assert_eq!(bounds_solved(&service), 4);
+        for (key, in_body, in_file) in cell_bounds(&service, &grown) {
+            assert!(in_body.is_some(), "{key}");
+            assert_eq!(
+                in_file.map(f64::to_bits),
+                in_body.map(f64::to_bits),
+                "{key}"
+            );
+        }
+        let (replay, counts) = service.evaluate(&ratio_request(16, true)).unwrap();
+        assert_eq!(counts.label(), "hit");
+        assert_eq!(replay.to_pretty(), grown.to_pretty());
+        assert_eq!(bounds_solved(&service), 4);
+        let _ = std::fs::remove_dir_all(service.store().dir());
     }
 }

@@ -2,12 +2,15 @@
 //! real `suu-router` binary (which spawns and supervises its own `suud`
 //! shard fleet) on an ephemeral loopback port and drive it over TCP.
 //!
-//! Proves the PR's sharding contract on the wire:
+//! Proves the sharding contract on the wire:
 //!
 //! * a multi-cell race through a 2-shard router is **byte-identical**
 //!   to the same race against a direct single daemon — cold, and again
 //!   as a cached replay — and each shard's cache directory holds
 //!   exactly the cells whose keys fall in its range;
+//! * a race that asks for lower-bound ratios is byte-identical the same
+//!   way, and its replay solves no LP on any shard, because every cell
+//!   records its scenario's bound;
 //! * the aggregated `GET /v1/stats` document keeps the single-daemon
 //!   `suu-serve/stats/v1` field order as a **byte-compatible prefix**
 //!   (new fields strictly appended) and its sums equal the per-shard
@@ -228,8 +231,13 @@ fn router_merge_is_byte_identical_and_shards_hold_only_their_keys() {
         );
     }
 
-    // Partitioning: each shard's cache dir holds exactly the cells
-    // whose keys its range owns — nothing more, nothing missing.
+    assert_shards_hold_exactly(&router, &keys);
+}
+
+/// Partitioning: each shard's cache dir of a 2-shard fleet holds exactly
+/// the cells of `keys` that its range owns — nothing more, nothing
+/// missing.
+fn assert_shards_hold_exactly(router: &RouterProc, keys: &[String]) {
     let mut seen: Vec<String> = Vec::new();
     for shard in 0..2usize {
         let dir = router.cache_root.join(format!("shard-{shard}"));
@@ -250,10 +258,59 @@ fn router_merge_is_byte_identical_and_shards_hold_only_their_keys() {
             seen.push(stem.to_string());
         }
     }
-    let mut expected = keys.clone();
+    let mut expected = keys.to_vec();
     expected.sort();
     seen.sort();
     assert_eq!(seen, expected, "shards must hold exactly the race's cells");
+}
+
+/// A ratio race (2 scenarios × 2 policies), an independent and a chains
+/// scenario, so both LP bounds run.
+const RATIO_RACE: &str = r#"{
+    "scenarios": [{"family": "uniform", "m": 2, "n": 5,
+                    "lo": 0.3, "hi": 0.9, "seed": 11},
+                  {"family": "chains", "m": 3, "n": 8,
+                    "chains": 3, "seed": 4}],
+    "policies": ["greedy-lr", "gang-sequential"],
+    "trials": 6,
+    "master_seed": 35,
+    "ratios_to_lower_bound": true
+}"#;
+
+#[test]
+fn a_ratio_race_through_the_router_matches_a_direct_daemon() {
+    let direct = Daemon::spawn("ratio-direct");
+    let router = RouterProc::spawn("ratio-router", 2);
+    let solved = |addr: &str| {
+        let stats = http(addr, "GET", "/v1/stats", None).json();
+        stats.get("bounds_solved").and_then(Json::as_u64).unwrap()
+    };
+
+    // Cold: every shard cell solves and records its scenario's bound.
+    let via_direct = http(&direct.addr, "POST", "/v1/race", Some(RATIO_RACE));
+    let via_router = http(&router.addr, "POST", "/v1/race", Some(RATIO_RACE));
+    assert_eq!(via_direct.status, 200, "direct: {}", via_direct.body);
+    assert_eq!(via_router.status, 200, "router: {}", via_router.body);
+    assert!(via_direct.body.contains("\"ratio_to_lb\""));
+    assert_eq!(via_router.body, via_direct.body);
+    assert_eq!(solved(&direct.addr), 2, "one solve per scenario");
+    assert_eq!(
+        solved(&router.addr),
+        4,
+        "one solve per single-cell sub-request"
+    );
+
+    // Replay: hits on both sides whose cells carry the bound, so no
+    // shard solves again, and the bytes stay the same.
+    for addr in [&direct.addr, &router.addr] {
+        let before = solved(addr);
+        let replay = http(addr, "POST", "/v1/race", Some(RATIO_RACE));
+        assert_eq!(replay.status, 200);
+        assert_eq!(replay.header("X-Suu-Cache"), Some("hit"));
+        assert_eq!(replay.body, via_direct.body);
+        assert_eq!(solved(addr), before, "a replay solves no LP");
+    }
+    assert_shards_hold_exactly(&router, &cell_keys(RATIO_RACE));
 }
 
 #[test]

@@ -13,14 +13,16 @@
 //!   single adaptive run would have, and stays bitwise reusable by
 //!   either.
 //! * [`PairedMargin`] — the winner margin between two policies evaluated
-//!   under common random numbers, with a **conservative** 95% CI for
-//!   the difference. The sweep only sees each policy's marginal
-//!   `(mean, ci95)` (that is what cells cache); under CRN the
-//!   per-trial outcomes are positively correlated, so
-//!   `Var(A−B) = Var(A) + Var(B) − 2·Cov(A,B) ≤ Var(A) + Var(B)`
-//!   and `sqrt(ci_a² + ci_b²)` is a valid upper bound on the paired
-//!   CI half-width. Conservative means the sweep can stop *late* but
-//!   never *early*: a margin declared resolved really is resolved.
+//!   under common random numbers, with a 95% half-width for the
+//!   difference built from each policy's marginal `(mean, ci95)` (that
+//!   is what cells cache). Since
+//!   `Var(A−B) = Var(A) + Var(B) − 2·Cov(A,B)`, `sqrt(ci_a² + ci_b²)`
+//!   bounds the paired CI half-width only when the CRN correlation ρ
+//!   is at least 0; at ρ < 0 it is too narrow. Nor is it a 5% test when
+//!   checked at every rung: over the 11 rungs of `BudgetLadder(16, 768)`
+//!   a null simulation named a false winner at a rate of 0.251 for
+//!   ρ = 0 and 0.041 for ρ = +0.5. So a sweep can stop *early* on a
+//!   margin that is not really resolved.
 
 /// Deterministic trial-budget schedule for one sweep cell.
 ///
@@ -80,9 +82,10 @@ pub struct PairedMargin {
     /// `mean_a − mean_b` — exact for the paired design, since the mean
     /// of per-trial differences equals the difference of means.
     pub delta: f64,
-    /// Conservative 95% half-width for `delta`:
-    /// `sqrt(ci_a² + ci_b²)`, an upper bound on the true paired CI
-    /// because CRN makes the per-trial covariance non-negative.
+    /// 95% half-width for `delta` from the marginals:
+    /// `sqrt(ci_a² + ci_b²)`, an upper bound on the true paired CI only
+    /// when the per-trial CRN correlation is non-negative (see the
+    /// module docs).
     pub ci95: f64,
 }
 
