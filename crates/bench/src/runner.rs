@@ -1,30 +1,47 @@
-//! The scenario × policy race runner — the one evaluation path every
-//! experiment binary goes through.
+//! The one race path: how scenarios × policy specs become a
+//! `suu-results/v2` document.
 //!
-//! A [`Race`] declares *what* to compare (scenarios, policy specs, one
-//! [`Precision`] stopping rule, paired CRN comparisons); this module
-//! handles *how*: registry construction through
-//! [`suu_algos::standard_registry`], capability-aware skipping,
-//! **adaptive-precision** evaluation via [`suu_sim::Evaluator`]'s
-//! streaming path (batched engine + [`suu_sim::OutcomeAccumulator`], so
-//! a cell's memory is independent of its trial count, and cells grow in
-//! deterministic rounds until the stopping rule fires), optional LP
-//! lower bounds, paired policy comparisons on common random numbers, the
-//! human-readable table, and the shared JSON results document
-//! (`suu-results/v2`). The table1/figure binaries are now a `Race`
-//! literal plus a `main`, and the `suu-serve` daemon consumes the same
-//! stack as a library — [`scenario_master_seed`], the scenario recipes
-//! and [`ResultsBuilder`] are shared between the offline runner and the
-//! served cache path, so a daemon cell and a runner cell with the same
+//! Three front ends race: the offline [`Race`] runner behind every
+//! table1/figure binary and the examples, the `suu-serve` daemon `suud`
+//! (which serves cells through its cache), and `suu-router` (which
+//! scatters a race across daemons and merges their cells). What they
+//! share is decided here, once:
+//!
+//! * [`parse_race`] reads a request body: UTF-8, JSON, the
+//!   [`RaceRequest`] schema, then every policy spec through
+//!   [`policy_specs`], which the runner's specs go through too;
+//! * [`ScenarioRun`] is one scenario of a race: the [`Evaluator`] all
+//!   its policies share, seeded by [`scenario_master_seed`]; its
+//!   instance, built on first need; and its LP lower bound, solved on
+//!   first need unless a cached cell carried it;
+//! * [`ScenarioRun::record`] writes one cell's outcome into the
+//!   document.
+//!
+//! Each caller keeps what is its own: the runner its table, its paired
+//! CRN comparisons and `json_path`; the daemon its cache; the router its
+//! scatter and merge. Each also keeps its own cell label: the runner
+//! writes `spec.to_string()`, the daemon the request's policy text.
+//! Because the daemon and the runner share the evaluator, its seed, the
+//! bound and the record, a daemon cell and a runner cell with the same
 //! identity are the same numbers.
+//!
+//! Cells evaluate with adaptive precision through
+//! [`Evaluator::run_adaptive_spec`]: the batched engine streams into an
+//! accumulator, so a cell's memory is independent of its trial count,
+//! and cells grow in deterministic rounds until the stopping rule fires.
 
 use crate::report::ResultsBuilder;
+use crate::request::RaceRequest;
 use crate::scenario::Scenario;
+use std::cell::OnceCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use suu_algos::bounds::lower_bound;
 use suu_core::json::Json;
+use suu_core::SuuInstance;
 use suu_sim::{
-    spec_factory, EvalConfig, Evaluator, ExecConfig, PolicyRegistry, PolicySpec, Precision,
-    RegistryError,
+    spec_factory, AdaptiveStats, EvalConfig, Evaluator, ExecConfig, PolicyRegistry, PolicySpec,
+    Precision, RegistryError,
 };
 
 /// Declarative description of a policy race.
@@ -53,11 +70,6 @@ pub struct Race {
     pub exec: ExecConfig,
     /// Compute the LP lower bound per scenario and report `E[T]/LB`.
     pub ratios_to_lower_bound: bool,
-    /// Record per-cell wall clocks in the JSON document (`true` by
-    /// default). Disable to make the document a pure function of the
-    /// master seed — byte-identical across reruns and thread counts —
-    /// for regression pinning.
-    pub record_wall_clocks: bool,
     /// Write the JSON document here (in addition to returning it).
     pub json_path: Option<std::path::PathBuf>,
 }
@@ -74,29 +86,9 @@ impl Default for Race {
             master_seed: 0x5EED,
             exec: ExecConfig::default(),
             ratios_to_lower_bound: false,
-            record_wall_clocks: true,
             json_path: None,
         }
     }
-}
-
-/// One evaluated `(scenario, policy)` cell.
-#[derive(Debug)]
-pub enum CellOutcome {
-    /// Ran; mean makespan and the ratio to the scenario lower bound (when
-    /// requested).
-    Ran {
-        /// Mean makespan across trials.
-        mean: f64,
-        /// `mean / lower_bound`, when a bound was computed.
-        ratio: Option<f64>,
-        /// Trials actually executed before the stopping rule fired.
-        trials_used: u64,
-    },
-    /// The policy's capability is below the scenario's structure class.
-    Skipped,
-    /// Construction failed (limits, LP errors…).
-    Failed(String),
 }
 
 /// The per-scenario evaluation master seed.
@@ -119,6 +111,137 @@ pub fn scenario_master_seed(race_master: u64, sc: &Scenario) -> u64 {
     )
 }
 
+/// Read a race request body: UTF-8, JSON, the [`RaceRequest`] schema,
+/// then its policy specs. The error says what is wrong with the body.
+pub fn parse_race(body: &[u8]) -> Result<(RaceRequest, Vec<PolicySpec>), String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+    let race = RaceRequest::from_json(&suu_core::json::parse(text).map_err(|e| e.to_string())?)?;
+    let specs = policy_specs(&race.policies)?;
+    Ok((race, specs))
+}
+
+/// Parse a race's policy specs; the error names the first bad one.
+pub fn policy_specs(policies: &[String]) -> Result<Vec<PolicySpec>, String> {
+    policies
+        .iter()
+        .map(|p| PolicySpec::parse(p).map_err(|e| format!("bad policy spec {p:?}: {e}")))
+        .collect()
+}
+
+/// One scenario of a race, as its cells see it.
+pub struct ScenarioRun<'r> {
+    scenario: &'r Scenario,
+    /// The evaluator of every policy of the scenario. Its stream is the
+    /// scenario's own (identity-mixed; see [`scenario_master_seed`]), so
+    /// adding a scenario never shifts another's randomness, and all the
+    /// scenario's policies share it: the common random numbers paired
+    /// comparisons rely on.
+    pub evaluator: Evaluator,
+    /// The race asks for `ratios_to_lower_bound`.
+    wants_bound: bool,
+    /// Where each LP solve is counted, if anywhere.
+    solves: Option<&'r AtomicU64>,
+    inst: OnceCell<Arc<SuuInstance>>,
+    bound: OnceCell<Result<f64, String>>,
+}
+
+impl<'r> ScenarioRun<'r> {
+    /// `scenario` in a race with this master seed, stopping rule and
+    /// engine configuration, which asks for lower bounds or not.
+    pub fn new(
+        scenario: &'r Scenario,
+        master_seed: u64,
+        precision: Precision,
+        exec: ExecConfig,
+        ratios_to_lower_bound: bool,
+    ) -> ScenarioRun<'r> {
+        ScenarioRun {
+            scenario,
+            evaluator: Evaluator::new(EvalConfig {
+                trials: precision.max_trials(),
+                master_seed: scenario_master_seed(master_seed, scenario),
+                threads: 0,
+                exec,
+                ..EvalConfig::default()
+            }),
+            wants_bound: ratios_to_lower_bound,
+            solves: None,
+            inst: OnceCell::new(),
+            bound: OnceCell::new(),
+        }
+    }
+
+    /// Count each LP solve in `solves`.
+    pub fn counting_solves(mut self, solves: &'r AtomicU64) -> ScenarioRun<'r> {
+        self.solves = Some(solves);
+        self
+    }
+
+    /// The instance, built on first need: a cell served from a cache
+    /// never needs it.
+    pub fn inst(&self) -> &Arc<SuuInstance> {
+        self.inst.get_or_init(|| self.scenario.instantiate())
+    }
+
+    /// Take the lower bound a cached cell of this scenario carries, so
+    /// [`ScenarioRun::bound`] solves no LP. The first one kept or solved
+    /// stands.
+    pub fn keep_bound(&self, lower_bound: f64) {
+        let _ = self.bound.set(Ok(lower_bound));
+    }
+
+    /// The scenario's LP lower bound, when the race asks for ratios: the
+    /// one kept from a cell, or else solved now, once per scenario. A
+    /// failed solve is surfaced, never swallowed: its cells say what went
+    /// wrong.
+    pub fn bound(&self) -> Option<&Result<f64, String>> {
+        self.wants_bound.then(|| {
+            self.bound.get_or_init(|| {
+                if let Some(solves) = self.solves {
+                    solves.fetch_add(1, Ordering::Relaxed);
+                }
+                lower_bound(self.inst()).map_err(|e| e.to_string())
+            })
+        })
+    }
+
+    /// Record one cell of the scenario under `label`. A cell that ran
+    /// gets its statistics, then `stop_reason`, then `cell_key` when the
+    /// caller has one, then `lower_bound` and `ratio_to_lb`, or
+    /// `lower_bound_error`, when the race asks for ratios. A policy whose
+    /// capability is below the scenario's structure is a `skipped` cell;
+    /// any other build error is an `error` cell.
+    pub fn record(
+        &self,
+        builder: &mut ResultsBuilder,
+        label: &str,
+        cell_key: Option<&str>,
+        outcome: &Result<AdaptiveStats, RegistryError>,
+    ) {
+        let id = &self.scenario.id;
+        let cell = match outcome {
+            Ok(cell) => cell,
+            Err(e @ RegistryError::UnsupportedStructure { .. }) => {
+                return builder.add_failure(id, label, "skipped", e.to_string())
+            }
+            Err(e) => return builder.add_failure(id, label, "error", e.to_string()),
+        };
+        let mut extra = vec![("stop_reason", Json::Str(cell.stop_reason.as_str().into()))];
+        if let Some(key) = cell_key {
+            extra.push(("cell_key", Json::Str(key.into())));
+        }
+        match self.bound() {
+            Some(Ok(lb)) => {
+                extra.push(("lower_bound", Json::Num(*lb)));
+                extra.push(("ratio_to_lb", Json::Num(cell.stats.mean_makespan() / lb)));
+            }
+            Some(Err(e)) => extra.push(("lower_bound_error", Json::Str(e.clone()))),
+            None => {}
+        }
+        builder.add_cell(id, label, &cell.stats, &extra);
+    }
+}
+
 /// Run the race: print the table, write/return the JSON document.
 pub fn run_race(race: Race) -> Json {
     let registry = suu_algos::standard_registry();
@@ -128,11 +251,8 @@ pub fn run_race(race: Race) -> Json {
 /// [`run_race`] against a caller-supplied registry (tests, custom
 /// policies).
 pub fn run_race_with(race: Race, registry: &PolicyRegistry) -> Json {
-    let specs: Vec<PolicySpec> = race
-        .policies
-        .iter()
-        .map(|p| PolicySpec::parse(p).unwrap_or_else(|e| panic!("bad policy spec {p:?}: {e}")))
-        .collect();
+    let specs = policy_specs(&race.policies).unwrap_or_else(|e| panic!("{e}"));
+    let labels: Vec<String> = specs.iter().map(PolicySpec::to_string).collect();
 
     if !race.title.is_empty() {
         println!("== {} ==", race.title);
@@ -163,8 +283,8 @@ pub fn run_race_with(race: Race, registry: &PolicyRegistry) -> Json {
     if race.ratios_to_lower_bound {
         header.push_str(&format!(" {:>8}", "LB"));
     }
-    for spec in &specs {
-        header.push_str(&format!(" {:>14}", truncate(&spec.to_string(), 14)));
+    for label in &labels {
+        header.push_str(&format!(" {:>14}", truncate(label, 14)));
     }
     println!("{header}");
     println!("{:-<width$}", "", width = header.len());
@@ -180,81 +300,45 @@ pub fn run_race_with(race: Race, registry: &PolicyRegistry) -> Json {
         })
         .collect();
 
-    let mut builder =
-        ResultsBuilder::new(race.generated_by.clone()).record_wall_clocks(race.record_wall_clocks);
-    let precision = race.precision;
-
+    let mut builder = ResultsBuilder::new(race.generated_by.clone());
     for sc in &race.scenarios {
         builder.add_scenario(sc);
-        let inst = sc.instantiate();
-        // A failed bound is *surfaced*, not swallowed: the row and every
-        // cell of the scenario say what went wrong (an earlier spelling
-        // used `.ok()` here, so LP failures printed the same `—` as
-        // "bounds not requested" and vanished from the document).
-        let lb_result = race
-            .ratios_to_lower_bound
-            .then(|| lower_bound(&inst).map_err(|e| e.to_string()));
-        let lb = lb_result.as_ref().and_then(|r| r.as_ref().ok()).copied();
-        let lb_error = lb_result.as_ref().and_then(|r| r.as_ref().err()).cloned();
-
+        let run = ScenarioRun::new(
+            sc,
+            race.master_seed,
+            race.precision,
+            race.exec,
+            race.ratios_to_lower_bound,
+        );
         let mut row = format!("{:<24} {:>6} {:>6}", truncate(&sc.id, 24), sc.m, sc.n);
-        match &lb_result {
+        match run.bound() {
             Some(Ok(lb)) => row.push_str(&format!(" {:>8.2}", lb)),
             Some(Err(e)) => row.push_str(&format!(" {:>8}", truncate(&format!("LB! {e}"), 8))),
             None => {}
         }
-
-        let evaluator = Evaluator::new(EvalConfig {
-            trials: precision.max_trials(),
-            // Scenario-specific stream (identity-mixed; see
-            // `scenario_master_seed`) so adding a scenario never shifts
-            // another's randomness and same-seed scenarios from
-            // different families never share one. All policies of the
-            // scenario share it — the CRN streams the paired
-            // comparisons below rely on.
-            master_seed: scenario_master_seed(race.master_seed, sc),
-            threads: 0,
-            exec: race.exec,
-            ..EvalConfig::default()
-        });
-
-        for spec in &specs {
-            let outcome = evaluate_cell(
-                registry,
-                &evaluator,
-                sc,
-                &inst,
-                spec,
-                precision,
-                lb,
-                lb_error.as_deref(),
-                &mut builder,
-            );
-            match &outcome {
-                CellOutcome::Ran { mean, ratio, .. } => match ratio {
-                    Some(r) => row.push_str(&format!(" {:>13.2}x", r)),
-                    None => row.push_str(&format!(" {:>14.2}", mean)),
-                },
-                CellOutcome::Skipped => row.push_str(&format!(" {:>14}", "—")),
-                CellOutcome::Failed(_) => row.push_str(&format!(" {:>14}", "error")),
+        for (spec, label) in specs.iter().zip(&labels) {
+            let outcome =
+                run.evaluator
+                    .run_adaptive_spec(registry, run.inst(), spec, race.precision);
+            match (&outcome, run.bound()) {
+                (Ok(cell), Some(Ok(lb))) => {
+                    row.push_str(&format!(" {:>13.2}x", cell.stats.mean_makespan() / lb))
+                }
+                (Ok(cell), _) => row.push_str(&format!(" {:>14.2}", cell.stats.mean_makespan())),
+                (Err(RegistryError::UnsupportedStructure { .. }), _) => {
+                    row.push_str(&format!(" {:>14}", "—"))
+                }
+                (Err(_), _) => row.push_str(&format!(" {:>14}", "error")),
             }
+            run.record(&mut builder, label, None, &outcome);
         }
         println!("{row}");
-        if let Some(e) = &lb_error {
+        if let Some(Err(e)) = run.bound() {
             println!("    lower-bound error: {e}");
         }
 
         for (spec_a, spec_b) in &paired_specs {
-            run_paired_cell(
-                registry,
-                &evaluator,
-                sc,
-                &inst,
-                spec_a,
-                spec_b,
-                precision,
-                &mut builder,
-            );
+            run_paired_cell(registry, &run, spec_a, spec_b, race.precision, &mut builder);
         }
     }
 
@@ -272,73 +356,22 @@ pub fn run_race_with(race: Race, registry: &PolicyRegistry) -> Json {
     doc
 }
 
-#[allow(clippy::too_many_arguments)]
-fn evaluate_cell(
-    registry: &PolicyRegistry,
-    evaluator: &Evaluator,
-    sc: &Scenario,
-    inst: &std::sync::Arc<suu_core::SuuInstance>,
-    spec: &PolicySpec,
-    precision: Precision,
-    lb: Option<f64>,
-    lb_error: Option<&str>,
-    builder: &mut ResultsBuilder,
-) -> CellOutcome {
-    match evaluator.run_adaptive_spec(registry, inst, spec, precision) {
-        Ok(adaptive) => {
-            let stats = adaptive.stats;
-            let mean = stats.mean_makespan();
-            let ratio = lb.map(|lb| mean / lb);
-            let mut extra: Vec<(&str, Json)> = Vec::new();
-            extra.push((
-                "stop_reason",
-                Json::Str(adaptive.stop_reason.as_str().into()),
-            ));
-            if let Some(lb) = lb {
-                extra.push(("lower_bound", Json::Num(lb)));
-            }
-            if let Some(r) = ratio {
-                extra.push(("ratio_to_lb", Json::Num(r)));
-            }
-            if let Some(e) = lb_error {
-                extra.push(("lower_bound_error", Json::Str(e.to_string())));
-            }
-            builder.add_cell(&sc.id, &spec.to_string(), &stats, &extra);
-            CellOutcome::Ran {
-                mean,
-                ratio,
-                trials_used: stats.trials(),
-            }
-        }
-        Err(e @ RegistryError::UnsupportedStructure { .. }) => {
-            builder.add_failure(&sc.id, &spec.to_string(), "skipped", e.to_string());
-            CellOutcome::Skipped
-        }
-        Err(e) => {
-            let msg = e.to_string();
-            builder.add_failure(&sc.id, &spec.to_string(), "error", msg.clone());
-            CellOutcome::Failed(msg)
-        }
-    }
-}
-
 /// Run one paired CRN comparison and record it (skips silently on a
 /// capability mismatch — the marginal cells already recorded why).
-#[allow(clippy::too_many_arguments)]
 fn run_paired_cell(
     registry: &PolicyRegistry,
-    evaluator: &Evaluator,
-    sc: &Scenario,
-    inst: &std::sync::Arc<suu_core::SuuInstance>,
+    run: &ScenarioRun,
     spec_a: &PolicySpec,
     spec_b: &PolicySpec,
     precision: Precision,
     builder: &mut ResultsBuilder,
 ) {
+    let inst = run.inst();
     let paired = spec_factory(registry, inst, spec_a).and_then(|a| {
         let b = spec_factory(registry, inst, spec_b)?;
-        Ok(evaluator.run_paired(inst, a, b, precision))
+        Ok(run.evaluator.run_paired(inst, a, b, precision))
     });
+    let id = &run.scenario.id;
     match paired {
         Ok(paired) => {
             println!(
@@ -355,16 +388,11 @@ fn run_paired_cell(
                 paired.trials_used(),
                 paired.stop_reason.as_str(),
             );
-            builder.add_paired(&sc.id, &spec_a.to_string(), &spec_b.to_string(), &paired);
+            builder.add_paired(id, &spec_a.to_string(), &spec_b.to_string(), &paired);
         }
         Err(RegistryError::UnsupportedStructure { .. }) => {}
         Err(e) => {
-            builder.add_paired_failure(
-                &sc.id,
-                &spec_a.to_string(),
-                &spec_b.to_string(),
-                e.to_string(),
-            );
+            builder.add_paired_failure(id, &spec_a.to_string(), &spec_b.to_string(), e.to_string());
         }
     }
 }
@@ -474,7 +502,6 @@ mod tests {
             },
             paired: vec![("gang-sequential".to_string(), "greedy-lr".to_string())],
             master_seed: 77,
-            record_wall_clocks: false,
             ..Race::default()
         });
         let cells = doc.get("cells").unwrap().as_array().unwrap();
@@ -485,7 +512,7 @@ mod tests {
             let reason = c.get("stop_reason").unwrap().as_str().unwrap();
             assert!(reason == "ci-reached" || reason == "max-trials", "{reason}");
             assert!(c.get("ci95").unwrap().as_f64().is_some());
-            assert!(c.get("wall_clock_s").is_none(), "wall clocks disabled");
+            assert!(c.get("wall_clock_s").unwrap().as_f64().is_some());
         }
         let paired = doc.get("paired").unwrap().as_array().unwrap();
         assert_eq!(paired.len(), 1);
@@ -496,8 +523,8 @@ mod tests {
         assert!(p.get("delta_ci95").unwrap().as_f64().is_some());
         assert!(p.get("significant").unwrap().as_bool().is_some());
 
-        // Determinism: same master seed ⇒ byte-identical document
-        // (wall clocks disabled above).
+        // Determinism: same master seed ⇒ the same document, outside
+        // the wall clocks.
         let rerun = run_race(Race {
             generated_by: "runner-adaptive-test".to_string(),
             scenarios: vec![Scenario::uniform(3, 6, 0.3, 0.9, 21)],
@@ -510,10 +537,28 @@ mod tests {
             },
             paired: vec![("gang-sequential".to_string(), "greedy-lr".to_string())],
             master_seed: 77,
-            record_wall_clocks: false,
             ..Race::default()
         });
-        assert_eq!(doc.to_pretty(), rerun.to_pretty());
+        assert_eq!(
+            without_wall_clocks(&doc).to_pretty(),
+            without_wall_clocks(&rerun).to_pretty()
+        );
+    }
+
+    /// `doc` with every `wall_clock_s` field removed: the one field a
+    /// rerun changes.
+    fn without_wall_clocks(doc: &Json) -> Json {
+        match doc {
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .iter()
+                    .filter(|(k, _)| k != "wall_clock_s")
+                    .map(|(k, v)| (k.clone(), without_wall_clocks(v)))
+                    .collect(),
+            ),
+            Json::Arr(items) => Json::Arr(items.iter().map(without_wall_clocks).collect()),
+            other => other.clone(),
+        }
     }
 
     #[test]
@@ -524,28 +569,19 @@ mod tests {
         // "bounds not requested".
         let registry = suu_algos::standard_registry();
         let sc = Scenario::uniform(2, 4, 0.3, 0.9, 3);
-        let inst = sc.instantiate();
-        let evaluator = Evaluator::new(EvalConfig {
-            trials: 4,
-            master_seed: 1,
-            threads: 1,
-            ..EvalConfig::default()
-        });
+        let precision = Precision::FixedTrials(4);
+        let run = ScenarioRun::new(&sc, 1, precision, ExecConfig::default(), true);
+        run.bound
+            .set(Err("synthetic LP failure".to_string()))
+            .unwrap();
         let mut builder = ResultsBuilder::new("runner-lb-error-test");
         builder.add_scenario(&sc);
         let spec = PolicySpec::parse("gang-sequential").unwrap();
-        let outcome = evaluate_cell(
-            &registry,
-            &evaluator,
-            &sc,
-            &inst,
-            &spec,
-            Precision::FixedTrials(4),
-            None,
-            Some("synthetic LP failure"),
-            &mut builder,
-        );
-        assert!(matches!(outcome, CellOutcome::Ran { .. }));
+        let outcome = run
+            .evaluator
+            .run_adaptive_spec(&registry, run.inst(), &spec, precision);
+        assert!(outcome.is_ok());
+        run.record(&mut builder, "gang-sequential", None, &outcome);
         let doc = builder.finish();
         let cell = &doc.get("cells").unwrap().as_array().unwrap()[0];
         assert_eq!(

@@ -11,6 +11,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
+use suu_bench::runner::parse_race;
 use suu_serve::service::ServeError;
 use suu_serve::{http, serve_with, ServerConfig, ServerMetrics, Service};
 
@@ -146,17 +147,14 @@ fn main() {
 }
 
 fn oneshot(service: &Service, path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+    let body = std::fs::read(path).unwrap_or_else(|e| {
         elog!("suud: cannot read {path}: {e}");
         std::process::exit(1);
     });
-    let race = suu_core::json::parse(&text)
-        .map_err(|e| e.to_string())
-        .and_then(|json| suu_bench::request::RaceRequest::from_json(&json))
-        .unwrap_or_else(|e| {
-            elog!("suud: bad request {path}: {e}");
-            std::process::exit(1);
-        });
+    let (race, _) = parse_race(&body).unwrap_or_else(|e| {
+        elog!("suud: bad request {path}: {e}");
+        std::process::exit(1);
+    });
     match service.evaluate(&race) {
         Ok((doc, counts)) => {
             elog!(
@@ -169,11 +167,7 @@ fn oneshot(service: &Service, path: &str) {
             // suu-lint: allow(serve-print, "oneshot mode's contract is the result document on stdout; CI pipes it to a file and cmp's bytes")
             print!("{}", doc.to_pretty());
         }
-        Err(ServeError::BadRequest(e)) => {
-            elog!("suud: bad request: {e}");
-            std::process::exit(1);
-        }
-        Err(ServeError::Internal(e)) => {
+        Err(ServeError::BadRequest(e) | ServeError::Internal(e)) => {
             elog!("suud: error: {e}");
             std::process::exit(1);
         }

@@ -59,6 +59,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
+use suu_bench::request::{RaceRequest, RequestScenario};
 use suu_core::json::Json;
 use suu_core::{fnv1a_hex, is_fnv1a_hex};
 use suu_sim::EvalStats;
@@ -108,6 +109,19 @@ impl CellKey {
         let canonical = fields.to_canonical();
         let hex = fnv1a_hex(canonical.as_bytes());
         CellKey { canonical, hex }
+    }
+
+    /// The address of `race`'s cell for one of its scenarios and one of
+    /// its policies: what a daemon caches the cell under, and what the
+    /// router routes it by.
+    pub fn of(race: &RaceRequest, scenario: &RequestScenario, policy: &str) -> CellKey {
+        CellKey::new(&cell_key_fields(
+            &scenario.params,
+            policy,
+            race.master_seed,
+            race.exec.semantics.as_str(),
+            race.exec.max_steps,
+        ))
     }
 }
 

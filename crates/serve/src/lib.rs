@@ -27,7 +27,10 @@
 //!   a ratio request's LP lower bound is recorded in its cells, so a
 //!   later hit solves no LP. Responses are `suu-results/v2`
 //!   documents; cache status rides in `X-Suu-Cache*` headers so the
-//!   body stays replay-deterministic.
+//!   body stays replay-deterministic. The request parse, the
+//!   per-scenario evaluator and lower bound, and the cell record are
+//!   the offline runner's ([`suu_bench::runner`]), so a daemon cell and
+//!   a runner cell with the same identity are the same numbers.
 //! * `GET /v1/cell/{key}` — the raw cached checkpoint
 //!   (`suu-serve/cell/v1`: key provenance, an optional `lower_bound`,
 //!   and the `suu-sim/evalstats/v1` accumulator snapshot).

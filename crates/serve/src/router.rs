@@ -11,6 +11,9 @@
 //! * **owns the client-facing listener** (the same nonblocking
 //!   `shims/mio` readiness loop every daemon uses — see
 //!   [`crate::server`]); scatter/gather runs on its worker pool;
+//! * **rejects** a bad `POST /v1/race` body before scattering it, with
+//!   the daemon's own 400 (the same parse and reply,
+//!   [`crate::service`]'s `race_reply`);
 //! * **splits** each `POST /v1/race` into single-cell sub-requests
 //!   ([`suu_bench::request::RaceRequest::cell_request_json`]), routes
 //!   each to the shard owning its key ([`owner_of`]), **pipelines** the
@@ -47,11 +50,11 @@
 //! ones. A shard answering `429` turns the whole race into a `429` with
 //! `Retry-After`.
 
-use crate::cache::{cell_key_fields, CellKey};
+use crate::cache::CellKey;
 use crate::client::Client;
 use crate::http::{Request, Response};
 use crate::server::ServerMetrics;
-use crate::service::{CacheCounts, STATS_FIELDS};
+use crate::service::{race_reply, CacheCounts, STATS_FIELDS};
 use crate::unpoisoned;
 use std::io::{self, BufRead, BufReader};
 use std::path::PathBuf;
@@ -62,7 +65,6 @@ use std::time::{Duration, Instant};
 use suu_bench::report::ResultsBuilder;
 use suu_bench::request::RaceRequest;
 use suu_core::json::Json;
-use suu_sim::PolicySpec;
 
 /// Upstream connect deadline (loopback shards answer in microseconds; a
 /// dead one must not wedge a worker).
@@ -446,6 +448,21 @@ enum GatherError {
     Relay(u16, Vec<u8>),
 }
 
+impl GatherError {
+    /// The reply that reports this error.
+    fn reply(self) -> Response {
+        match self {
+            GatherError::Unavailable(e) => Response::text(503, format!("shard unavailable: {e}"))
+                .with_header("Retry-After", "1"),
+            GatherError::Busy => {
+                Response::text(429, "shard queue full").with_header("Retry-After", "1")
+            }
+            GatherError::Upstream(e) => Response::text(502, format!("shard error: {e}")),
+            GatherError::Relay(status, body) => Response::text(status, body),
+        }
+    }
+}
+
 impl Router {
     /// A router over an already-spawned fleet.
     pub fn new(fleet: Arc<Fleet>) -> Router {
@@ -489,7 +506,13 @@ impl Router {
             ("GET", path) if path.starts_with("/v1/cell/") => {
                 self.forward_cell(&path["/v1/cell/".len()..])
             }
-            ("POST", "/v1/race") => self.race(req),
+            ("POST", "/v1/race") => {
+                self.races.fetch_add(1, Ordering::Relaxed);
+                // The backends' 400s, without scattering.
+                race_reply(&req.body, |race, _| {
+                    self.scatter_gather(race).map_err(GatherError::reply)
+                })
+            }
             ("GET" | "POST", _) => Response::text(404, "not found"),
             _ => Response::text(405, "method not allowed"),
         }
@@ -523,40 +546,6 @@ impl Router {
     }
 
     /// `POST /v1/race`: scatter per-cell sub-requests, gather, merge.
-    fn race(&self, req: &Request) -> Response {
-        self.races.fetch_add(1, Ordering::Relaxed);
-        let parsed = std::str::from_utf8(&req.body)
-            .map_err(|_| "body is not UTF-8".to_string())
-            .and_then(|text| suu_core::json::parse(text).map_err(|e| e.to_string()))
-            .and_then(|json| RaceRequest::from_json(&json));
-        let race = match parsed {
-            Ok(race) => race,
-            Err(e) => return Response::text(400, format!("bad request: {e}")),
-        };
-        // Same-shaped 400 as a backend would give, without scattering.
-        for p in &race.policies {
-            if let Err(e) = PolicySpec::parse(p) {
-                return Response::text(400, format!("bad request: bad policy spec {p:?}: {e}"));
-            }
-        }
-        match self.scatter_gather(&race) {
-            Ok((doc, counts)) => Response::json(200, doc.to_pretty())
-                .with_header("X-Suu-Cache", counts.label())
-                .with_header("X-Suu-Cache-Hits", counts.hits.to_string())
-                .with_header("X-Suu-Cache-Misses", counts.misses.to_string())
-                .with_header("X-Suu-Cache-Extended", counts.extends.to_string()),
-            Err(GatherError::Unavailable(e)) => {
-                Response::text(503, format!("shard unavailable: {e}"))
-                    .with_header("Retry-After", "1")
-            }
-            Err(GatherError::Busy) => {
-                Response::text(429, "shard queue full").with_header("Retry-After", "1")
-            }
-            Err(GatherError::Upstream(e)) => Response::text(502, format!("shard error: {e}")),
-            Err(GatherError::Relay(status, body)) => Response::text(status, body),
-        }
-    }
-
     fn scatter_gather(&self, race: &RaceRequest) -> Result<(Json, CacheCounts), GatherError> {
         let shards = self.fleet.shards();
         let policies = race.policies.len();
@@ -565,13 +554,7 @@ impl Router {
         let mut batches: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shards];
         for si in 0..race.scenarios.len() {
             for pi in 0..policies {
-                let key = CellKey::new(&cell_key_fields(
-                    &race.scenarios[si].params,
-                    &race.policies[pi],
-                    race.master_seed,
-                    race.exec.semantics.as_str(),
-                    race.exec.max_steps,
-                ));
+                let key = CellKey::of(race, &race.scenarios[si], &race.policies[pi]);
                 // suu-lint: allow(serve-unwrap, "CellKey::hex is fnv1a_hex output — 16 lowercase hex digits by construction — so this parse cannot fail")
                 let routing = key_from_hex(&key.hex).expect("own keys are valid hex");
                 batches[owner_of(routing, shards)].push((si, pi));
@@ -627,12 +610,7 @@ impl Router {
                 })?;
                 match reply.status {
                     200 => {
-                        let header = |name: &str| -> u64 {
-                            reply.header(name).and_then(|v| v.parse().ok()).unwrap_or(0)
-                        };
-                        counts.hits += header("x-suu-cache-hits");
-                        counts.misses += header("x-suu-cache-misses");
-                        counts.extends += header("x-suu-cache-extended");
+                        counts.add_reply(&reply);
                         let body = std::str::from_utf8(&reply.body).map_err(|_| {
                             GatherError::Upstream(format!("shard {shard}: non-UTF-8 body"))
                         })?;

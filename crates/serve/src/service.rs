@@ -1,6 +1,14 @@
 //! The daemon's application logic: routing, race evaluation through the
 //! cache, and the observability endpoints.
 //!
+//! A race goes through the one race path of [`suu_bench::runner`]: its
+//! body is read by `parse_race`, each scenario is a `ScenarioRun`, and
+//! each cell is recorded by `ScenarioRun::record` under the request's
+//! policy text. What this module adds is the cache ([`Service::evaluate`]
+//! serves each cell through it) and the HTTP reply: `race_reply` maps a
+//! bad body to the one 400 and the cache counts to the `X-Suu-Cache*`
+//! headers, for the daemon and for [`crate::router`] alike.
+//!
 //! ## Determinism contract
 //!
 //! A `POST /v1/race` response body is a **pure function of the request
@@ -25,24 +33,18 @@
 //!   first of its cells that carries one, solving it only when none
 //!   does — the same f64 either way, so the same bytes.
 
-use crate::cache::{cell_key_fields, CellFault, CellKey, CellStore};
+use crate::cache::{CellFault, CellKey, CellStore};
+use crate::client::Reply;
 use crate::http::{Request, Response};
 use crate::server::ServerMetrics;
-use std::cell::OnceCell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use suu_algos::bounds::lower_bound;
 use suu_bench::report::ResultsBuilder;
 use suu_bench::request::RaceRequest;
-use suu_bench::runner::scenario_master_seed;
-use suu_bench::scenario::Scenario;
+use suu_bench::runner::{parse_race, policy_specs, ScenarioRun};
 use suu_core::json::Json;
-use suu_core::SuuInstance;
-use suu_sim::{
-    EvalConfig, EvalStats, Evaluator, PolicyRegistry, PolicySpec, Precision, RegistryError,
-    Semantics, StopReason,
-};
+use suu_sim::{AdaptiveStats, PolicyRegistry, PolicySpec, Precision, RegistryError, Semantics};
 
 /// How a cell was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +89,23 @@ impl CacheCounts {
             "hit"
         }
     }
+
+    /// Each count with the header that carries it, in reply order.
+    fn by_header(&mut self) -> [(&'static str, &mut u64); 3] {
+        [
+            ("X-Suu-Cache-Hits", &mut self.hits),
+            ("X-Suu-Cache-Misses", &mut self.misses),
+            ("X-Suu-Cache-Extended", &mut self.extends),
+        ]
+    }
+
+    /// Add the counts a daemon's race reply carries in its headers.
+    pub(crate) fn add_reply(&mut self, reply: &Reply) {
+        for (name, count) in self.by_header() {
+            let value = reply.header(&name.to_ascii_lowercase());
+            *count += value.and_then(|v| v.parse().ok()).unwrap_or(0);
+        }
+    }
 }
 
 /// Errors from the evaluation path, mapped to HTTP statuses.
@@ -96,6 +115,41 @@ pub enum ServeError {
     BadRequest(String),
     /// The cache or evaluator failed server-side (500).
     Internal(String),
+}
+
+impl ServeError {
+    /// The reply that reports this error.
+    pub(crate) fn reply(self) -> Response {
+        match self {
+            ServeError::BadRequest(e) => Response::text(400, format!("bad request: {e}")),
+            ServeError::Internal(e) => Response::text(500, format!("error: {e}")),
+        }
+    }
+}
+
+/// `POST /v1/race` on any front end: parse the body (a 400 on any
+/// defect), then `evaluate` it. The document goes out with its cache
+/// counts in the `X-Suu-Cache*` headers; an evaluation error goes out as
+/// the reply it carries.
+pub(crate) fn race_reply(
+    body: &[u8],
+    evaluate: impl FnOnce(&RaceRequest, &[PolicySpec]) -> Result<(Json, CacheCounts), Response>,
+) -> Response {
+    let (race, specs) = match parse_race(body) {
+        Ok(parsed) => parsed,
+        Err(e) => return ServeError::BadRequest(e).reply(),
+    };
+    match evaluate(&race, &specs) {
+        Ok((doc, mut counts)) => {
+            let mut reply =
+                Response::json(200, doc.to_pretty()).with_header("X-Suu-Cache", counts.label());
+            for (name, count) in counts.by_header() {
+                reply = reply.with_header(name, count.to_string());
+            }
+            reply
+        }
+        Err(reply) => reply,
+    }
 }
 
 /// The daemon state shared by every worker thread.
@@ -165,25 +219,9 @@ impl Service {
             }
             ("POST", "/v1/race") => {
                 self.races.fetch_add(1, Ordering::Relaxed);
-                let parsed = std::str::from_utf8(&req.body)
-                    .map_err(|_| "body is not UTF-8".to_string())
-                    .and_then(|text| suu_core::json::parse(text).map_err(|e| e.to_string()))
-                    .and_then(|json| RaceRequest::from_json(&json));
-                let race = match parsed {
-                    Ok(race) => race,
-                    Err(e) => return Response::text(400, format!("bad request: {e}")),
-                };
-                match self.evaluate(&race) {
-                    Ok((doc, counts)) => Response::json(200, doc.to_pretty())
-                        .with_header("X-Suu-Cache", counts.label())
-                        .with_header("X-Suu-Cache-Hits", counts.hits.to_string())
-                        .with_header("X-Suu-Cache-Misses", counts.misses.to_string())
-                        .with_header("X-Suu-Cache-Extended", counts.extends.to_string()),
-                    Err(ServeError::BadRequest(e)) => {
-                        Response::text(400, format!("bad request: {e}"))
-                    }
-                    Err(ServeError::Internal(e)) => Response::text(500, format!("error: {e}")),
-                }
+                race_reply(&req.body, |race, specs| {
+                    self.race(race, specs).map_err(ServeError::reply)
+                })
             }
             ("GET" | "POST", _) => Response::text(404, "not found"),
             _ => Response::text(405, "method not allowed"),
@@ -230,77 +268,41 @@ impl Service {
     /// `suu-results/v2` response document (wall clocks off — see the
     /// module docs) and the cache accounting for the headers.
     pub fn evaluate(&self, race: &RaceRequest) -> Result<(Json, CacheCounts), ServeError> {
-        let specs: Vec<PolicySpec> = race
-            .policies
-            .iter()
-            .map(|p| {
-                PolicySpec::parse(p)
-                    .map_err(|e| ServeError::BadRequest(format!("bad policy spec {p:?}: {e}")))
-            })
-            .collect::<Result<_, _>>()?;
+        let specs = policy_specs(&race.policies).map_err(ServeError::BadRequest)?;
+        self.race(race, &specs)
+    }
 
-        let mut builder = ResultsBuilder::new("suud".to_string()).record_wall_clocks(false);
+    /// [`Service::evaluate`] with the race's policy specs parsed.
+    fn race(
+        &self,
+        race: &RaceRequest,
+        specs: &[PolicySpec],
+    ) -> Result<(Json, CacheCounts), ServeError> {
+        let mut builder = ResultsBuilder::new("suud").record_wall_clocks(false);
         let mut counts = CacheCounts::default();
-
         for rs in &race.scenarios {
             builder.add_scenario(&rs.scenario);
-            let scenario = LazyScenario {
-                scenario: &rs.scenario,
-                wants_bound: race.ratios_to_lower_bound,
-                bounds_solved: &self.bounds_solved,
-                inst: OnceCell::new(),
-                bound: OnceCell::new(),
-            };
-
-            let evaluator = Evaluator::new(EvalConfig {
-                trials: race.precision.max_trials(),
-                // Same derivation as the Race runner: identity-mixed
-                // per-scenario stream, shared across the scenario's
-                // policies.
-                master_seed: scenario_master_seed(race.master_seed, &rs.scenario),
-                threads: 0,
-                exec: race.exec,
-                ..EvalConfig::default()
-            });
-
+            let run = ScenarioRun::new(
+                &rs.scenario,
+                race.master_seed,
+                race.precision,
+                race.exec,
+                race.ratios_to_lower_bound,
+            )
+            .counting_solves(&self.bounds_solved);
             for (spec, policy_text) in specs.iter().zip(&race.policies) {
-                let key = CellKey::new(&cell_key_fields(
-                    &rs.params,
-                    policy_text,
-                    race.master_seed,
-                    race.exec.semantics.as_str(),
-                    race.exec.max_steps,
-                ));
-                match self.evaluate_cell(&key, &evaluator, &scenario, spec, race.precision) {
-                    Ok((stats, stop_reason, status)) => {
+                let key = CellKey::of(race, rs, policy_text);
+                let outcome = match self.evaluate_cell(&key, &run, spec, race.precision) {
+                    Ok((cell, status)) => {
                         counts.record(status);
-                        let mean = stats.mean_makespan();
-                        let mut extra: Vec<(&str, Json)> = vec![
-                            ("stop_reason", Json::Str(stop_reason.as_str().into())),
-                            ("cell_key", Json::Str(key.hex.clone())),
-                        ];
-                        if scenario.wants_bound {
-                            match scenario.bound() {
-                                Ok(lb) => {
-                                    extra.push(("lower_bound", Json::Num(*lb)));
-                                    extra.push(("ratio_to_lb", Json::Num(mean / lb)));
-                                }
-                                Err(e) => extra.push(("lower_bound_error", Json::Str(e.clone()))),
-                            }
-                        }
-                        builder.add_cell(&rs.scenario.id, policy_text, &stats, &extra);
+                        Ok(cell)
                     }
-                    Err(CellError::Registry(e @ RegistryError::UnsupportedStructure { .. })) => {
-                        builder.add_failure(&rs.scenario.id, policy_text, "skipped", e.to_string());
-                    }
-                    Err(CellError::Registry(e)) => {
-                        builder.add_failure(&rs.scenario.id, policy_text, "error", e.to_string());
-                    }
+                    Err(CellError::Registry(e)) => Err(e),
                     Err(CellError::Cache(e)) => return Err(ServeError::Internal(e)),
-                }
+                };
+                run.record(&mut builder, policy_text, Some(&key.hex), &outcome);
             }
         }
-
         Ok((builder.finish(), counts))
     }
 
@@ -309,11 +311,10 @@ impl Service {
     fn evaluate_cell(
         &self,
         key: &CellKey,
-        evaluator: &Evaluator,
-        scenario: &LazyScenario,
+        run: &ScenarioRun,
         spec: &PolicySpec,
         precision: Precision,
-    ) -> Result<(EvalStats, StopReason, CacheStatus), CellError> {
+    ) -> Result<(AdaptiveStats, CacheStatus), CellError> {
         self.store.with_inflight(key, || {
             let cached = match self.store.fetch(key) {
                 Ok(cached) => cached,
@@ -328,21 +329,25 @@ impl Service {
             };
             let kept_bound = cached.as_ref().and_then(|c| c.lower_bound);
             if let Some(lb) = kept_bound {
-                let _ = scenario.bound.set(Ok(lb));
+                run.keep_bound(lb);
             }
             let (grown, status, counter) = match cached {
                 Some(cached) => {
                     // A hit writes nothing, so a cell stored without a
                     // bound gets one only when it next grows.
-                    if let Some(reason) = precision.check_sample(cached.stats.acc.makespan()) {
+                    if let Some(stop_reason) = precision.check_sample(cached.stats.acc.makespan()) {
                         self.store.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok((cached.stats, reason, CacheStatus::Hit));
+                        let cell = AdaptiveStats {
+                            stats: cached.stats,
+                            stop_reason,
+                        };
+                        return Ok((cell, CacheStatus::Hit));
                     }
                     // Resume with the cell's own config (seed, semantics,
                     // step cap asserted to match inside).
-                    let grown = evaluator.resume_adaptive_spec(
+                    let grown = run.evaluator.resume_adaptive_spec(
                         &self.registry,
-                        scenario.inst(),
+                        run.inst(),
                         spec,
                         cached.stats,
                         precision,
@@ -350,62 +355,30 @@ impl Service {
                     (grown, CacheStatus::Extended, &self.store.extends)
                 }
                 None => {
-                    let grown = evaluator.run_adaptive_spec(
+                    let grown = run.evaluator.run_adaptive_spec(
                         &self.registry,
-                        scenario.inst(),
+                        run.inst(),
                         spec,
                         precision,
                     );
                     (grown, CacheStatus::Miss, &self.store.misses)
                 }
             };
-            let adaptive = grown.map_err(CellError::Registry)?;
+            let cell = grown.map_err(CellError::Registry)?;
             // A cell keeps the bound it carries; a request for ratios
             // records it in every cell it computes or extends.
-            let bound = match kept_bound {
-                Some(lb) => Some(lb),
-                None if scenario.wants_bound => scenario.bound().as_ref().ok().copied(),
-                None => None,
-            };
+            let bound = kept_bound.or_else(|| run.bound()?.as_ref().ok().copied());
             self.store
                 .store_with_bound(
                     key,
-                    &adaptive.stats.policy,
-                    &adaptive.stats,
-                    adaptive.stop_reason.as_str(),
+                    &cell.stats.policy,
+                    &cell.stats,
+                    cell.stop_reason.as_str(),
                     bound,
                 )
                 .map_err(CellError::Cache)?;
             counter.fetch_add(1, Ordering::Relaxed);
-            Ok((adaptive.stats, adaptive.stop_reason, status))
-        })
-    }
-}
-
-/// One scenario of a race, built on first need: a hit reads only the
-/// cache, so a request of hits never instantiates, and one that asks for
-/// ratios solves no LP when a loaded cell carries the bound.
-struct LazyScenario<'r> {
-    scenario: &'r Scenario,
-    /// The request asks for `ratios_to_lower_bound`.
-    wants_bound: bool,
-    /// The service's count of `lower_bound` calls.
-    bounds_solved: &'r AtomicU64,
-    inst: OnceCell<Arc<SuuInstance>>,
-    bound: OnceCell<Result<f64, String>>,
-}
-
-impl LazyScenario<'_> {
-    fn inst(&self) -> &Arc<SuuInstance> {
-        self.inst.get_or_init(|| self.scenario.instantiate())
-    }
-
-    /// The LP lower bound: the one a loaded cell carried, or solved now
-    /// (once per scenario and request).
-    fn bound(&self) -> &Result<f64, String> {
-        self.bound.get_or_init(|| {
-            self.bounds_solved.fetch_add(1, Ordering::Relaxed);
-            lower_bound(self.inst()).map_err(|e| e.to_string())
+            Ok((cell, status))
         })
     }
 }
@@ -796,7 +769,7 @@ mod tests {
         let bounds = cell_bounds(&service, &cold);
         assert_eq!(bounds.len(), 4);
         for (rs, pair) in race.scenarios.iter().zip(bounds.chunks(2)) {
-            let lb = lower_bound(&rs.scenario.instantiate()).unwrap();
+            let lb = suu_algos::bounds::lower_bound(&rs.scenario.instantiate()).unwrap();
             for (key, in_body, in_file) in pair {
                 assert_eq!(in_body.map(f64::to_bits), Some(lb.to_bits()), "{key}");
                 assert_eq!(in_file.map(f64::to_bits), Some(lb.to_bits()), "{key}");
@@ -868,6 +841,71 @@ mod tests {
         assert_eq!(counts.label(), "hit");
         assert_eq!(replay.to_pretty(), grown.to_pretty());
         assert_eq!(bounds_solved(&service), 4);
+        let _ = std::fs::remove_dir_all(service.store().dir());
+    }
+
+    /// A daemon cell and a runner cell with the same identity are the
+    /// same numbers: one request, evaluated by the daemon and by the
+    /// offline runner, gives the same scenarios, policies and cells once
+    /// the daemon's `cell_key` and the runner's wall clocks are removed.
+    #[test]
+    fn a_daemon_cell_equals_the_runner_cell() {
+        use suu_bench::runner::{run_race_with, Race};
+        let text = r#"{
+            "scenarios": [{"family": "uniform", "m": 3, "n": 6,
+                            "lo": 0.3, "hi": 0.9, "seed": 7},
+                          {"family": "chains", "m": 3, "n": 8,
+                            "chains": 3, "seed": 4}],
+            "policies": ["greedy-lr", "suu-c", "suu-i-obl"],
+            "precision": {"half_width": 0.1, "relative": true,
+                          "min_trials": 8, "max_trials": 48},
+            "master_seed": 23,
+            "semantics": "suu",
+            "ratios_to_lower_bound": true
+        }"#;
+        // `Scenario` is not `Clone`, so each side parses its own copy.
+        let parse = || RaceRequest::from_json(&suu_core::json::parse(text).unwrap()).unwrap();
+        let service = Service::new(tempdir("daemon-equals-runner")).unwrap();
+        let (daemon, _) = service.evaluate(&parse()).unwrap();
+        let race = parse();
+        let runner = run_race_with(
+            Race {
+                scenarios: race.scenarios.into_iter().map(|rs| rs.scenario).collect(),
+                policies: race.policies,
+                precision: race.precision,
+                master_seed: race.master_seed,
+                exec: race.exec,
+                ratios_to_lower_bound: race.ratios_to_lower_bound,
+                ..Race::default()
+            },
+            &suu_algos::standard_registry(),
+        );
+        let cells = |doc: &Json| -> Vec<Json> {
+            let cells = doc.get("cells").and_then(Json::as_array).unwrap();
+            let without = |cell: &Json| match cell {
+                Json::Obj(fields) => Json::Obj(
+                    fields
+                        .iter()
+                        .filter(|(k, _)| k != "cell_key" && k != "wall_clock_s")
+                        .cloned()
+                        .collect(),
+                ),
+                other => panic!("a cell is an object: {other:?}"),
+            };
+            cells.iter().map(without).collect()
+        };
+        // suu-i-obl skips the chains scenario; every other cell ran and
+        // carries its ratio.
+        let daemon_cells = cells(&daemon);
+        let (skipped, ran): (Vec<_>, Vec<_>) = daemon_cells
+            .iter()
+            .partition(|c| c.get("skipped").is_some());
+        assert_eq!((skipped.len(), ran.len()), (1, 5));
+        assert!(ran.iter().all(|c| c.get("ratio_to_lb").is_some()));
+        assert_eq!(daemon_cells, cells(&runner));
+        for field in ["scenarios", "policies"] {
+            assert_eq!(daemon.get(field), runner.get(field), "{field}");
+        }
         let _ = std::fs::remove_dir_all(service.store().dir());
     }
 }

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use suu_bench::request::RaceRequest;
 use suu_core::json::Json;
 use suu_core::schemas;
-use suu_serve::cache::{cell_key_fields, CellKey};
+use suu_serve::cache::CellKey;
 use suu_serve::client::Client;
 use suu_serve::router::{key_from_hex, owner_of};
 
@@ -140,16 +140,7 @@ fn cell_keys(body: &str) -> Vec<String> {
     let mut keys = Vec::new();
     for rs in &race.scenarios {
         for policy in &race.policies {
-            keys.push(
-                CellKey::new(&cell_key_fields(
-                    &rs.params,
-                    policy,
-                    race.master_seed,
-                    race.exec.semantics.as_str(),
-                    race.exec.max_steps,
-                ))
-                .hex,
-            );
+            keys.push(CellKey::of(&race, rs, policy).hex);
         }
     }
     keys
@@ -311,6 +302,32 @@ fn a_ratio_race_through_the_router_matches_a_direct_daemon() {
         assert_eq!(solved(addr), before, "a replay solves no LP");
     }
     assert_shards_hold_exactly(&router, &cell_keys(RATIO_RACE));
+}
+
+#[test]
+fn the_router_rejects_bad_requests_as_a_daemon_does() {
+    let direct = Daemon::spawn("reject-direct");
+    let router = RouterProc::spawn("reject-router", 2);
+    let scenario = r#"{"family": "uniform", "m": 2, "n": 4, "lo": 0.3, "hi": 0.9, "seed": 1}"#;
+    let malformed = r#"{"scenarios": [{"family": "uniform""#.to_string();
+    let bad_spec =
+        format!(r#"{{"scenarios": [{scenario}], "policies": ["suu-c(seed="], "trials": 4}}"#);
+    let bad_family = r#"{"scenarios": [{"family": "no-such-family", "m": 2, "n": 4, "seed": 1}],
+        "policies": ["greedy-lr"], "trials": 4}"#
+        .to_string();
+    for body in [malformed, bad_spec, bad_family] {
+        let from_direct = http(&direct.addr, "POST", "/v1/race", Some(&body));
+        let from_router = http(&router.addr, "POST", "/v1/race", Some(&body));
+        assert_eq!(from_direct.status, 400, "{body}: {}", from_direct.body);
+        assert_eq!(
+            (from_router.status, &from_router.body),
+            (from_direct.status, &from_direct.body),
+            "{body}"
+        );
+    }
+    // Nothing was scattered: no shard saw a race.
+    let stats = http(&router.addr, "GET", "/v1/stats", None).json();
+    assert_eq!(stats.get("races").and_then(Json::as_u64), Some(0));
 }
 
 #[test]

@@ -1089,7 +1089,8 @@ impl<F, P> Drop for TrialPool<'_, '_, F, P> {
 /// Builds the spec once up front — failing fast, with the real error, on
 /// the calling thread — and hands that probe instance to the first
 /// worker so expensive construction (LP solves, the exact-opt DP) is not
-/// paid twice; any further worker rebuilds from the same spec.
+/// paid twice; any further worker rebuilds from the same spec, and those
+/// rebuilds run at the same time.
 pub fn spec_factory<'a>(
     registry: &'a PolicyRegistry,
     inst: &'a Arc<SuuInstance>,
@@ -1097,7 +1098,10 @@ pub fn spec_factory<'a>(
 ) -> Result<impl Fn() -> Box<dyn Policy> + Sync + 'a, RegistryError> {
     let probe = std::sync::Mutex::new(Some(registry.build(inst, spec)?));
     Ok(move || {
-        probe.lock().expect("probe lock").take().unwrap_or_else(|| {
+        // The guard must drop here: held through the rebuild below, it
+        // would make every worker's rebuild wait for the last one.
+        let probe = probe.lock().expect("probe lock").take();
+        probe.unwrap_or_else(|| {
             registry
                 .build(inst, spec)
                 .expect("spec built once already; instance and spec are unchanged")
@@ -1430,5 +1434,42 @@ mod tests {
         assert!(err.contains("unknown engine"), "{err}");
         let err = EvalStats::from_json(&with_engine(None)).unwrap_err();
         assert!(err.contains("exec.engine"), "{err}");
+    }
+
+    /// `spec_factory` holds no lock while a worker rebuilds its policy,
+    /// so the rebuilds after the probe run at the same time. Every
+    /// rebuild waits (for at most 5 s) until a second one is running: a
+    /// factory that builds one at a time lets each wait out the bound
+    /// and never sees two.
+    #[test]
+    fn spec_factory_rebuilds_run_at_the_same_time() {
+        use crate::registry::StructureClass;
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let builds = Arc::new(AtomicUsize::new(0));
+        let running = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let mut registry = PolicyRegistry::new();
+        let counters = (Arc::clone(&builds), Arc::clone(&running), Arc::clone(&peak));
+        registry.register("rendezvous", StructureClass::Dag, move |_, _| {
+            let (builds, running, peak) = &counters;
+            if builds.fetch_add(1, SeqCst) > 0 {
+                peak.fetch_max(running.fetch_add(1, SeqCst) + 1, SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while peak.load(SeqCst) < 2 && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                running.fetch_sub(1, SeqCst);
+            }
+            Ok(Box::new(JitteryGang::new()) as Box<dyn Policy>)
+        });
+        let inst = Arc::new(workload::homogeneous(3, 6, 0.5, Precedence::Independent));
+        let spec = PolicySpec::parse("rendezvous").unwrap();
+        // 16 chunks of 4 trials: the calling thread takes the probe and
+        // starts two worker threads, which rebuild.
+        let eval = Evaluator::seeded(64, 5).with_threads(3).with_batch(4);
+        let stats = eval.run_stats(&inst, spec_factory(&registry, &inst, &spec).unwrap());
+        assert_eq!(stats.trials(), 64);
+        assert_eq!(builds.load(SeqCst), 3, "the probe and two rebuilds");
+        assert_eq!(peak.load(SeqCst), 2, "the two rebuilds ran one at a time");
     }
 }
