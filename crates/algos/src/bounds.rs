@@ -16,8 +16,7 @@
 //!   success `1 − 2^(−Σ_i ℓ_ij)` (all machines helping every step), so
 //!   `E[T_OPT] ≥ max_j 1/(1 − ∏_i q_ij)`.
 
-use crate::lp1::solve_lp1;
-use crate::lp2::solve_lp2;
+use crate::lp::{solve_lp1, solve_lp2};
 use crate::AlgoError;
 use suu_core::{JobId, Precedence, SuuInstance};
 

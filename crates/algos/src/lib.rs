@@ -7,16 +7,14 @@
 //!
 //! | Paper artifact | Module |
 //! |---|---|
-//! | (LP1) relaxation, §3 | [`lp1`] |
-//! | Lemma 2 rounding (grouping + integral flow) | [`rounding`] |
+//! | (LP1) relaxation, §3, and (LP2), §4, built by one function into one [`lp::LpSolution`] | [`lp`] |
+//! | Lemma 2 rounding (grouping + integral flow) and Lemma 6 (length caps from (LP2)'s `d*`): one entry, [`rounding::round_lp`] | [`rounding`] |
 //! | `SUU-I-OBL`, the oblivious `O(log n)` schedule (Theorem 3) | [`suu_i_obl`] |
 //! | `SUU-I-SEM`, the semioblivious `O(log log min(m,n))` schedule (Theorem 4) | [`suu_i_sem`] |
-//! | (LP2) relaxation, §4 | [`lp2`] |
-//! | Lemma 6 rounding (length-capped flow) | [`rounding`] |
 //! | `SUU-C` for disjoint chains (Theorems 7 & 9: random delays, flattening, long-job segments) | [`suu_c`] |
 //! | `SUU-T` for directed forests (Theorem 12, via rank decomposition) | [`suu_t`] |
 //! | Baselines incl. the prior-art-style greedy and the `O(n)` sequential fallback | [`baselines`] |
-//! | Exact `E[T_OPT]` for tiny instances (MDP subset DP) | [`opt`] |
+//! | Exact `E[T_OPT]` for tiny instances (MDP subset DP), and the exact value of a stationary policy through the same Bellman step | [`opt`] |
 //! | LP-based lower bounds (Lemma 1 / Lemma 5 style) | [`bounds`] |
 //!
 //! All schedule implementations are [`suu_sim::Policy`]s, so a single
@@ -29,8 +27,7 @@
 pub mod baselines;
 pub mod bounds;
 mod error;
-pub mod lp1;
-pub mod lp2;
+pub mod lp;
 pub mod opt;
 pub mod registry;
 pub mod rounding;
@@ -47,5 +44,9 @@ pub use suu_i_obl::OblPolicy;
 pub use suu_i_sem::SemPolicy;
 pub use suu_t::ForestPolicy;
 
+#[cfg(test)]
+mod lp1;
+#[cfg(test)]
+mod lp2;
 #[cfg(test)]
 mod tests;

@@ -1,130 +1,10 @@
-//! The (LP1) relaxation (paper §3).
-//!
-//! ```text
-//! (LP1)  min t
-//!        s.t.  Σ_i ℓ'_ij x_ij >= L      ∀ j ∈ J'     (mass)
-//!              Σ_j x_ij       <= t      ∀ i ∈ M      (load)
-//!              x_ij >= 0
-//! ```
-//!
-//! with `ℓ'_ij = min(ℓ_ij, L)` — clamping is WLOG for integral solutions
-//! and tightens the relaxation (Lemma 2). The integrality constraint of the
-//! paper's ILP is dropped here; [`crate::rounding`] restores it.
-//!
-//! Variables with `ℓ_ij = 0` (machine `i` can never advance job `j`) are
-//! omitted: they could only add load.
-
-use crate::AlgoError;
-use suu_core::logmass::clamped;
-use suu_core::{JobId, MachineId, SuuInstance};
-use suu_lp::{Cmp, LpBuilder, LpStatus};
-
-/// Fractional solution of `LP1(J', L)`.
-#[derive(Debug, Clone)]
-pub struct Lp1Solution {
-    /// The optimal (fractional) makespan bound `t*`.
-    pub t_star: f64,
-    /// Jobs of `J'`, in the order used by [`Lp1Solution::x_for`].
-    pub jobs: Vec<u32>,
-    /// The mass target `L`.
-    pub target: f64,
-    /// Sparse solution: for each position `p` in `jobs`, the list of
-    /// `(machine, x*_ij)` with `x > 0`.
-    x: Vec<Vec<(u32, f64)>>,
-}
-
-impl Lp1Solution {
-    /// Positive `(machine, x*)` pairs for the `p`-th job of `J'`.
-    pub fn x_for(&self, p: usize) -> &[(u32, f64)] {
-        &self.x[p]
-    }
-}
-
-/// Solve the fractional `LP1(J', L)` for the given job subset.
-///
-/// `jobs` must be non-empty and each listed job must have a machine with
-/// positive log failure (guaranteed by [`SuuInstance`] validation).
-pub fn solve_lp1(inst: &SuuInstance, jobs: &[u32], target: f64) -> Result<Lp1Solution, AlgoError> {
-    assert!(target > 0.0, "mass target must be positive");
-    if jobs.is_empty() {
-        return Ok(Lp1Solution {
-            t_star: 0.0,
-            jobs: Vec::new(),
-            target,
-            x: Vec::new(),
-        });
-    }
-    let m = inst.num_machines();
-    let mut lp = LpBuilder::minimize();
-    let t = lp.add_var(1.0);
-
-    // Variable per (machine, job) pair with positive clamped coefficient.
-    // var_ids[p] lists (machine, VarId, ell') for job jobs[p].
-    let mut var_ids: Vec<Vec<(u32, suu_lp::VarId, f64)>> = Vec::with_capacity(jobs.len());
-    for &j in jobs {
-        let mut row = Vec::new();
-        for i in 0..m as u32 {
-            let ell = inst.ell(MachineId(i), JobId(j));
-            if ell > 0.0 {
-                let ellp = clamped(ell, target);
-                row.push((i, lp.add_var(0.0), ellp));
-            }
-        }
-        debug_assert!(!row.is_empty(), "unservable job {j} escaped validation");
-        var_ids.push(row);
-    }
-
-    // Mass constraints.
-    for row in &var_ids {
-        let terms: Vec<_> = row.iter().map(|&(_, v, e)| (v, e)).collect();
-        lp.add_constraint(&terms, Cmp::Ge, target);
-    }
-
-    // Load constraints: Σ_j x_ij - t <= 0.
-    let mut per_machine: Vec<Vec<(suu_lp::VarId, f64)>> = vec![Vec::new(); m];
-    for row in &var_ids {
-        for &(i, v, _) in row {
-            per_machine[i as usize].push((v, 1.0));
-        }
-    }
-    for mut terms in per_machine {
-        if terms.is_empty() {
-            continue;
-        }
-        terms.push((t, -1.0));
-        lp.add_constraint(&terms, Cmp::Le, 0.0);
-    }
-
-    let sol = lp.solve()?;
-    match sol.status {
-        LpStatus::Optimal => {}
-        LpStatus::Infeasible => return Err(AlgoError::UnexpectedLpStatus("LP1 infeasible")),
-        LpStatus::Unbounded => return Err(AlgoError::UnexpectedLpStatus("LP1 unbounded")),
-    }
-
-    let x = var_ids
-        .iter()
-        .map(|row| {
-            row.iter()
-                .filter_map(|&(i, v, _)| {
-                    let val = sol.value(v);
-                    (val > 1e-12).then_some((i, val))
-                })
-                .collect()
-        })
-        .collect();
-
-    Ok(Lp1Solution {
-        t_star: sol.objective,
-        jobs: jobs.to_vec(),
-        target,
-        x,
-    })
-}
+//! Unit tests of the (LP1) relaxation, [`crate::lp::solve_lp1`], in a
+//! test-only module of their own so that their names (`lp1::tests::…`)
+//! stay stable.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::lp::solve_lp1;
     use suu_core::{workload, Precedence};
 
     #[test]

@@ -1,183 +1,14 @@
-//! The (LP2) relaxation for chain precedence (paper §4).
-//!
-//! ```text
-//! (LP2)  min t
-//!        s.t.  Σ_i ℓ'_ij x_ij >= L    ∀ j            (mass; L = 1 in the paper)
-//!              Σ_j x_ij       <= t    ∀ i ∈ M        (load)
-//!              Σ_{j ∈ C_k} d_j <= t   ∀ chain C_k    (chain length)
-//!              0 <= x_ij <= d_j       ∀ i, j         (job length)
-//!              d_j >= 1               ∀ j
-//! ```
-//!
-//! The optimal value lower-bounds `O(E[T_OPT])` (Lemma 5, following \[11\]);
-//! [`crate::rounding`] turns the fractional solution into an integral
-//! assignment whose load *and* chain lengths stay within a constant factor
-//! (Lemma 6).
-
-use crate::rounding::{round_assignment, FractionalJob, RoundingReport};
-use crate::AlgoError;
-use suu_core::logmass::clamped;
-use suu_core::{Assignment, JobId, MachineId, SuuInstance};
-use suu_lp::{Cmp, LpBuilder, LpStatus};
-
-/// Fractional solution of (LP2).
-#[derive(Debug, Clone)]
-pub struct Lp2Solution {
-    /// The optimal fractional value `t*` (bounds load and chain lengths).
-    pub t_star: f64,
-    /// Jobs covered (all jobs of all chains, in chain order).
-    pub jobs: Vec<u32>,
-    /// Mass target `L`.
-    pub target: f64,
-    /// Positive `(machine, x*)` pairs per position in `jobs`.
-    x: Vec<Vec<(u32, f64)>>,
-    /// Fractional lengths `d*_j` per position in `jobs`.
-    pub d: Vec<f64>,
-}
-
-impl Lp2Solution {
-    /// Positive `(machine, x*)` pairs for the `p`-th job.
-    pub fn x_for(&self, p: usize) -> &[(u32, f64)] {
-        &self.x[p]
-    }
-}
-
-/// Solve the fractional `LP2` over the given chains (lists of job ids in
-/// precedence order; jobs outside the chains are ignored).
-///
-/// `target` is the per-job mass requirement — `1` for the algorithm, `1/2`
-/// for the Lemma-5-style lower bound.
-pub fn solve_lp2(
-    inst: &SuuInstance,
-    chains: &[Vec<u32>],
-    target: f64,
-) -> Result<Lp2Solution, AlgoError> {
-    assert!(target > 0.0, "mass target must be positive");
-    let jobs: Vec<u32> = chains.iter().flatten().copied().collect();
-    if jobs.is_empty() {
-        return Ok(Lp2Solution {
-            t_star: 0.0,
-            jobs,
-            target,
-            x: Vec::new(),
-            d: Vec::new(),
-        });
-    }
-    let m = inst.num_machines();
-    let mut lp = LpBuilder::minimize();
-    let t = lp.add_var(1.0);
-
-    // Per job: d_j plus x_ij for machines with positive ell.
-    let mut d_vars = Vec::with_capacity(jobs.len());
-    let mut x_vars: Vec<Vec<(u32, suu_lp::VarId, f64)>> = Vec::with_capacity(jobs.len());
-    for &j in &jobs {
-        let d = lp.add_var(0.0);
-        d_vars.push(d);
-        let mut row = Vec::new();
-        for i in 0..m as u32 {
-            let ell = inst.ell(MachineId(i), JobId(j));
-            if ell > 0.0 {
-                row.push((i, lp.add_var(0.0), clamped(ell, target)));
-            }
-        }
-        debug_assert!(!row.is_empty(), "unservable job {j} escaped validation");
-        x_vars.push(row);
-    }
-
-    // Mass constraints.
-    for row in &x_vars {
-        let terms: Vec<_> = row.iter().map(|&(_, v, e)| (v, e)).collect();
-        lp.add_constraint(&terms, Cmp::Ge, target);
-    }
-    // Load constraints.
-    let mut per_machine: Vec<Vec<(suu_lp::VarId, f64)>> = vec![Vec::new(); m];
-    for row in &x_vars {
-        for &(i, v, _) in row {
-            per_machine[i as usize].push((v, 1.0));
-        }
-    }
-    for mut terms in per_machine {
-        if terms.is_empty() {
-            continue;
-        }
-        terms.push((t, -1.0));
-        lp.add_constraint(&terms, Cmp::Le, 0.0);
-    }
-    // Chain-length constraints: Σ_{j∈C} d_j - t <= 0.
-    let mut pos_of = std::collections::HashMap::new();
-    for (p, &j) in jobs.iter().enumerate() {
-        pos_of.insert(j, p);
-    }
-    for chain in chains {
-        if chain.is_empty() {
-            continue;
-        }
-        let mut terms: Vec<_> = chain.iter().map(|j| (d_vars[pos_of[j]], 1.0)).collect();
-        terms.push((t, -1.0));
-        lp.add_constraint(&terms, Cmp::Le, 0.0);
-    }
-    // x_ij <= d_j and d_j >= 1.
-    for (p, row) in x_vars.iter().enumerate() {
-        for &(_, v, _) in row {
-            lp.add_constraint(&[(v, 1.0), (d_vars[p], -1.0)], Cmp::Le, 0.0);
-        }
-        lp.add_constraint(&[(d_vars[p], 1.0)], Cmp::Ge, 1.0);
-    }
-
-    let sol = lp.solve()?;
-    match sol.status {
-        LpStatus::Optimal => {}
-        LpStatus::Infeasible => return Err(AlgoError::UnexpectedLpStatus("LP2 infeasible")),
-        LpStatus::Unbounded => return Err(AlgoError::UnexpectedLpStatus("LP2 unbounded")),
-    }
-
-    let x = x_vars
-        .iter()
-        .map(|row| {
-            row.iter()
-                .filter_map(|&(i, v, _)| {
-                    let val = sol.value(v);
-                    (val > 1e-12).then_some((i, val))
-                })
-                .collect()
-        })
-        .collect();
-    let d = d_vars.iter().map(|&v| sol.value(v)).collect();
-
-    Ok(Lp2Solution {
-        t_star: sol.objective,
-        jobs,
-        target,
-        x,
-        d,
-    })
-}
-
-/// Lemma 6: round an [`Lp2Solution`] into an integral assignment with
-/// per-job length caps `⌈6 d*_j⌉`.
-pub fn round_lp2(
-    inst: &SuuInstance,
-    sol: &Lp2Solution,
-) -> Result<(Assignment, RoundingReport), AlgoError> {
-    let jobs: Vec<FractionalJob<'_>> = sol
-        .jobs
-        .iter()
-        .enumerate()
-        .map(|(p, &j)| FractionalJob {
-            job: j,
-            x: sol.x_for(p),
-            d_star: Some(sol.d[p]),
-        })
-        .collect();
-    round_assignment(inst, &jobs, sol.target, sol.t_star)
-}
+//! Unit tests of the (LP2) relaxation, [`crate::lp::solve_lp2`], and of
+//! its Lemma 6 rounding, in a test-only module of their own so that their
+//! names (`lp2::tests::…`) stay stable.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::lp::solve_lp2;
+    use crate::rounding::{round_lp, ScaleMode};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use suu_core::{workload, Precedence};
+    use suu_core::{workload, JobId, Precedence};
 
     #[test]
     fn empty_chains_trivial() {
@@ -231,27 +62,33 @@ mod tests {
             let main: Vec<u32> = (0..(n as u32 - 2)).collect();
             let chains = vec![main, vec![n as u32 - 2], vec![n as u32 - 1]];
             let sol = solve_lp2(&inst, &chains, 1.0).unwrap();
-            let (asg, report) = round_lp2(&inst, &sol).unwrap();
-            assert!(report.min_clamped_mass >= 1.0 - 1e-9, "seed {seed}");
-            assert!(report.max_load <= report.load_cap, "seed {seed}");
-            // Length caps: x̂_ij <= ceil(6 d*_j).
-            for (p, &j) in sol.jobs.iter().enumerate() {
-                let cap = (6.0 * sol.d[p]).ceil() as u64;
+            // Lemma 6 at the proof's scale 6 and at the adaptive one.
+            for mode in [ScaleMode::PaperExact, ScaleMode::Adaptive] {
+                let (asg, report) = round_lp(&inst, &sol, mode).unwrap();
                 assert!(
-                    asg.length(JobId(j)) <= cap,
-                    "length {} > cap {} (seed {seed})",
-                    asg.length(JobId(j)),
-                    cap
+                    report.min_clamped_mass >= 1.0 - 1e-9,
+                    "seed {seed}, {mode:?}"
                 );
-            }
-            // Chain lengths bounded by ~7 t*.
-            for chain in &chains {
-                let len: u64 = chain.iter().map(|&j| asg.length(JobId(j))).sum();
-                assert!(
-                    (len as f64) <= 7.0 * sol.t_star + chain.len() as f64,
-                    "chain length {len} vs t* {} (seed {seed})",
-                    sol.t_star
-                );
+                assert!(report.max_load <= report.load_cap, "seed {seed}, {mode:?}");
+                // Length caps: x̂_ij <= ceil(6 d*_j).
+                for (p, &j) in sol.jobs.iter().enumerate() {
+                    let cap = (6.0 * sol.d[p]).ceil() as u64;
+                    assert!(
+                        asg.length(JobId(j)) <= cap,
+                        "length {} > cap {} (seed {seed}, {mode:?})",
+                        asg.length(JobId(j)),
+                        cap
+                    );
+                }
+                // Chain lengths bounded by ~7 t*.
+                for chain in &chains {
+                    let len: u64 = chain.iter().map(|&j| asg.length(JobId(j))).sum();
+                    assert!(
+                        (len as f64) <= 7.0 * sol.t_star + chain.len() as f64,
+                        "chain length {len} vs t* {} (seed {seed}, {mode:?})",
+                        sol.t_star
+                    );
+                }
             }
         }
     }

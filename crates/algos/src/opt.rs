@@ -15,7 +15,12 @@
 //! where `P_a(C)` is the probability exactly the jobs in `C` complete.
 //! `V(J)` is `E[T_OPT]` — the denominator every approximation-ratio
 //! experiment (`fig_opt_small`) divides by.
+//!
+//! [`exact_opt`] (and [`OptPolicy::build`]) minimizes over every action of
+//! a state; [`evaluate_stationary`] takes the one action a given policy
+//! picks. Both walk one state space and apply one Bellman step per action.
 
+use std::collections::HashMap;
 use suu_core::{JobId, MachineId, SuuInstance};
 
 /// Resource limits for the exact solver.
@@ -37,6 +42,109 @@ impl Default for OptLimits {
     }
 }
 
+/// The MDP's states: the nonempty remaining sets that are closed under
+/// successors (a job remains only while all its successors do).
+struct StateSpace {
+    /// Bit mask of each job's predecessors.
+    preds: Vec<u32>,
+    /// The states, sorted by size so each state's successors `S \ C` are
+    /// solved before it.
+    states: Vec<u32>,
+}
+
+impl StateSpace {
+    /// The state space of `inst`, or `None` if it exceeds `limits`.
+    fn new(inst: &SuuInstance, limits: OptLimits) -> Option<Self> {
+        let n = inst.num_jobs();
+        if n > limits.max_jobs || n > 24 {
+            return None;
+        }
+        let dag = inst.precedence().to_dag(n);
+        let mut preds = vec![0u32; n];
+        let mut succs = vec![0u32; n];
+        for v in 0..n as u32 {
+            for &u in dag.predecessors(v) {
+                preds[v as usize] |= 1 << u;
+            }
+            for &w in dag.successors(v) {
+                succs[v as usize] |= 1 << w;
+            }
+        }
+        let mut states: Vec<u32> = (1..1u32 << n)
+            .filter(|&mask| (0..n).all(|j| mask >> j & 1 == 0 || (succs[j] & !mask) == 0))
+            .collect();
+        states.sort_by_key(|s| s.count_ones());
+        Some(StateSpace { preds, states })
+    }
+
+    /// The set of all jobs, the initial state.
+    fn full(&self) -> usize {
+        (1 << self.preds.len()) - 1
+    }
+
+    /// `V` before the pass: `0` for the empty set, `∞` elsewhere.
+    fn values(&self) -> Vec<f64> {
+        let mut value = vec![f64::INFINITY; self.full() + 1];
+        value[0] = 0.0;
+        value
+    }
+
+    /// Whether job `j` remains in `mask` with all its predecessors done.
+    fn is_eligible(&self, mask: u32, j: usize) -> bool {
+        mask >> j & 1 == 1 && (self.preds[j] & mask) == 0
+    }
+
+    /// The eligible jobs of state `mask`.
+    fn eligible(&self, mask: u32) -> Vec<usize> {
+        (0..self.preds.len())
+            .filter(|&j| self.is_eligible(mask, j))
+            .collect()
+    }
+}
+
+/// Per job that `row`'s `(machine, job)` pairs touch, the probability
+/// that every machine on it fails this step.
+fn failures(inst: &SuuInstance, row: impl Iterator<Item = (usize, usize)>) -> Vec<(usize, f64)> {
+    let mut fail: Vec<(usize, f64)> = Vec::new();
+    for (i, j) in row {
+        let q = inst.q(MachineId(i as u32), JobId(j as u32));
+        match fail.iter_mut().find(|(jj, _)| *jj == j) {
+            Some((_, f)) => *f *= q,
+            None => fail.push((j, q)),
+        }
+    }
+    fail
+}
+
+/// One Bellman step: the expected makespan from state `mask` under an
+/// action whose touched jobs fail with the probabilities `fail`, given
+/// `value` on every smaller state; `None` when no job can complete.
+fn bellman(value: &[f64], mask: u32, fail: &[(usize, f64)]) -> Option<f64> {
+    let mut expectation = 0.0f64; // Σ_{C≠∅} P(C) V(S\C)
+    let mut p_nothing = 0.0f64;
+    for sub in 0u32..(1 << fail.len()) {
+        let mut p = 1.0f64;
+        let mut removed = 0u32;
+        for (b, &(j, f)) in fail.iter().enumerate() {
+            if sub >> b & 1 == 1 {
+                p *= 1.0 - f;
+                removed |= 1 << j;
+            } else {
+                p *= f;
+            }
+        }
+        if p == 0.0 {
+            continue;
+        }
+        if sub == 0 {
+            p_nothing = p;
+        } else {
+            expectation += p * value[(mask & !removed) as usize];
+        }
+    }
+    (p_nothing < 1.0).then(|| (1.0 + expectation) / (1.0 - p_nothing))
+}
+
 /// Exact `E[T_OPT]`, or `None` if the instance exceeds `limits`.
 pub fn exact_opt(inst: &SuuInstance, limits: OptLimits) -> Option<f64> {
     solve_dp(inst, limits, false).map(|dp| dp.value)
@@ -49,128 +157,56 @@ struct DpSolution {
     value: f64,
     /// For each remaining-set mask: one job choice per machine. Only
     /// populated when actions were recorded.
-    actions: std::collections::HashMap<u32, Vec<Option<usize>>>,
+    actions: HashMap<u32, Vec<Option<usize>>>,
 }
 
 fn solve_dp(inst: &SuuInstance, limits: OptLimits, record_actions: bool) -> Option<DpSolution> {
-    let n = inst.num_jobs();
     let m = inst.num_machines();
-    if n == 0 {
-        return Some(DpSolution {
-            value: 0.0,
-            actions: Default::default(),
-        });
-    }
-    if n > limits.max_jobs || n > 24 {
-        return None;
-    }
-    let dag = inst.precedence().to_dag(n);
-
-    // Bit masks of predecessors/successors per job.
-    let mut preds = vec![0u32; n];
-    let mut succs = vec![0u32; n];
-    for v in 0..n as u32 {
-        for &u in dag.predecessors(v) {
-            preds[v as usize] |= 1 << u;
-        }
-        for &w in dag.successors(v) {
-            succs[v as usize] |= 1 << w;
-        }
-    }
-
-    // Per (machine, job): success probability when that machine alone runs
-    // the job for one step.
-    let q = |i: usize, j: usize| inst.q(MachineId(i as u32), JobId(j as u32));
-
-    let full: u32 = if n == 32 { u32::MAX } else { (1 << n) - 1 };
-    let mut value = vec![f64::INFINITY; (full as usize) + 1];
-    value[0] = 0.0;
-    let mut actions: std::collections::HashMap<u32, Vec<Option<usize>>> = Default::default();
-
-    // States sorted by popcount so dependencies are ready.
-    let mut states: Vec<u32> = (1..=full)
-        .filter(|&mask| {
-            // Valid iff remaining set is successor-closed: j remaining ⇒
-            // all successors remaining.
-            (0..n).all(|j| mask >> j & 1 == 0 || (succs[j] & !mask) == 0)
-        })
-        .collect();
-    states.sort_by_key(|s| s.count_ones());
-
+    let space = StateSpace::new(inst, limits)?;
+    let mut value = space.values();
+    let mut actions = HashMap::new();
     let mut ops: u64 = 0;
 
-    for &mask in &states {
-        // Eligible jobs: remaining with all predecessors done.
-        let eligible: Vec<usize> = (0..n)
-            .filter(|&j| mask >> j & 1 == 1 && (preds[j] & mask) == 0)
-            .collect();
+    for &mask in &space.states {
+        let eligible = space.eligible(mask);
         debug_assert!(!eligible.is_empty(), "nonempty valid state has a source");
 
-        // Per machine: the eligible jobs it can actually help (q < 1).
-        let choices: Vec<Vec<usize>> = (0..m)
+        // Per machine that can help an eligible job (q < 1): those jobs. A
+        // machine with no useful job idles; drop it from enumeration.
+        let active: Vec<(usize, Vec<usize>)> = (0..m)
             .map(|i| {
-                eligible
-                    .iter()
-                    .copied()
-                    .filter(|&j| q(i, j) < 1.0)
-                    .collect::<Vec<_>>()
+                let helps = |&j: &usize| inst.q(MachineId(i as u32), JobId(j as u32)) < 1.0;
+                (
+                    i,
+                    eligible.iter().copied().filter(helps).collect::<Vec<_>>(),
+                )
             })
+            .filter(|(_, jobs)| !jobs.is_empty())
             .collect();
-        // A machine with no useful job idles; drop it from enumeration.
-        let active: Vec<usize> = (0..m).filter(|&i| !choices[i].is_empty()).collect();
         if active.is_empty() {
             return None; // cannot make progress — malformed instance
         }
 
         let num_actions: u64 = active
             .iter()
-            .map(|&i| choices[i].len() as u64)
+            .map(|(_, jobs)| jobs.len() as u64)
             .try_fold(1u64, |a, b| a.checked_mul(b))?;
         ops = ops.checked_add(num_actions.checked_mul(1 << active.len().min(20))?)?;
         if ops > limits.max_ops {
             return None;
         }
 
-        // Mixed-radix enumeration of actions.
+        // Mixed-radix enumeration of actions: machine `active[s].0` runs
+        // job `active[s].1[counter[s]]`.
         let mut counter = vec![0usize; active.len()];
         let mut best = f64::INFINITY;
         let mut best_counter: Vec<usize> = counter.clone();
         loop {
-            // Failure probability per touched job under this action.
-            let mut fail: Vec<(usize, f64)> = Vec::with_capacity(active.len());
-            for (slot, &i) in active.iter().enumerate() {
-                let j = choices[i][counter[slot]];
-                match fail.iter_mut().find(|(jj, _)| *jj == j) {
-                    Some((_, f)) => *f *= q(i, j),
-                    None => fail.push((j, q(i, j))),
-                }
-            }
-            // Expected value: enumerate completion subsets of touched jobs.
-            let t = fail.len();
-            let mut expectation = 0.0f64; // Σ_{C≠∅} P(C) V(S\C)
-            let mut p_nothing = 0.0f64;
-            for sub in 0u32..(1 << t) {
-                let mut p = 1.0f64;
-                let mut removed = 0u32;
-                for (b, &(j, f)) in fail.iter().enumerate() {
-                    if sub >> b & 1 == 1 {
-                        p *= 1.0 - f;
-                        removed |= 1 << j;
-                    } else {
-                        p *= f;
-                    }
-                }
-                if p == 0.0 {
-                    continue;
-                }
-                if sub == 0 {
-                    p_nothing = p;
-                } else {
-                    expectation += p * value[(mask & !removed) as usize];
-                }
-            }
-            if p_nothing < 1.0 {
-                let v = (1.0 + expectation) / (1.0 - p_nothing);
+            let row = active
+                .iter()
+                .zip(&counter)
+                .map(|((i, jobs), &c)| (*i, jobs[c]));
+            if let Some(v) = bellman(&value, mask, &failures(inst, row)) {
                 if v < best {
                     best = v;
                     best_counter.copy_from_slice(&counter);
@@ -179,12 +215,9 @@ fn solve_dp(inst: &SuuInstance, limits: OptLimits, record_actions: bool) -> Opti
 
             // Increment counter.
             let mut carry = 0;
-            loop {
-                if carry == active.len() {
-                    break;
-                }
+            while carry < active.len() {
                 counter[carry] += 1;
-                if counter[carry] < choices[active[carry]].len() {
+                if counter[carry] < active[carry].1.len() {
                     break;
                 }
                 counter[carry] = 0;
@@ -197,15 +230,15 @@ fn solve_dp(inst: &SuuInstance, limits: OptLimits, record_actions: bool) -> Opti
         value[mask as usize] = best;
         if record_actions && best.is_finite() {
             let mut row: Vec<Option<usize>> = vec![None; m];
-            for (slot, &i) in active.iter().enumerate() {
-                row[i] = Some(choices[i][best_counter[slot]]);
+            for ((i, jobs), &c) in active.iter().zip(&best_counter) {
+                row[*i] = Some(jobs[c]);
             }
             actions.insert(mask, row);
         }
     }
 
     Some(DpSolution {
-        value: value[full as usize],
+        value: value[space.full()],
         actions,
     })
 }
@@ -219,7 +252,7 @@ fn solve_dp(inst: &SuuInstance, limits: OptLimits, record_actions: bool) -> Opti
 /// tests cross-check the simulated mean against the DP's closed-form
 /// [`OptPolicy::expected_makespan`].
 pub struct OptPolicy {
-    actions: std::collections::HashMap<u32, Vec<Option<usize>>>,
+    actions: HashMap<u32, Vec<Option<usize>>>,
     expected: f64,
 }
 
@@ -289,85 +322,21 @@ pub fn evaluate_stationary<F>(inst: &SuuInstance, limits: OptLimits, mut assign:
 where
     F: FnMut(u32, &[usize]) -> Vec<Option<usize>>,
 {
-    let n = inst.num_jobs();
     let m = inst.num_machines();
-    if n == 0 {
-        return Some(0.0);
-    }
-    if n > limits.max_jobs || n > 24 {
-        return None;
-    }
-    let dag = inst.precedence().to_dag(n);
-    let mut preds = vec![0u32; n];
-    let mut succs = vec![0u32; n];
-    for v in 0..n as u32 {
-        for &u in dag.predecessors(v) {
-            preds[v as usize] |= 1 << u;
-        }
-        for &w in dag.successors(v) {
-            succs[v as usize] |= 1 << w;
-        }
-    }
-    let q = |i: usize, j: usize| inst.q(MachineId(i as u32), JobId(j as u32));
-
-    let full: u32 = if n == 32 { u32::MAX } else { (1 << n) - 1 };
-    let mut value = vec![f64::INFINITY; (full as usize) + 1];
-    value[0] = 0.0;
-
-    let mut states: Vec<u32> = (1..=full)
-        .filter(|&mask| (0..n).all(|j| mask >> j & 1 == 0 || (succs[j] & !mask) == 0))
-        .collect();
-    states.sort_by_key(|s| s.count_ones());
-
-    for &mask in &states {
-        let eligible: Vec<usize> = (0..n)
-            .filter(|&j| mask >> j & 1 == 1 && (preds[j] & mask) == 0)
-            .collect();
-        let choice = assign(mask, &eligible);
+    let space = StateSpace::new(inst, limits)?;
+    let mut value = space.values();
+    for &mask in &space.states {
+        let choice = assign(mask, &space.eligible(mask));
         assert_eq!(choice.len(), m, "policy returned wrong row width");
-
-        // Per touched job: failure probability under this assignment.
-        let mut fail: Vec<(usize, f64)> = Vec::new();
-        for (i, slot) in choice.iter().enumerate() {
-            let Some(j) = *slot else { continue };
-            if mask >> j & 1 == 0 || (preds[j] & mask) != 0 {
-                continue; // completed or ineligible: machine idles
-            }
-            match fail.iter_mut().find(|(jj, _)| *jj == j) {
-                Some((_, f)) => *f *= q(i, j),
-                None => fail.push((j, q(i, j))),
-            }
-        }
-        let t = fail.len();
-        let mut expectation = 0.0f64;
-        let mut p_nothing = 0.0f64;
-        for sub in 0u32..(1 << t) {
-            let mut p = 1.0f64;
-            let mut removed = 0u32;
-            for (b, &(j, f)) in fail.iter().enumerate() {
-                if sub >> b & 1 == 1 {
-                    p *= 1.0 - f;
-                    removed |= 1 << j;
-                } else {
-                    p *= f;
-                }
-            }
-            if p == 0.0 {
-                continue;
-            }
-            if sub == 0 {
-                p_nothing = p;
-            } else {
-                expectation += p * value[(mask & !removed) as usize];
-            }
-        }
-        if p_nothing >= 1.0 {
-            return None; // policy makes no progress from this state
-        }
-        value[mask as usize] = (1.0 + expectation) / (1.0 - p_nothing);
+        // A machine on a completed or ineligible job idles.
+        let row = choice
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.filter(|&j| space.is_eligible(mask, j)).map(|j| (i, j)));
+        // `None`: the policy makes no progress from this state.
+        value[mask as usize] = bellman(&value, mask, &failures(inst, row))?;
     }
-
-    Some(value[full as usize])
+    Some(value[space.full()])
 }
 
 #[cfg(test)]
@@ -503,7 +472,7 @@ mod tests {
         let inst = workload::uniform_unrelated(2, 5, 0.3, 0.9, Precedence::Independent, &mut rng);
         let mut policy = OptPolicy::build(&inst, OptLimits::default()).expect("tiny");
         let opt = exact_opt(&inst, OptLimits::default()).unwrap();
-        assert!((policy.expected_makespan() - opt).abs() < 1e-12);
+        assert_eq!(policy.expected_makespan().to_bits(), opt.to_bits());
 
         use suu_sim::Policy as _;
         let m = inst.num_machines();
@@ -525,7 +494,7 @@ mod tests {
             row.slots().iter().map(|s| s.map(|j| j.index())).collect()
         })
         .unwrap();
-        assert!((v - opt).abs() < 1e-9, "policy value {v} vs OPT {opt}");
+        assert_eq!(v.to_bits(), opt.to_bits(), "policy value {v} vs OPT {opt}");
     }
 
     #[test]

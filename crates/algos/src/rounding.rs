@@ -20,7 +20,13 @@
 //! capped at `⌈6 d*_j⌉`, bounding each job's rounded *length*
 //! (`d̂_j = max_i x̂_ij ≤ ⌈6 d*_j⌉`) so chain lengths grow by at most a
 //! constant factor.
+//!
+//! [`round_lp`] is the one entry for both lemmas: it caps a job's length
+//! exactly when the solution has a length `d*_j` for it, which
+//! [`solve_lp2`](crate::lp::solve_lp2) records and
+//! [`solve_lp1`](crate::lp::solve_lp1) does not.
 
+use crate::lp::LpSolution;
 use crate::AlgoError;
 use suu_core::logmass::clamped;
 use suu_core::{Assignment, JobId, MachineId, SuuInstance};
@@ -58,87 +64,51 @@ pub enum ScaleMode {
     /// rounded solution meets the identical guarantees (mass ≥ `L` per
     /// job, source saturated); fall back to 6 otherwise. Same worst-case
     /// guarantee, markedly shorter schedules in practice (see the
-    /// `rounding_scale` ablation bench).
+    /// `ablation_rounding` binary).
     Adaptive,
 }
 
-/// Inputs to the rounding: one entry per job of `J'`.
-pub struct FractionalJob<'a> {
-    /// Original job id.
-    pub job: u32,
-    /// Positive fractional assignments `(machine, x*_ij)`.
-    pub x: &'a [(u32, f64)],
-    /// Optional fractional length `d*_j` (Lemma 6); `None` = uncapped
-    /// (Lemma 2).
-    pub d_star: Option<f64>,
-}
-
-/// Round a fractional LP1/LP2-style solution into an integral
-/// [`Assignment`] (adaptive scale — see [`ScaleMode`]).
-///
-/// `target` is the mass target `L`; `t_star` the fractional optimum.
-pub fn round_assignment(
+/// Round a fractional (LP1) or (LP2) solution into an integral
+/// [`Assignment`]: Lemma 2, with Lemma 6's length caps `⌈scale · d*_j⌉`
+/// on the jobs that `sol.d` gives a length.
+pub fn round_lp(
     inst: &SuuInstance,
-    jobs: &[FractionalJob<'_>],
-    target: f64,
-    t_star: f64,
-) -> Result<(Assignment, RoundingReport), AlgoError> {
-    round_assignment_with(inst, jobs, target, t_star, ScaleMode::Adaptive)
-}
-
-/// [`round_assignment`] with an explicit [`ScaleMode`].
-pub fn round_assignment_with(
-    inst: &SuuInstance,
-    jobs: &[FractionalJob<'_>],
-    target: f64,
-    t_star: f64,
+    sol: &LpSolution,
     mode: ScaleMode,
 ) -> Result<(Assignment, RoundingReport), AlgoError> {
-    let scales: &[u32] = match mode {
-        ScaleMode::PaperExact => &[6],
-        ScaleMode::Adaptive => &[1, 2, 3, 6],
-    };
-    let mut last_err = None;
-    for (idx, &scale) in scales.iter().enumerate() {
-        let is_last = idx == scales.len() - 1;
-        match try_round_at_scale(inst, jobs, target, t_star, scale) {
-            Ok((assignment, report)) => {
-                let mass_ok = jobs.is_empty() || report.min_clamped_mass >= target - 1e-9;
-                if mass_ok {
-                    return Ok((assignment, report));
-                }
-                if is_last {
-                    // Scale 6 must meet the mass bound by Lemma 2's
-                    // counting argument; reaching here means a numeric
-                    // violation worth surfacing.
-                    return Err(AlgoError::BadInput(format!(
-                        "mass guarantee failed at scale {scale}: {} < {target}",
-                        report.min_clamped_mass
-                    )));
-                }
-            }
-            Err(e) => {
-                if is_last {
-                    return Err(e);
-                }
-                last_err = Some(e);
+    let target = sol.target;
+    let meets_mass =
+        |report: &RoundingReport| sol.jobs.is_empty() || report.min_clamped_mass >= target - 1e-9;
+    if mode == ScaleMode::Adaptive {
+        for scale in [1, 2, 3] {
+            match try_round_at_scale(inst, sol, scale) {
+                Ok((assignment, report)) if meets_mass(&report) => return Ok((assignment, report)),
+                _ => {}
             }
         }
     }
-    Err(last_err.unwrap_or(AlgoError::BadInput("no scale candidates".into())))
+    let (assignment, report) = try_round_at_scale(inst, sol, 6)?;
+    if !meets_mass(&report) {
+        // Scale 6 must meet the mass bound by Lemma 2's counting argument;
+        // reaching here means a numeric violation worth surfacing.
+        return Err(AlgoError::BadInput(format!(
+            "mass guarantee failed at scale 6: {} < {target}",
+            report.min_clamped_mass
+        )));
+    }
+    Ok((assignment, report))
 }
 
 fn try_round_at_scale(
     inst: &SuuInstance,
-    jobs: &[FractionalJob<'_>],
-    target: f64,
-    t_star: f64,
+    sol: &LpSolution,
     scale: u32,
 ) -> Result<(Assignment, RoundingReport), AlgoError> {
     let m = inst.num_machines();
     let n = inst.num_jobs();
+    let target = sol.target;
     let s = scale as f64;
-    let load_cap = (s * t_star).ceil().max(0.0) as u64;
+    let load_cap = (s * sol.t_star).ceil().max(0.0) as u64;
 
     // Node layout: 0 = source; 1..=G group nodes; then m machine nodes;
     // last = sink. Groups are discovered per job.
@@ -148,12 +118,12 @@ fn try_round_at_scale(
         members: Vec<u32>, // machines
     }
     let mut groups: Vec<Group> = Vec::new();
-    for (p, fj) in jobs.iter().enumerate() {
+    for (p, &j) in sol.jobs.iter().enumerate() {
         // Bucket this job's machines by k = floor(log2 ell').
         // Small map: jobs touch few distinct k in practice.
         let mut buckets: Vec<(i32, f64, Vec<u32>)> = Vec::new();
-        for &(i, x) in fj.x {
-            let ell = inst.ell(MachineId(i), JobId(fj.job));
+        for &(i, x) in sol.x_for(p) {
+            let ell = inst.ell(MachineId(i), JobId(j));
             debug_assert!(ell > 0.0, "zero-ell machine in fractional solution");
             let ellp = clamped(ell, target);
             let k = ellp.log2().floor() as i32;
@@ -208,8 +178,8 @@ fn try_round_at_scale(
     for (g, group) in groups.iter().enumerate() {
         demanded += group.cap;
         net.add_edge(source, first_group + g, group.cap);
-        let d_cap = match jobs[group.job_pos].d_star {
-            Some(d) => (s * d).ceil().max(1.0) as u64,
+        let d_cap = match sol.d.get(group.job_pos) {
+            Some(&d) => (s * d).ceil().max(1.0) as u64,
             None => CAP_INF,
         };
         let mut edges = Vec::with_capacity(group.members.len());
@@ -232,7 +202,7 @@ fn try_round_at_scale(
 
     let mut assignment = Assignment::new(m, n);
     for (g, edges) in group_machine_edges.iter().enumerate() {
-        let job = jobs[groups[g].job_pos].job;
+        let job = sol.jobs[groups[g].job_pos];
         for &(i, e) in edges {
             let f = net.flow_on(e);
             if f > 0 {
@@ -243,11 +213,11 @@ fn try_round_at_scale(
 
     // Report: clamped masses and loads.
     let mut min_mass = f64::INFINITY;
-    for fj in jobs {
+    for &j in &sol.jobs {
         let mass: f64 = assignment
-            .machines_for(JobId(fj.job))
+            .machines_for(JobId(j))
             .iter()
-            .map(|&(i, st)| clamped(inst.ell(MachineId(i), JobId(fj.job)), target) * st as f64)
+            .map(|&(i, st)| clamped(inst.ell(MachineId(i), JobId(j)), target) * st as f64)
             .sum();
         min_mass = min_mass.min(mass);
     }
@@ -262,45 +232,17 @@ fn try_round_at_scale(
     Ok((assignment, report))
 }
 
-/// Lemma 2: round an [`crate::lp1::Lp1Solution`] (adaptive scale).
-pub fn round_lp1(
-    inst: &SuuInstance,
-    sol: &crate::lp1::Lp1Solution,
-) -> Result<(Assignment, RoundingReport), AlgoError> {
-    round_lp1_with(inst, sol, ScaleMode::Adaptive)
-}
-
-/// Lemma 2 rounding with an explicit [`ScaleMode`] (the `PaperExact` mode
-/// backs the `rounding_scale` ablation experiment).
-pub fn round_lp1_with(
-    inst: &SuuInstance,
-    sol: &crate::lp1::Lp1Solution,
-    mode: ScaleMode,
-) -> Result<(Assignment, RoundingReport), AlgoError> {
-    let jobs: Vec<FractionalJob<'_>> = sol
-        .jobs
-        .iter()
-        .enumerate()
-        .map(|(p, &j)| FractionalJob {
-            job: j,
-            x: sol.x_for(p),
-            d_star: None,
-        })
-        .collect();
-    round_assignment_with(inst, &jobs, sol.target, sol.t_star, mode)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lp1::solve_lp1;
+    use crate::lp::solve_lp1;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use suu_core::{workload, Precedence};
 
     fn check_guarantees(inst: &SuuInstance, jobs: &[u32], target: f64) {
         let sol = solve_lp1(inst, jobs, target).unwrap();
-        let (asg, report) = round_lp1(inst, &sol).unwrap();
+        let (asg, report) = round_lp(inst, &sol, ScaleMode::Adaptive).unwrap();
         assert!(
             report.min_clamped_mass >= target - 1e-9,
             "mass guarantee violated: {} < {} (n={}, m={})",
@@ -368,7 +310,7 @@ mod tests {
         let inst = workload::uniform_unrelated(4, 10, 0.2, 0.95, Precedence::Independent, &mut rng);
         let jobs: Vec<u32> = (0..10).collect();
         let sol = solve_lp1(&inst, &jobs, 0.5).unwrap();
-        let (_asg, report) = round_lp1(&inst, &sol).unwrap();
+        let (_asg, report) = round_lp(&inst, &sol, ScaleMode::Adaptive).unwrap();
         assert!(report.max_load as f64 <= 6.0 * sol.t_star + 1.0);
     }
 
@@ -376,7 +318,7 @@ mod tests {
     fn subset_rounding_leaves_other_jobs_empty() {
         let inst = workload::homogeneous(2, 5, 0.5, Precedence::Independent);
         let sol = solve_lp1(&inst, &[1, 3], 0.5).unwrap();
-        let (asg, _) = round_lp1(&inst, &sol).unwrap();
+        let (asg, _) = round_lp(&inst, &sol, ScaleMode::Adaptive).unwrap();
         for j in [0u32, 2, 4] {
             assert!(asg.machines_for(JobId(j)).is_empty());
         }
@@ -389,7 +331,7 @@ mod tests {
     fn empty_solution_rounds_to_empty() {
         let inst = workload::homogeneous(1, 1, 0.5, Precedence::Independent);
         let sol = solve_lp1(&inst, &[], 0.5).unwrap();
-        let (asg, report) = round_lp1(&inst, &sol).unwrap();
+        let (asg, report) = round_lp(&inst, &sol, ScaleMode::Adaptive).unwrap();
         assert_eq!(asg.max_load(), 0);
         assert_eq!(report.demanded, 0);
     }

@@ -34,7 +34,8 @@
 //! compensates by topping up each job's mass on its best machine —
 //! bounding the number of distinct block offsets when `t_LP2` is huge.
 
-use crate::lp2::{round_lp2, solve_lp2};
+use crate::lp::solve_lp2;
+use crate::rounding::{round_lp, ScaleMode};
 use crate::suu_i_sem::SemPolicy;
 use crate::AlgoError;
 use rand::rngs::SmallRng;
@@ -149,7 +150,7 @@ impl ChainPolicy {
         cfg: ChainConfig,
     ) -> Result<Self, AlgoError> {
         let sol = solve_lp2(&inst, &chains, 1.0)?;
-        let (assignment, _report) = round_lp2(&inst, &sol)?;
+        let (assignment, _report) = round_lp(&inst, &sol, ScaleMode::Adaptive)?;
         Self::from_parts(inst, chains, assignment, sol.t_star, cfg)
     }
 

@@ -7,8 +7,8 @@
 //! repetitions, and `t_LP1(J,1/2) = O(E[T_OPT])` (Lemma 1), yielding the
 //! `O(log n)` approximation.
 
-use crate::lp1::solve_lp1;
-use crate::rounding::round_lp1;
+use crate::lp::solve_lp1;
+use crate::rounding::{round_lp, ScaleMode};
 use crate::AlgoError;
 use suu_core::{MachineId, SuuInstance, Timetable};
 use suu_sim::{Assignment, Decision, Policy, StateView};
@@ -45,7 +45,7 @@ impl OblPolicy {
     /// `SUU-I-SEM` fallback and by tests).
     pub fn for_jobs(inst: &SuuInstance, jobs: &[u32]) -> Result<Self, AlgoError> {
         let sol = solve_lp1(inst, jobs, 0.5)?;
-        let (assignment, _report) = round_lp1(inst, &sol)?;
+        let (assignment, _report) = round_lp(inst, &sol, ScaleMode::Adaptive)?;
         let timetable = assignment.to_timetable();
         let change_in = timetable.cyclic_change_distances();
         Ok(OblPolicy {

@@ -16,8 +16,8 @@
 //!   (load halves in expectation every repetition — Theorem 4's appendix
 //!   case).
 
-use crate::lp1::solve_lp1;
-use crate::rounding::round_lp1;
+use crate::lp::solve_lp1;
+use crate::rounding::{round_lp, ScaleMode};
 use crate::AlgoError;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -159,7 +159,7 @@ impl SemPolicy {
             return t.clone();
         }
         let table = match solve_lp1(&self.inst, jobs, Self::target(k))
-            .and_then(|sol| round_lp1(&self.inst, &sol))
+            .and_then(|sol| round_lp(&self.inst, &sol, ScaleMode::Adaptive))
         {
             Ok((assignment, _)) => assignment.to_timetable(),
             // LP failures cannot occur for valid instances; degrade to an

@@ -3,7 +3,9 @@
 
 use crate::baselines::GangSequentialPolicy;
 use crate::bounds::lower_bound;
+use crate::lp::{solve_lp1, solve_lp2};
 use crate::opt::{exact_opt, OptLimits};
+use crate::rounding::{round_lp, ScaleMode};
 use crate::suu_c::{ChainConfig, ChainPolicy};
 use crate::suu_i_obl::OblPolicy;
 use crate::suu_i_sem::SemPolicy;
@@ -158,8 +160,8 @@ proptest! {
             m, n, qmin, qmin + spread, Precedence::Independent, &mut rng);
         let jobs: Vec<u32> = (0..n as u32).collect();
         for target in [0.5, 2.0] {
-            let sol = crate::lp1::solve_lp1(&inst, &jobs, target).unwrap();
-            let (_, report) = crate::rounding::round_lp1(&inst, &sol).unwrap();
+            let sol = solve_lp1(&inst, &jobs, target).unwrap();
+            let (_, report) = round_lp(&inst, &sol, ScaleMode::Adaptive).unwrap();
             prop_assert!(report.min_clamped_mass >= target - 1e-9);
             prop_assert!(report.max_load <= report.load_cap);
         }
@@ -195,4 +197,101 @@ fn lower_bound_below_every_policy_mean() {
     let sem = mean(&mc(60, 5).run(&inst, || SemPolicy::build(inst.clone()).unwrap()));
     // Sampling noise allowance.
     assert!(sem >= lb - 0.5, "SEM mean {sem:.2} below LB {lb:.2}");
+}
+
+/// `(machine, job, steps)` of every positive entry of `asg`, by job.
+fn assignment_triples(asg: &suu_core::Assignment) -> Vec<(u32, u32, u64)> {
+    (0..asg.num_jobs() as u32)
+        .flat_map(|j| {
+            asg.machines_for(suu_core::JobId(j))
+                .iter()
+                .map(move |&(i, steps)| (i, j, steps))
+        })
+        .collect()
+}
+
+#[test]
+fn lp_rounding_bound_and_opt_keep_their_bits() {
+    // The simplex breaks ties by the LP's column and row order, and the DP
+    // sums in a fixed order, so a reordered variable, row or float
+    // operation can move these last bits, and every experiment output
+    // with them.
+    let mut rng = SmallRng::seed_from_u64(7);
+    let inst = workload::uniform_unrelated(3, 10, 0.3, 0.95, Precedence::Independent, &mut rng);
+    let jobs: Vec<u32> = (0..10).collect();
+    let sol = solve_lp1(&inst, &jobs, 0.5).unwrap();
+    assert_eq!(
+        sol.t_star.to_bits(),
+        0x400b_7963_5ce6_cbdc,
+        "LP1 t* {}",
+        sol.t_star
+    );
+    let (asg, _) = round_lp(&inst, &sol, ScaleMode::Adaptive).unwrap();
+    assert_eq!(
+        assignment_triples(&asg),
+        [
+            (0, 0, 1),
+            (1, 0, 1),
+            (2, 1, 2),
+            (0, 2, 2),
+            (2, 3, 2),
+            (1, 4, 2),
+            (2, 5, 2),
+            (1, 6, 2),
+            (0, 7, 2),
+            (1, 8, 2),
+            (0, 9, 2),
+        ]
+    );
+
+    // Ten chains on two weak machines, so (LP2) at mass 1/2 is the
+    // largest of the lower bounds.
+    let mut rng = SmallRng::seed_from_u64(8);
+    let cs = generators::random_chain_set(16, 10, &mut rng);
+    let chains = cs.chains().to_vec();
+    let inst = workload::uniform_unrelated(2, 16, 0.7, 0.9, Precedence::Chains(cs), &mut rng);
+    let sol = solve_lp2(&inst, &chains, 1.0).unwrap();
+    assert_eq!(
+        sol.t_star.to_bits(),
+        0x4037_41ec_8bf1_f2e9,
+        "LP2 t* {}",
+        sol.t_star
+    );
+    let (asg, _) = round_lp(&inst, &sol, ScaleMode::Adaptive).unwrap();
+    assert_eq!(
+        assignment_triples(&asg),
+        [
+            (0, 0, 6),
+            (1, 0, 2),
+            (1, 1, 7),
+            (1, 2, 5),
+            (0, 3, 5),
+            (0, 4, 7),
+            (1, 5, 4),
+            (1, 6, 8),
+            (0, 7, 5),
+            (0, 8, 4),
+            (1, 9, 6),
+            (0, 10, 5),
+            (0, 11, 4),
+            (0, 12, 4),
+            (1, 13, 7),
+            (0, 14, 4),
+            (1, 15, 4),
+        ]
+    );
+    let lb = lower_bound(&inst).unwrap();
+    assert_eq!(lb.to_bits(), 0x4017_41ec_8bf1_f2ea, "lower bound {lb}");
+
+    let mut rng = SmallRng::seed_from_u64(9);
+    let cs = generators::random_chain_set(6, 2, &mut rng);
+    let inst = workload::uniform_unrelated(2, 6, 0.2, 0.9, Precedence::Chains(cs), &mut rng);
+    let v = exact_opt(&inst, OptLimits::default()).unwrap();
+    assert_eq!(v.to_bits(), 0x4021_2196_39f3_69ac, "chains OPT {v}");
+
+    let mut rng = SmallRng::seed_from_u64(10);
+    let dag = generators::layered_dag(7, 3, 0.6, &mut rng);
+    let inst = workload::uniform_unrelated(2, 7, 0.2, 0.9, Precedence::Dag(dag), &mut rng);
+    let v = exact_opt(&inst, OptLimits::default()).unwrap();
+    assert_eq!(v.to_bits(), 0x401d_69ce_d0de_b30a, "layered-DAG OPT {v}");
 }

@@ -15,8 +15,8 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use suu_algos::lp1::solve_lp1;
-use suu_algos::rounding::{round_lp1_with, ScaleMode};
+use suu_algos::lp::solve_lp1;
+use suu_algos::rounding::{round_lp, ScaleMode};
 use suu_bench::print_header;
 use suu_bench::runner::{run_race, Race};
 use suu_bench::scenario::Scenario;
@@ -40,8 +40,8 @@ fn main() {
         let inst = workload::uniform_unrelated(m, n, 0.15, 0.95, Precedence::Independent, &mut rng);
         let jobs: Vec<u32> = (0..n as u32).collect();
         let sol = solve_lp1(&inst, &jobs, 0.5).unwrap();
-        let (asg_paper, rep_paper) = round_lp1_with(&inst, &sol, ScaleMode::PaperExact).unwrap();
-        let (asg_adapt, rep_adapt) = round_lp1_with(&inst, &sol, ScaleMode::Adaptive).unwrap();
+        let (asg_paper, rep_paper) = round_lp(&inst, &sol, ScaleMode::PaperExact).unwrap();
+        let (asg_adapt, rep_adapt) = round_lp(&inst, &sol, ScaleMode::Adaptive).unwrap();
         // Both must meet the Lemma-2 guarantees.
         assert!(rep_paper.min_clamped_mass >= 0.5 - 1e-9);
         assert!(rep_adapt.min_clamped_mass >= 0.5 - 1e-9);

@@ -4,7 +4,9 @@
 //! For sweeps of random instances, report: minimum clamped mass over jobs
 //! (must be ≥ L), max load vs cap (must hold), the scale factor the
 //! adaptive rounding settled on, and the rounded/fractional makespan
-//! ratio — Lemma 2 proves ≤ ~6+1; in practice far less.
+//! ratio — Lemma 2 proves ≤ ~6+1; in practice far less. A guarantee
+//! column that is not full fails the run (non-zero exit), so CI runs it
+//! as a gate.
 //!
 //! ```sh
 //! cargo run --release -p suu-bench --bin fig_lp_quality
@@ -13,9 +15,8 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use suu_algos::lp1::solve_lp1;
-use suu_algos::lp2::{round_lp2, solve_lp2};
-use suu_algos::rounding::round_lp1;
+use suu_algos::lp::{solve_lp1, solve_lp2};
+use suu_algos::rounding::{round_lp, ScaleMode};
 use suu_bench::print_header;
 use suu_core::{workload, Precedence};
 use suu_dag::generators::random_chain_set;
@@ -52,7 +53,7 @@ fn main() {
                 workload::uniform_unrelated(m, n, 0.1, 0.97, Precedence::Independent, &mut rng);
             let jobs: Vec<u32> = (0..n as u32).collect();
             let sol = solve_lp1(&inst, &jobs, target).unwrap();
-            let (_, report) = round_lp1(&inst, &sol).unwrap();
+            let (_, report) = round_lp(&inst, &sol, ScaleMode::Adaptive).unwrap();
             mass_ok += (report.min_clamped_mass >= target - 1e-9) as u32;
             load_ok += (report.max_load <= report.load_cap) as u32;
             scales += report.scale as f64;
@@ -64,6 +65,11 @@ fn main() {
             load_ok,
             scales / reps as f64,
             blowups / reps as f64,
+        );
+        assert_eq!(
+            (u64::from(mass_ok), u64::from(load_ok)),
+            (reps, reps),
+            "Lemma 2 guarantee missed at n={n} m={m} L={target}"
         );
     }
 
@@ -90,7 +96,7 @@ fn main() {
             let inst =
                 workload::uniform_unrelated(m, n, 0.15, 0.9, Precedence::Chains(cs), &mut rng);
             let sol = solve_lp2(&inst, &chains, 1.0).unwrap();
-            let (asg, report) = round_lp2(&inst, &sol).unwrap();
+            let (asg, report) = round_lp(&inst, &sol, ScaleMode::Adaptive).unwrap();
             mass_ok += (report.min_clamped_mass >= 1.0 - 1e-9) as u32;
             load_ok += (report.max_load <= report.load_cap) as u32;
             // Chain-length preservation: rounded chain length <= 7 t* + |C|.
@@ -107,6 +113,11 @@ fn main() {
             load_ok,
             len_ok,
             blowups / reps as f64,
+        );
+        assert_eq!(
+            (u64::from(mass_ok), u64::from(load_ok), u64::from(len_ok)),
+            (reps, reps, reps),
+            "Lemma 6 guarantee missed at n={n} chains={z}"
         );
     }
 

@@ -120,11 +120,12 @@ pub fn parse_race(body: &[u8]) -> Result<(RaceRequest, Vec<PolicySpec>), String>
     Ok((race, specs))
 }
 
-/// Parse a race's policy specs; the error names the first bad one.
+/// Parse a race's policy specs; the error names the first bad one (the
+/// parse error's own text already quotes the spec).
 pub fn policy_specs(policies: &[String]) -> Result<Vec<PolicySpec>, String> {
     policies
         .iter()
-        .map(|p| PolicySpec::parse(p).map_err(|e| format!("bad policy spec {p:?}: {e}")))
+        .map(|p| PolicySpec::parse(p).map_err(|e| e.to_string()))
         .collect()
 }
 
@@ -294,8 +295,8 @@ pub fn run_race_with(race: Race, registry: &PolicyRegistry) -> Json {
         .iter()
         .map(|(a, b)| {
             (
-                PolicySpec::parse(a).unwrap_or_else(|e| panic!("bad paired spec {a:?}: {e}")),
-                PolicySpec::parse(b).unwrap_or_else(|e| panic!("bad paired spec {b:?}: {e}")),
+                PolicySpec::parse(a).unwrap_or_else(|e| panic!("race.paired: {e}")),
+                PolicySpec::parse(b).unwrap_or_else(|e| panic!("race.paired: {e}")),
             )
         })
         .collect();

@@ -315,7 +315,7 @@ fn the_router_rejects_bad_requests_as_a_daemon_does() {
     let bad_family = r#"{"scenarios": [{"family": "no-such-family", "m": 2, "n": 4, "seed": 1}],
         "policies": ["greedy-lr"], "trials": 4}"#
         .to_string();
-    for body in [malformed, bad_spec, bad_family] {
+    for body in [malformed, bad_spec.clone(), bad_family] {
         let from_direct = http(&direct.addr, "POST", "/v1/race", Some(&body));
         let from_router = http(&router.addr, "POST", "/v1/race", Some(&body));
         assert_eq!(from_direct.status, 400, "{body}: {}", from_direct.body);
@@ -324,6 +324,13 @@ fn the_router_rejects_bad_requests_as_a_daemon_does() {
             (from_direct.status, &from_direct.body),
             "{body}"
         );
+        if body == bad_spec {
+            // The 400 names the bad spec once.
+            assert_eq!(
+                from_direct.body,
+                r#"bad request: bad policy spec "suu-c(seed=": missing closing parenthesis"#
+            );
+        }
     }
     // Nothing was scattered: no shard saw a race.
     let stats = http(&router.addr, "GET", "/v1/stats", None).json();
